@@ -2,24 +2,14 @@
 over a user-chosen system graph, with quasi-local routed couplings,
 cycle stabilizers, and resource analytics."""
 
-from .pauli import (
-    PauliString,
-    PauliSum,
-    pauli_commutes,
-    pauli_is_hermitian,
-    pauli_multiply,
-    pauli_weight,
-    sum_accumulate,
-)
+from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .graph import (
     CycleBasis,
     InteractionGraph,
     SystemGraph,
     Vertex,
     cycle_basis,
-    half_degree_total,
     qubit_count,
-    shortest_path,
 )
 from .geometries import (
     gen_blocked_square,
@@ -66,10 +56,9 @@ from .dense import dense_oracle_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliString", "PauliSum", "pauli_multiply", "pauli_commutes",
-    "pauli_weight", "pauli_is_hermitian", "sum_accumulate",
+    "PauliString", "PauliSum", "PauliSumBuilder",
     "SystemGraph", "Vertex", "InteractionGraph", "CycleBasis",
-    "cycle_basis", "shortest_path", "qubit_count", "half_degree_total",
+    "cycle_basis", "qubit_count",
     "gen_lattice", "gen_square_with_diagonals", "gen_syk_geometry",
     "gen_blocked_square", "gen_heavy_hex", "heavy_hex_device",
     "MajoranaBasis", "basis_jw", "basis_jw_yx", "basis_fenwick",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def loglog_slope(
     """Least-squares slope of log(field) against log(N), with its
     standard error; needs at least 4 points.
 
-    ``field`` is one of qubits, max_weight, total_weight, terms.
+    ``field`` is one of qubits, max_weight, total_weight, mean_weight,
+    terms.
     """
     if len(records) < 4:
         raise ParseError(f"need at least 4 points to fit, got {len(records)}")
@@ -140,18 +141,6 @@ def loglog_slope(
             raise ParseError(f"non-positive {field} value in records")
         ys.append(np.log(v))
     ys = np.array(ys)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    dof = len(xs) - 2
-    sxx = float(np.sum((xs - xs.mean()) ** 2))
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
-    return float(slope), stderr
-
-
-def fit_points(values: Dict[int, float]) -> Tuple[float, float]:
-    """loglog_slope for plain {N: value} data (used by tests)."""
-    xs = np.log(sorted(values))
-    ys = np.log([values[n] for n in sorted(values)])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     dof = len(xs) - 2

@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometries", required=True, help="comma list, e.g. linear,star")
     p.add_argument("--n", required=True, help="comma list of mode counts")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
     p.add_argument("--max-qubits", type=int, default=None,
                    help="per-point qubit guard (default unlimited)")
     p.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ from .encoding import Encoding, verify_encoding_algebra
 from .errors import ResourceError
 from .fermion import FermionOperator, MajoranaMonomial
 from .pauli import PauliString, PauliSum
-from .transform import Routing, transform_hamiltonian
+from .transform import transform_hamiltonian
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -115,7 +115,7 @@ def ev_term_matrix(n_modes: int, ev) -> np.ndarray:
 
 
 def joint_plus_one_basis(
-    n_qubits: int, constraints: Sequence[PauliString], tol: float = 1e-9
+    n_qubits: int, constraints: Sequence[PauliString]
 ) -> np.ndarray:
     """Orthonormal basis (columns) of the joint +1 eigenspace."""
     dim = 2**n_qubits
@@ -159,7 +159,6 @@ def dense_oracle_check(
     enc: Encoding,
     tol: float = 1e-9,
     qubit_cap: int = 12,
-    route: Routing = "auto",
 ) -> OracleReport:
     """Compare the compiled Hamiltonian, restricted to the codespace,
     against the exact fermionic spectrum in the matching sector.
@@ -182,11 +181,11 @@ def dense_oracle_check(
     if not algebra.ok:
         messages.extend("algebra: " + v for v in algebra.violations)
 
-    compiled = transform_hamiltonian(f, enc, route)
+    compiled = transform_hamiltonian(f, enc)
     h_enc = pauli_sum_to_matrix(compiled)
 
     constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
-    basis = joint_plus_one_basis(enc.total_qubits, constraints, tol)
+    basis = joint_plus_one_basis(enc.total_qubits, constraints)
     code_dim = basis.shape[1]
     spec_enc = np.sort(
         np.linalg.eigvalsh(basis.conj().T @ h_enc @ basis).real

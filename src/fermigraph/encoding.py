@@ -58,7 +58,6 @@ class Encoding:
     stabilizers: List[PauliString]
     cycles: CycleBasis
     _pair_weight_cache: Dict[int, List[List[int]]] = field(default_factory=dict)
-    _route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # operator queries
@@ -142,14 +141,7 @@ class Encoding:
             return _walk_edges(self.graph, list(path))
         if j == k:
             raise RoutingError("path endpoints must differ")
-        key = (j, k)
-        if key not in self._route_cache:
-            rev = self._route_cache.get((k, j))
-            if rev is not None:
-                self._route_cache[key] = tuple(reversed(rev))
-            else:
-                self._route_cache[key] = tuple(self.route_min_weight(j, k))
-        return list(self._route_cache[key])
+        return self.route_min_weight(j, k)
 
     def pair_weights(self, v: int) -> List[List[int]]:
         """Pauli weight of c_v^p c_v^q per port pair (cached)."""
@@ -387,7 +379,7 @@ def build_encoding(
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
         stabilizers=[],
-        cycles=cycle_basis(g, require_connected=False),
+        cycles=cycle_basis(g),
     )
     enc.stabilizers = [enc.loop_stabilizer(c) for c in enc.cycles.cycles]
     return enc
@@ -406,20 +398,20 @@ class AlgebraReport:
         return not self.violations
 
 
-def verify_encoding_algebra(enc: Encoding, max_violations: int = 20) -> AlgebraReport:
+def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
     """Check the full operator algebra of an encoding.
 
     Edge operators anticommute exactly when they share one endpoint;
     vertex operators commute among themselves and anticommute with the
     edge operators at their vertex; stabilizers commute with everything;
     every operator is Hermitian and squares to +I; reversed edge queries
-    negate.
+    negate.  The report keeps the first 20 findings.
     """
     rep = AlgebraReport()
     g = enc.graph
 
     def note(msg: str) -> None:
-        if len(rep.violations) < max_violations:
+        if len(rep.violations) < 20:
             rep.violations.append(msg)
 
     everything = (

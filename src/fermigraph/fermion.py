@@ -34,8 +34,10 @@ import numpy as np
 
 from .errors import DimensionError, ParityError, ParseError
 from .graph import InteractionGraph
+from .pauli import ZERO_THRESHOLD
 
 Factor = Tuple[int, bool]  # (mode, dagger)
+Word = Tuple[complex, Tuple[Factor, ...]]  # coefficient * product of factors
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class FermionOperator:
     """Sum of products of creation/annihilation operators."""
 
     n_modes: int
-    terms: Tuple[Tuple[complex, Tuple[Factor, ...]], ...]
+    terms: Tuple[Word, ...]
 
     def __post_init__(self):
         for _, factors in self.terms:
@@ -61,11 +63,6 @@ class FermionOperator:
 
     def is_parity_preserving(self) -> bool:
         return all(len(f) % 2 == 0 for _, f in self.terms)
-
-    def scaled(self, s: complex) -> "FermionOperator":
-        return FermionOperator(
-            self.n_modes, tuple((c * s, f) for c, f in self.terms)
-        )
 
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         if other.n_modes != self.n_modes:
@@ -127,12 +124,11 @@ def _normal_order(indices: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]
     return sign, tuple(out)
 
 
-def to_majorana_normal_form(
-    f: FermionOperator, tol: float = 1e-12
-) -> List[MajoranaMonomial]:
+def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
     """Expand into Majorana monomials with strictly increasing indices.
 
-    Like monomials are combined; coefficients below ``tol`` are dropped.
+    Like monomials are combined; coefficients of magnitude at most
+    ``ZERO_THRESHOLD`` are dropped.
     The result is sorted by (length, indices) for determinism.
     """
     acc: Dict[Tuple[int, ...], complex] = {}
@@ -151,7 +147,7 @@ def to_majorana_normal_form(
     out = [
         MajoranaMonomial(c, idx)
         for idx, c in acc.items()
-        if abs(c) > tol
+        if abs(c) > ZERO_THRESHOLD
     ]
     out.sort(key=lambda m: (len(m.indices), m.indices))
     return out
@@ -253,28 +249,31 @@ def syk2_monomials(
     return out
 
 
+def majorana_to_ladder(words: List[Word], index: int) -> List[Word]:
+    """Append Majorana g_index (0-based) to each word as ladder factors,
+    via g_{2m} = a_m + a_m^dag and g_{2m+1} = i(a_m^dag - a_m)."""
+    mode = index // 2
+    if index % 2:
+        return [
+            (c * z, fs + ((mode, dag),))
+            for c, fs in words
+            for z, dag in ((1j, True), (-1j, False))
+        ]
+    return [(c, fs + ((mode, dag),)) for c, fs in words for dag in (False, True)]
+
+
 def build_syk2(
     n_modes: int,
     couplings: Optional[np.ndarray] = None,
     seed: Optional[int] = None,
 ) -> FermionOperator:
     """Same Hamiltonian as ``syk2_monomials`` but as a FermionOperator,
-    via g_{2m} = a_m + a_m^dag and g_{2m+1} = i(a_m^dag - a_m)."""
-    monos = syk2_monomials(n_modes, couplings, seed)
-    terms: List[Tuple[complex, Tuple[Factor, ...]]] = []
-    for m in monos:
-        words: List[Tuple[complex, Tuple[Factor, ...]]] = [(m.coefficient, ())]
+    expanded by ``majorana_to_ladder``."""
+    terms: List[Word] = []
+    for m in syk2_monomials(n_modes, couplings, seed):
+        words: List[Word] = [(m.coefficient, ())]
         for g in m.indices:
-            mode, is_imag = g // 2, g % 2 == 1
-            nxt = []
-            for c, fs in words:
-                if is_imag:
-                    nxt.append((c * 1j, fs + ((mode, True),)))
-                    nxt.append((c * -1j, fs + ((mode, False),)))
-                else:
-                    nxt.append((c, fs + ((mode, False),)))
-                    nxt.append((c, fs + ((mode, True),)))
-            words = nxt
+            words = majorana_to_ladder(words, g)
         terms.extend(words)
     return FermionOperator.from_terms(n_modes, terms)
 
@@ -335,7 +334,7 @@ def build_lattice_model(
     else:
         raise ParseError(f"unknown lattice model {kind!r}")
 
-    terms: List[Tuple[complex, Tuple[Factor, ...]]] = []
+    terms: List[Word] = []
     for j, k, amp in bonds:
         if amp == 0.0:
             continue

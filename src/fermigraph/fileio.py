@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import re
-from typing import List, Tuple
+from typing import List
 
 from .encoding import Encoding
 from .errors import ParseError
-from .fermion import Factor, FermionOperator
+from .fermion import FermionOperator, Word, majorana_to_ladder
 from .graph import SystemGraph, Vertex
 from .localbasis import MajoranaBasis
 from .pauli import (
@@ -155,7 +155,7 @@ def encoding_from_json(text: str) -> Encoding:
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
         stabilizers=stabs,
-        cycles=cycle_basis(g, require_connected=False),
+        cycles=cycle_basis(g),
     )
 
 
@@ -201,7 +201,7 @@ def fermion_to_lines(f: FermionOperator) -> List[str]:
 
 def fermion_from_lines(lines) -> FermionOperator:
     n = None
-    terms: List[Tuple[complex, Tuple[Factor, ...]]] = []
+    terms: List[Word] = []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -213,7 +213,7 @@ def fermion_from_lines(lines) -> FermionOperator:
             n = int(m.group(1))
             continue
         coeff, rest = parse_term(line)
-        words: List[Tuple[complex, Tuple[Factor, ...]]] = [(coeff, ())]
+        words: List[Word] = [(coeff, ())]
         if rest != "1":
             for tok in rest.split():
                 m = _FACTOR_RE.match(tok)
@@ -223,19 +223,9 @@ def fermion_from_lines(lines) -> FermionOperator:
                 if idx < 0:
                     raise ParseError(f"factor index in {tok!r} must be 1-based")
                 if kind == "g":
-                    # g_{2m} = a + a'; g_{2m+1} = i (a' - a), 0-based index
-                    mode, imag = idx // 2, idx % 2 == 1
-                    if mode >= n:
+                    if idx // 2 >= n:
                         raise ParseError(f"Majorana index {tok!r} out of range")
-                    nxt = []
-                    for c, fs in words:
-                        if imag:
-                            nxt.append((c * 1j, fs + ((mode, True),)))
-                            nxt.append((c * -1j, fs + ((mode, False),)))
-                        else:
-                            nxt.append((c, fs + ((mode, False),)))
-                            nxt.append((c, fs + ((mode, True),)))
-                    words = nxt
+                    words = majorana_to_ladder(words, idx)
                 else:
                     if idx >= n:
                         raise ParseError(f"mode index {tok!r} out of range")

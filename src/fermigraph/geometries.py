@@ -171,7 +171,7 @@ def gen_square_with_diagonals(rows: int, cols: int, boundary: str = "open") -> S
 # all-to-all geometries
 
 
-def gen_syk_geometry(kind: str, n_modes: int, **params) -> SystemGraph:
+def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
     """System geometries for all-to-all coupled modes.
 
     Kinds: ``complete``, ``linear`` (periodic chain), ``star`` (one central
@@ -185,14 +185,14 @@ def gen_syk_geometry(kind: str, n_modes: int, **params) -> SystemGraph:
         g = _gen_chain(n_modes, periodic=True)
         g.meta = {"generator": "syk", "params": {"kind": "linear", "n_modes": n_modes}}
         return g
-    if kind in ("star", "n_branches"):
+    if kind == "star":
         return _gen_star(n_modes)
     if kind == "ternary_tree":
         return _gen_ternary_tree(n_modes)
     if kind == "ternary_mera":
         return _gen_ternary_mera(n_modes)
     if kind == "hyperbolic46":
-        return _gen_hyperbolic46(n_modes, params.get("layers"))
+        return _gen_hyperbolic46(n_modes)
     raise ParseError(f"unknown geometry kind {kind!r}")
 
 
@@ -366,7 +366,7 @@ def _grow_hyperbolic_layer(
     return n_vertices, new_bd, new_fc
 
 
-def _gen_hyperbolic46(n: int, layers: Optional[int] = None) -> SystemGraph:
+def _gen_hyperbolic46(n: int) -> SystemGraph:
     """Disk of the {4,6} tiling (4-sided faces, interior degree 6) grown
     layer by layer from a central face, with physical modes attached as
     pendant legs spread uniformly around the outermost boundary."""
@@ -377,18 +377,11 @@ def _gen_hyperbolic46(n: int, layers: Optional[int] = None) -> SystemGraph:
     fc = {0: 1, 1: 1, 2: 1, 3: 1}
 
     grown = 0
-    if layers is not None:
-        if layers < 1:
-            raise ParseError("layers must be >= 1")
-        while grown < layers - 1:
-            n_vertices, bd, fc = _grow_hyperbolic_layer(n_vertices, edges, faces, bd, fc)
-            grown += 1
-    else:
-        while len(bd) < n:
-            if grown > 8:
-                raise ResourceError("hyperbolic tiling grew past 8 layers")
-            n_vertices, bd, fc = _grow_hyperbolic_layer(n_vertices, edges, faces, bd, fc)
-            grown += 1
+    while len(bd) < n:
+        if grown > 8:
+            raise ResourceError("hyperbolic tiling grew past 8 layers")
+        n_vertices, bd, fc = _grow_hyperbolic_layer(n_vertices, edges, faces, bd, fc)
+        grown += 1
 
     # pendant legs, uniformly indexed around the boundary
     m = len(bd)

@@ -4,8 +4,8 @@ A ``SystemGraph`` is the geometry actually laid out in qubits: vertices
 carry an ordered list of ports, one per incident edge, and a vertex of
 degree d is allotted ceil(d/2) qubits.  Parallel edges are allowed (a 2x2
 periodic lattice needs them), so ports reference *edge indices* rather
-than neighbor ids; for simple graphs the two views coincide and helper
-constructors accept neighbor-id port lists.
+than neighbor ids; for simple graphs the two views coincide, and
+``SystemGraph.from_edges`` orders ports by ascending neighbor id.
 
 Canonical form: edges are sorted lexicographically as (min, max) pairs at
 construction and ports are remapped accordingly, so equal graphs have
@@ -14,12 +14,11 @@ identical serializations.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ParseError, RoutingError
+from .errors import ParseError
 
 Edge = Tuple[int, int]
 
@@ -84,24 +83,6 @@ class SystemGraph:
 
     # ------------------------------------------------------------------
     # convenience constructors
-
-    @classmethod
-    def from_neighbor_ports(
-        cls,
-        vertices: Iterable[Tuple[int, str, Sequence[int]]],
-        edges: Sequence[Edge],
-        meta: Optional[dict] = None,
-    ) -> "SystemGraph":
-        """Build a simple graph whose ports are given as neighbor ids."""
-        edges = [(min(a, b), max(a, b)) for a, b in edges]
-        if len(set(edges)) != len(edges):
-            raise ParseError("parallel edges require edge-index ports")
-        eidx = {e: i for i, e in enumerate(edges)}
-        vlist = []
-        for vid, kind, nbrs in vertices:
-            ports = tuple(eidx[(min(vid, u), max(vid, u))] for u in nbrs)
-            vlist.append(Vertex(vid, kind, ports))
-        return cls(vlist, edges, meta)
 
     @classmethod
     def from_edges(
@@ -171,29 +152,6 @@ class SystemGraph:
             adj[b].append((eidx, a))
         return adj
 
-    def components(self) -> List[List[int]]:
-        adj = self.adjacency()
-        seen = set()
-        comps = []
-        for start in self.vertex_ids():
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for _, u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemGraph):
             return NotImplemented
@@ -220,16 +178,6 @@ def qubit_count(g: SystemGraph) -> int:
     return sum(g.qubits_at(v) for v in g.vertex_ids())
 
 
-def half_degree_total(g: SystemGraph) -> int:
-    """Idealized qubit total sum(d(v)/2) assuming all degrees even.
-
-    Equals the edge count; matches ``qubit_count`` exactly when no vertex
-    has odd degree, and undercounts by one qubit per odd-degree vertex pair
-    otherwise.
-    """
-    return len(g.edges)
-
-
 # ----------------------------------------------------------------------
 # cycle basis
 
@@ -254,16 +202,13 @@ class CycleBasis:
     spanning_tree: Tuple[int, ...] = ()  # edge indices
 
 
-def cycle_basis(g: SystemGraph, require_connected: bool = True) -> CycleBasis:
+def cycle_basis(g: SystemGraph) -> CycleBasis:
     """Fundamental cycles of a BFS spanning tree (forest per component).
 
     Deterministic given the canonical vertex/edge ordering: the BFS root is
     the smallest vertex id of each component and neighbors are explored in
     edge-index order.  Each cycle uses exactly one non-tree edge.
     """
-    if require_connected and not g.is_connected():
-        raise RoutingError("graph is disconnected")
-
     adj = g.adjacency()
     parent_edge: Dict[int, Optional[int]] = {}
     depth: Dict[int, int] = {}
@@ -316,58 +261,6 @@ def cycle_basis(g: SystemGraph, require_connected: bool = True) -> CycleBasis:
 
 
 # ----------------------------------------------------------------------
-# routing
-
-
-def shortest_path(
-    g: SystemGraph,
-    j: int,
-    k: int,
-    cost: Optional[Callable[[int], float]] = None,
-) -> List[int]:
-    """Minimal-cost vertex sequence from j to k.
-
-    The cost of a path is the sum of ``cost(v)`` over its interior
-    vertices (default 1 each, i.e. fewest hops).  Ties break to the
-    lexicographically smallest vertex sequence.
-    """
-    if j not in g or k not in g:
-        raise RoutingError(f"unknown endpoint {j if j not in g else k}")
-    if j == k:
-        return [j]
-    if cost is None:
-        cost = lambda v: 1.0
-    adj = g.adjacency()
-    best: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
-    heap: List[Tuple[float, Tuple[int, ...]]] = [(0.0, (j,))]
-    while heap:
-        c, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in best:
-            continue
-        best[v] = (c, path)
-        if v == k:
-            return list(path)
-        for _, u in sorted(set(adj[v])):
-            if u in best:
-                continue
-            step = 0.0 if u == k else cost(u)
-            heapq.heappush(heap, (c + step, path + (u,)))
-    raise RoutingError(f"no path between {j} and {k}")
-
-
-def path_edges(g: SystemGraph, path: Sequence[int]) -> List[int]:
-    """Resolve a vertex sequence to edge indices (lowest index wins)."""
-    out = []
-    for a, b in zip(path, path[1:]):
-        cands = g.edges_between(a, b)
-        if not cands:
-            raise RoutingError(f"({a},{b}) is not an edge")
-        out.append(cands[0])
-    return out
-
-
-# ----------------------------------------------------------------------
 # interaction graphs
 
 
@@ -377,9 +270,3 @@ class InteractionGraph:
 
     n_modes: int
     edges: Tuple[Edge, ...]
-
-    def to_system_graph(self) -> SystemGraph:
-        """Promote to a system graph with ascending-id ports."""
-        return SystemGraph.from_edges(
-            list(self.edges), n_vertices=self.n_modes, meta={"generator": "interaction"}
-        )

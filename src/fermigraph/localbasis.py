@@ -37,9 +37,6 @@ class MajoranaBasis:
     ops: Tuple[PauliString, ...]
     name: str = "custom"
 
-    def port_ops(self) -> Tuple[PauliString, ...]:
-        return self.ops[: self.degree]
-
     def unpaired_op(self) -> PauliString:
         if self.degree % 2 == 0:
             raise VerifyError(f"degree {self.degree} vertex has no unpaired Majorana")

@@ -26,7 +26,8 @@ letters is folded in and out during parsing/printing so that a printed
 coefficient multiplies the ordinary Hermitian Pauli product.
 
 ``PauliString`` and ``PauliSum`` are immutable values; all operations are
-pure functions, so instances may be shared freely across workers.
+pure functions, so instances may be shared freely across workers.  Sums
+are assembled with ``PauliSumBuilder``.
 """
 
 from __future__ import annotations
@@ -73,15 +74,6 @@ class PauliString:
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0, 0)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
-        """The Hermitian operator ``letter`` on one qubit (0-based)."""
-        if not 0 <= qubit < n:
-            raise DimensionError(f"qubit {qubit} out of range for n={n}")
-        xb, zb = _LETTER_BITS[letter.upper()]
-        phase = 1 if letter.upper() == "Y" else 0
-        return cls(n, xb << qubit, zb << qubit, phase)
 
     @classmethod
     def from_ops(cls, n: int, ops: Dict[int, str]) -> "PauliString":
@@ -202,23 +194,6 @@ class PauliString:
         return f"PauliString({self})"
 
 
-def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a*b; associative, with the phase tracked mod 4."""
-    return a * b
-
-
-def pauli_commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
-
-
-def pauli_weight(a: PauliString) -> int:
-    return a.weight()
-
-
-def pauli_is_hermitian(a: PauliString) -> bool:
-    return a.is_hermitian()
-
-
 def _fmt_float(v: float) -> str:
     if v == 0:
         v = 0.0  # normalize -0.0
@@ -252,19 +227,6 @@ class PauliSum:
                 if abs(c) >= ZERO_THRESHOLD:
                     self._terms[key] = c
 
-    # ------------------------------------------------------------------
-
-    def accumulate(self, coeff: complex, p: PauliString) -> "PauliSum":
-        """Return a new sum with coeff * p added."""
-        if p.n != self.n:
-            raise DimensionError(
-                f"cannot accumulate a {p.n}-qubit term into a {self.n}-qubit sum"
-            )
-        out = PauliSum(self.n)
-        out._terms = dict(self._terms)
-        _acc(out._terms, coeff, p)
-        return out
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -285,9 +247,9 @@ class PauliSum:
             y = _popcount(p.x & p.z) % 4
             yield p.ops_label(), c * (1, -1j, -1, 1j)[y]
 
-    def is_real(self, tol: float = ZERO_THRESHOLD) -> bool:
-        """True when every labeled coefficient is real within tol."""
-        return all(abs(c.imag) <= tol for _, c in self.labeled_terms())
+    def is_real(self) -> bool:
+        """True when every labeled coefficient is real within ZERO_THRESHOLD."""
+        return all(abs(c.imag) <= ZERO_THRESHOLD for _, c in self.labeled_terms())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum) or other.n != self.n:
@@ -306,7 +268,7 @@ class PauliSum:
 
 
 class PauliSumBuilder:
-    """Mutable accumulator used internally to assemble large sums."""
+    """The one accumulator for sums: ``add`` terms, then ``build`` once."""
 
     __slots__ = ("n", "_terms")
 
@@ -337,11 +299,6 @@ def _acc(terms: Dict[Tuple[int, int], complex], coeff: complex, p: PauliString) 
         terms.pop(key, None)
     else:
         terms[key] = new
-
-
-def sum_accumulate(s: PauliSum, coeff: complex, p: PauliString) -> PauliSum:
-    """Pure accumulate: coefficient of p's canonical form grows by c*i^phase."""
-    return s.accumulate(coeff, p)
 
 
 # ----------------------------------------------------------------------

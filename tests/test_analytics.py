@@ -5,7 +5,6 @@ import pytest
 from fermigraph.analytics import (
     BenchRecord,
     WeightStats,
-    fit_points,
     loglog_slope,
     records_to_csv,
     sweep_syk_geometries,
@@ -92,9 +91,9 @@ class TestSlope:
         with pytest.raises(ParseError):
             loglog_slope(synthetic_records({2: 1, 4: 2, 8: 3}))
 
-    def test_fit_points_matches(self):
+    def test_mean_weight_field(self):
         vals = {n: 3.0 * n**2.5 for n in (4, 8, 16, 32)}
-        slope, _ = fit_points(vals)
+        slope, _ = loglog_slope(synthetic_records(vals), "mean_weight")
         assert slope == pytest.approx(2.5, abs=1e-9)
 
 

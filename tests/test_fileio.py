@@ -7,9 +7,14 @@ from fermigraph import fileio
 from fermigraph.dense import fermion_operator_matrix
 from fermigraph.encoding import build_encoding
 from fermigraph.errors import ParseError
-from fermigraph.fermion import build_lattice_model
+from fermigraph.fermion import (
+    build_lattice_model,
+    build_syk2,
+    syk2_couplings,
+    syk2_monomials,
+)
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
-from fermigraph.pauli import PauliSum, PauliString, sum_accumulate
+from fermigraph.pauli import PauliString, PauliSumBuilder, format_term
 from fermigraph.transform import transform_hamiltonian
 
 
@@ -79,6 +84,19 @@ class TestHamiltonianFiles:
 
         assert np.allclose(fermion_operator_matrix(f), coupling_matrix(2, 0, 1))
 
+    def test_majorana_lines_match_build_syk2(self, tmp_path):
+        """A quadratic SYK Hamiltonian written as g<k> lines reads back to
+        exactly the terms build_syk2 expands it into."""
+        couplings = syk2_couplings(5, seed=11)
+        path = tmp_path / "syk.fham"
+        lines = ["modes 5"] + [
+            format_term(m.coefficient, " ".join(f"g{g + 1}" for g in m.indices))
+            for m in syk2_monomials(5, couplings)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        f = fileio.read_fermion(str(path))
+        assert f.terms == build_syk2(5, couplings).terms
+
     def test_identity_line(self, tmp_path):
         path = str(tmp_path / "h.fham")
         with open(path, "w") as fh:
@@ -104,8 +122,9 @@ class TestPauliFiles:
         assert fileio.read_pauli_sum(path) == s
 
     def test_complex_coefficients(self, tmp_path):
-        s = PauliSum(2)
-        s = sum_accumulate(s, 0.25 - 1.5j, PauliString.from_label("Y1 X2", 2))
+        b = PauliSumBuilder(2)
+        b.add(0.25 - 1.5j, PauliString.from_label("Y1 X2", 2))
+        s = b.build()
         path = str(tmp_path / "c.pauli")
         fileio.write_pauli_sum(path, s)
         assert fileio.read_pauli_sum(path) == s

@@ -1,17 +1,14 @@
-"""Tests for the graph model: ports, cycles, routing, qubit counts."""
+"""Tests for the graph model: ports, cycles, routing, qubit counts.
+
+Routing lives in ``Encoding.route_min_weight``; the path tests here pin its
+behavior on plain geometries."""
 
 import pytest
 
 from conftest import random_connected_graph
+from fermigraph.encoding import build_encoding
 from fermigraph.errors import ParseError, RoutingError
-from fermigraph.graph import (
-    SystemGraph,
-    Vertex,
-    cycle_basis,
-    half_degree_total,
-    qubit_count,
-    shortest_path,
-)
+from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
 
 
@@ -53,9 +50,9 @@ class TestQubitCount:
         with pytest.warns(UserWarning):
             assert qubit_count(g) == 2
 
-    def test_half_degree_total_is_edge_count(self):
+    def test_complete_graph_edges_and_qubits(self):
         g = gen_syk_geometry("complete", 6)
-        assert half_degree_total(g) == 15
+        assert len(g.edges) == 15
         assert qubit_count(g) == 6 * 3  # ceil(5/2) each
 
 
@@ -119,62 +116,42 @@ class TestCycleBasis:
                 if all(d % 2 == 0 for d in deg.values()):
                     assert reduce(mask) == 0
 
-    def test_disconnected_raises_by_default(self):
+    def test_disconnected_graph_gets_spanning_forest(self):
         g = SystemGraph.from_edges([(0, 1), (2, 3)])
-        with pytest.raises(RoutingError):
-            cycle_basis(g)
-        assert cycle_basis(g, require_connected=False).cycles == []
+        cb = cycle_basis(g)
+        assert cb.cycles == [] and cb.spanning_tree == (0, 1)
 
 
 class TestShortestPath:
+    """Minimum-Pauli-weight routes from the encoding's router, as edge
+    index sequences."""
+
     def test_adjacent(self):
         g = gen_lattice("square", (3, 3), "open")
-        assert shortest_path(g, 0, 1) == [0, 1]
+        route = build_encoding(g, "jw").route_min_weight(0, 1)
+        assert [g.edges[e] for e in route] == [(0, 1)]
 
     def test_diagonal_goes_through_one_neighbor(self):
+        """Both two-hop routes weigh 4; the lexicographically smaller
+        vertex sequence 0-1-4 wins the tie."""
         g = gen_lattice("square", (3, 3), "open")
-        path = shortest_path(g, 0, 4)
-        assert len(path) == 3 and path == [0, 1, 4]  # lexicographic tie-break
+        enc = build_encoding(g, "jw")
+        for path in ([0, 1, 4], [0, 3, 4]):
+            assert enc.path_edge_operator(0, 4, path=path).weight() == 4
+        route = enc.route_min_weight(0, 4)
+        assert [g.edges[e] for e in route] == [(0, 1), (1, 4)]
 
     def test_no_path(self):
         g = SystemGraph.from_edges([(0, 1), (2, 3)])
         with pytest.raises(RoutingError):
-            shortest_path(g, 0, 3)
-
-    def test_minimal_against_enumeration(self, rng):
-        """Dijkstra cost equals the brute-force minimum over simple paths."""
-        for _ in range(15):
-            g = random_connected_graph(rng, max_vertices=7, max_edges=12)
-            ids = g.vertex_ids()
-            weights = {v: int(rng.integers(1, 5)) for v in ids}
-            cost = lambda v: weights[v]
-            adj = {v: sorted(set(u for _, u in g.adjacency()[v])) for v in ids}
-
-            def all_paths(j, k):
-                stack = [(j, [j])]
-                while stack:
-                    v, path = stack.pop()
-                    if v == k:
-                        yield path
-                        continue
-                    for u in adj[v]:
-                        if u not in path:
-                            stack.append((u, path + [u]))
-
-            j, k = rng.choice(ids, size=2, replace=False)
-            j, k = int(j), int(k)
-            best = min(
-                sum(weights[v] for v in p[1:-1]) for p in all_paths(j, k)
-            )
-            got = shortest_path(g, j, k, cost)
-            assert sum(weights[v] for v in got[1:-1]) == best
+            build_encoding(g, "jw").route_min_weight(0, 3)
 
     def test_mera_boundary_path_is_logarithmic(self):
         """Opposite boundary points route through the hierarchy in a
         number of hops bounded by the depth, far below the lateral
         distance along the bottom rows."""
         g = gen_syk_geometry("ternary_mera", 81)  # depth 4
-        hops = len(shortest_path(g, 0, 40)) - 1
+        hops = len(build_encoding(g, "fenwick").route_min_weight(0, 40))
         assert hops <= 3 * 4 + 2
         lateral = 2 * 40 // 3  # bottom-row routing costs ~2 hops per 3 sites
         assert hops < lateral

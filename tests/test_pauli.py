@@ -8,14 +8,10 @@ from fermigraph.errors import DimensionError
 from fermigraph.pauli import (
     PauliString,
     PauliSum,
-    pauli_commutes,
-    pauli_is_hermitian,
-    pauli_multiply,
-    pauli_weight,
+    PauliSumBuilder,
     parse_term,
     pauli_sum_from_lines,
     pauli_sum_to_lines,
-    sum_accumulate,
 )
 
 
@@ -23,10 +19,17 @@ def S(label, n):
     return PauliString.from_label(label, n)
 
 
+def build_sum(n, terms) -> PauliSum:
+    b = PauliSumBuilder(n)
+    for c, p in terms:
+        b.add(c, p)
+    return b.build()
+
+
 class TestMultiply:
     def test_involution(self):
         x = S("X1", 1)
-        assert pauli_multiply(x, x) == PauliString.identity(1)
+        assert x * x == PauliString.identity(1)
 
     def test_xz_is_minus_i_y(self):
         """X*Z stored as phase-0 XZ equals -iY; checked against 2x2 matrices."""
@@ -45,7 +48,7 @@ class TestMultiply:
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
-            pauli_multiply(S("X1", 1), S("X1", 2))
+            S("X1", 1) * S("X1", 2)
 
     def test_random_products_match_matrices(self, rng):
         """Associativity, sign of exchange, squares, and 64x64 oracle match."""
@@ -59,53 +62,53 @@ class TestMultiply:
             a, b, c = ops
             assert (a * b) * c == a * (b * c)
             ab, ba = a * b, b * a
-            if pauli_commutes(a, b):
+            if a.commutes(b):
                 assert ab == ba
             else:
                 assert ab == -ba
             sq = a * a
             assert sq.x == 0 and sq.z == 0 and sq.phase in (0, 2)
             assert np.array_equal(string_matrix(ab), string_matrix(a) @ string_matrix(b))
-            assert pauli_weight(ab) <= pauli_weight(a) + pauli_weight(b)
+            assert ab.weight() <= a.weight() + b.weight()
 
 
 class TestCommutes:
     def test_disjoint_support(self):
-        assert pauli_commutes(S("X1", 2), S("Z2", 2))
+        assert S("X1", 2).commutes(S("Z2", 2))
 
     def test_single_qubit_anticommutation(self):
-        assert not pauli_commutes(S("X1", 1), S("Z1", 1))
+        assert not S("X1", 1).commutes(S("Z1", 1))
 
     def test_two_collisions_cancel(self):
         a, b = S("X1 Z2", 2), S("Z1 X2", 2)
-        assert pauli_commutes(a, b)
+        assert a.commutes(b)
         ma, mb = string_matrix(a), string_matrix(b)
         assert np.allclose(ma @ mb, mb @ ma)
 
 
 class TestWeight:
     def test_identity(self):
-        assert pauli_weight(PauliString.identity(5)) == 0
+        assert PauliString.identity(5).weight() == 0
 
     def test_string(self):
-        assert pauli_weight(S("X1 Z2 Y3", 5)) == 3
+        assert S("X1 Z2 Y3", 5).weight() == 3
 
     def test_all_z(self):
         n = 7
-        assert pauli_weight(S(" ".join(f"Z{q+1}" for q in range(n)), n)) == n
+        assert S(" ".join(f"Z{q+1}" for q in range(n)), n).weight() == n
 
 
 class TestHermitian:
     def test_y_is_hermitian(self):
         y = S("Y1", 1)
-        assert y.phase == 1 and pauli_is_hermitian(y)
+        assert y.phase == 1 and y.is_hermitian()
 
     def test_i_x_is_not(self):
-        assert not pauli_is_hermitian(S("X1", 1).with_phase(1))
+        assert not S("X1", 1).with_phase(1).is_hermitian()
 
     def test_i_yx_is_not(self):
         p = S("Y1 X2", 2).with_phase(1)
-        assert not pauli_is_hermitian(p)
+        assert not p.is_hermitian()
         m = string_matrix(p)
         assert not np.allclose(m, m.conj().T)
 
@@ -117,27 +120,28 @@ class TestHermitian:
                 int(rng.integers(0, 4)),
             )
             m = string_matrix(p)
-            assert pauli_is_hermitian(p) == np.allclose(m, m.conj().T)
+            assert p.is_hermitian() == np.allclose(m, m.conj().T)
             assert np.allclose(string_matrix(p.adjoint()), m.conj().T)
 
 
 class TestSum:
     def test_merge(self):
-        s = PauliSum(2)
-        s = sum_accumulate(s, 0.5, S("X1", 2))
-        s = sum_accumulate(s, 0.5, S("X1", 2))
+        b = PauliSumBuilder(2)
+        b.add(0.5, S("X1", 2))
+        b.add(0.5, S("X1", 2))
+        s = b.build()
         assert len(s) == 1
         assert s.coefficient(S("X1", 2)) == pytest.approx(1.0)
 
     def test_cancellation(self):
-        s = PauliSum(2)
-        s = sum_accumulate(s, 1.0, S("X1", 2))
-        s = sum_accumulate(s, -1.0, S("X1", 2))
-        assert len(s) == 0
+        b = PauliSumBuilder(2)
+        b.add(1.0, S("X1", 2))
+        b.add(-1.0, S("X1", 2))
+        assert len(b.build()) == 0
 
     def test_phase_folding(self):
         """Accumulating i*X with coefficient c stores i*c on the X key."""
-        s = sum_accumulate(PauliSum(1), 2.0, S("X1", 1).with_phase(1))
+        s = build_sum(1, [(2.0, S("X1", 1).with_phase(1))])
         assert s.coefficient(S("X1", 1)) == pytest.approx(2j)
 
     def test_order_independence(self, rng):
@@ -147,22 +151,16 @@ class TestSum:
             p = PauliString(n, int(rng.integers(0, 8)), int(rng.integers(0, 8)),
                             int(rng.integers(0, 4)))
             terms.append((complex(rng.normal(), rng.normal()), p))
-        s1 = PauliSum(3)
-        for c, p in terms:
-            s1 = sum_accumulate(s1, c, p)
-        s2 = PauliSum(3)
-        for c, p in reversed(terms):
-            s2 = sum_accumulate(s2, c, p)
-        assert s1 == s2
+        assert build_sum(3, terms) == build_sum(3, reversed(terms))
 
     def test_xy_chain_term_multiset(self):
         """(t/2) XX and YY per bond assemble into the rotated-chain sum."""
         t = 0.8
-        s = PauliSum(3)
+        b = PauliSumBuilder(3)
         for j in (1, 2):
-            s = sum_accumulate(s, t / 2, S(f"X{j} X{j+1}", 3))
-            s = sum_accumulate(s, t / 2, S(f"Y{j} Y{j+1}", 3))
-        labels = dict(s.labeled_terms())
+            b.add(t / 2, S(f"X{j} X{j+1}", 3))
+            b.add(t / 2, S(f"Y{j} Y{j+1}", 3))
+        labels = dict(b.build().labeled_terms())
         assert labels == {
             "X1 X2": pytest.approx(0.4), "Y1 Y2": pytest.approx(0.4),
             "X2 X3": pytest.approx(0.4), "Y2 Y3": pytest.approx(0.4),
@@ -175,14 +173,15 @@ class TestText:
         assert coeff == 0.5 - 1j and label == "X1 Z2 Y3"
 
     def test_roundtrip(self, rng):
-        s = PauliSum(4)
+        b = PauliSumBuilder(4)
         for _ in range(10):
             p = PauliString(4, int(rng.integers(0, 16)), int(rng.integers(0, 16)),
                             int(rng.integers(0, 4)))
-            s = sum_accumulate(s, complex(rng.normal(), rng.normal()), p)
+            b.add(complex(rng.normal(), rng.normal()), p)
+        s = b.build()
         lines = pauli_sum_to_lines(s)
         assert pauli_sum_from_lines(lines) == s
 
     def test_identity_prints_as_I(self):
-        s = sum_accumulate(PauliSum(3), 2.5, PauliString.identity(3))
+        s = build_sum(3, [(2.5, PauliString.identity(3))])
         assert pauli_sum_to_lines(s)[1] == "(2.5,0) I"

@@ -20,7 +20,7 @@ from fermigraph.fermion import (
     syk2_monomials,
 )
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
-from fermigraph.pauli import PauliString, PauliSum
+from fermigraph.pauli import PauliString, PauliSumBuilder
 from fermigraph.transform import transform_hamiltonian, transform_monomials
 
 
@@ -94,10 +94,10 @@ class TestHoppingIdentity:
             compiled = transform_hamiltonian(f, enc)
             a = enc.edge_operator(j, k)
             b_j, b_k = enc.vertex_operator(j), enc.vertex_operator(k)
-            manual = PauliSum(n)
-            manual = manual.accumulate(-0.5j, a * b_k)
-            manual = manual.accumulate(-0.5j, b_j * a)
-            assert compiled == manual
+            manual = PauliSumBuilder(n)
+            manual.add(-0.5j, a * b_k)
+            manual.add(-0.5j, b_j * a)
+            assert compiled == manual.build()
 
     def test_identity_in_reference_rep(self):
         n = 3
