@@ -27,6 +27,7 @@ with p < q throughout and edge factors stored before vertex factors.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -59,7 +60,11 @@ class FermionOperator:
     def from_terms(
         cls, n_modes: int, terms: Iterable[Tuple[complex, Sequence[Factor]]]
     ) -> "FermionOperator":
-        return cls(n_modes, tuple((complex(c), tuple(f)) for c, f in terms))
+        words = tuple((complex(c), tuple(f)) for c, f in terms)
+        for c, _ in words:
+            if not cmath.isfinite(c):
+                raise ParseError(f"non-finite coefficient {c}")
+        return cls(n_modes, words)
 
     def is_parity_preserving(self) -> bool:
         return all(len(f) % 2 == 0 for _, f in self.terms)

@@ -32,6 +32,7 @@ are assembled with ``PauliSumBuilder``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
@@ -204,9 +205,12 @@ def _fmt_float(v: float) -> str:
 
 def _parse_number(tok: str) -> float:
     try:
-        return float(tok)
+        v = float(tok)
     except ValueError as exc:
         raise ParseError(f"bad coefficient component {tok!r}") from exc
+    if not math.isfinite(v):
+        raise ParseError(f"non-finite coefficient component {tok!r}")
+    return v
 
 
 class PauliSum:

@@ -151,6 +151,23 @@ class TestErrors:
                      "--out", str(tmp_path / "o.pauli")]) == 3
         assert "error: route:" in capsys.readouterr().err
 
+    def test_non_finite_pauli_coefficient_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.pauli"
+        path.write_text("qubits 2\n(1,0) Z1\n(nan,0) X1\n")
+        assert main(["stats", "--in", str(path)]) == 2
+        assert "error: parse:" in capsys.readouterr().err
+
+    def test_non_finite_fham_coefficient_exit_code(self, tmp_path, capsys):
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "2", "--bc", "open",
+              "--out", g])
+        h = tmp_path / "inf.fham"
+        h.write_text("modes 2\n(inf,0) a+1 a-2\n(inf,0) a+2 a-1\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--out", str(tmp_path / "o.pauli")]) == 2
+        assert "error: parse:" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["encode", "--graph", str(tmp_path / "none.graph"),
                      "--out", str(tmp_path / "x.enc")]) == 2

@@ -12,7 +12,7 @@ from fermigraph.dense import (
     monomial_matrix,
     parity_matrix,
 )
-from fermigraph.errors import ParityError
+from fermigraph.errors import ParityError, ParseError
 from fermigraph.fermion import (
     FermionOperator,
     MajoranaMonomial,
@@ -51,6 +51,15 @@ class TestMajoranaReference:
                 FermionOperator.from_terms(n, [(1.0, ((p, True), (p, False)))])
             )
             assert np.allclose(parity_matrix(n, p), np.eye(4) - 2 * num)
+
+
+class TestFromTerms:
+    @pytest.mark.parametrize(
+        "coeff", [float("nan"), float("inf"), complex(0, float("-inf")), complex(1, float("nan"))]
+    )
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ParseError):
+            FermionOperator.from_terms(2, [(1.0, ((0, True), (1, False))), (coeff, ())])
 
 
 class TestNormalForm:

@@ -104,6 +104,14 @@ class TestHamiltonianFiles:
         f = fileio.read_fermion(path)
         assert np.allclose(fermion_operator_matrix(f), 2.5 * np.eye(2))
 
+    @pytest.mark.parametrize("coeff", ["(nan,0)", "(1,inf)", "(-inf,0)"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, coeff):
+        path = str(tmp_path / "h.fham")
+        with open(path, "w") as fh:
+            fh.write(f"modes 2\n(1,0) a+1 a-2\n{coeff} a+2 a-1\n")
+        with pytest.raises(ParseError):
+            fileio.read_fermion(path)
+
     def test_bad_token(self, tmp_path):
         path = str(tmp_path / "h.fham")
         with open(path, "w") as fh:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import string_matrix
-from fermigraph.errors import DimensionError
+from fermigraph.errors import DimensionError, ParseError
 from fermigraph.pauli import (
     PauliString,
     PauliSum,
@@ -181,6 +181,15 @@ class TestText:
         s = b.build()
         lines = pauli_sum_to_lines(s)
         assert pauli_sum_from_lines(lines) == s
+
+    @pytest.mark.parametrize(
+        "line", ["(nan,0) X1", "(inf,0) X1", "(0,-inf) X1", "(1,NaN) Z2"]
+    )
+    def test_non_finite_coefficient_rejected(self, line):
+        with pytest.raises(ParseError):
+            parse_term(line)
+        with pytest.raises(ParseError):
+            pauli_sum_from_lines(["qubits 2", line])
 
     def test_identity_prints_as_I(self):
         s = build_sum(3, [(2.5, PauliString.identity(3))])
