@@ -29,7 +29,7 @@ weights at interior vertices.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError, ResourceError, RoutingError, VerifyError
@@ -39,25 +39,29 @@ from .localbasis import (
     basis_from_labels,
     basis_verify,
     get_basis,
+    gf2_pivots,
+    gf2_reduce,
 )
 from .pauli import PauliString
 
 BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoding:
+    """The tables derived from a system graph and its per-vertex local
+    bases by ``build_encoding``, the only constructor.  No cache or other
+    state: encodings of the same graph and bases compare equal whatever
+    has been routed on them."""
+
     graph: SystemGraph
     total_qubits: int
     layout: Dict[int, Tuple[int, int]]  # vertex -> (offset, n_qubits)
-    basis_names: Dict[int, str]
     local_bases: Dict[int, MajoranaBasis]
-    port_ops: Dict[int, Tuple[PauliString, ...]]  # embedded, all 2n per vertex
     edge_ops: List[PauliString]  # per edge index, oriented min->max
     vertex_ops: Dict[int, PauliString]
-    stabilizers: List[PauliString]
+    stabilizers: List[PauliString]  # one per cycle of ``cycles``, in order
     cycles: CycleBasis
-    _pair_weight_cache: Dict[int, List[List[int]]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # operator queries
@@ -86,10 +90,8 @@ class Encoding:
         return self.vertex_ops[j]
 
     def unpaired_majorana(self, j: int) -> PauliString:
-        d = self.graph.degree(j)
-        if d % 2 == 0:
-            raise VerifyError(f"vertex {j} has even degree {d}: no unpaired Majorana")
-        return self.port_ops[j][d]
+        op = self.local_bases[j].unpaired_op()
+        return op.embed(self.total_qubits, self.layout[j][0])
 
     def virtual_parity_ops(self) -> List[PauliString]:
         """Vertex operators of virtual modes; these are fixed to +1 on the
@@ -143,18 +145,6 @@ class Encoding:
             raise RoutingError("path endpoints must differ")
         return self.route_min_weight(j, k)
 
-    def pair_weights(self, v: int) -> List[List[int]]:
-        """Pauli weight of c_v^p c_v^q per port pair (cached)."""
-        if v not in self._pair_weight_cache:
-            local = self.local_bases[v].ops
-            d = self.graph.degree(v)
-            table = [
-                [(local[p] * local[q]).weight() if p != q else 0 for q in range(d)]
-                for p in range(d)
-            ]
-            self._pair_weight_cache[v] = table
-        return self._pair_weight_cache[v]
-
     def route_min_weight(self, j: int, k: int) -> List[int]:
         """Edge sequence from j to k minimizing the exact Pauli weight of
         the resulting string: endpoint single-operator weights plus, at
@@ -184,7 +174,7 @@ class Encoding:
             if (v, e_in) in seen:
                 continue
             seen.add((v, e_in))
-            pw = self.pair_weights(v)
+            pw = self.local_bases[v].pair_weights
             p_in = g.port_of_edge(v, e_in)
             for e_out, u in sorted(adj[v]):
                 if e_out == e_in or (u, e_out) in seen:
@@ -242,19 +232,8 @@ class Encoding:
         ``p`` distinguishes membership in the group from membership up to
         a sign."""
         n = self.total_qubits
-        pivots: List[Tuple[int, int]] = []
-        for i, s in enumerate(self.stabilizers):
-            row, mask = s.x | (s.z << n), 1 << i
-            for prow, pmask in pivots:
-                if (row ^ prow) < row:
-                    row, mask = row ^ prow, mask ^ pmask
-            if row:
-                pivots.append((row, mask))
-                pivots.sort(reverse=True)
-        row, mask = p.x | (p.z << n), 0
-        for prow, pmask in pivots:
-            if (row ^ prow) < row:
-                row, mask = row ^ prow, mask ^ pmask
+        pivots = gf2_pivots([s.x | (s.z << n) for s in self.stabilizers])
+        row, mask = gf2_reduce(p.x | (p.z << n), pivots)
         if row:
             return None
         combo = PauliString.identity(n)
@@ -345,7 +324,7 @@ def build_encoding(
             f"encoding needs {total} qubits, above the cap of {max_qubits}"
         )
 
-    port_ops: Dict[int, Tuple[PauliString, ...]] = {}
+    port_ops: Dict[int, Tuple[PauliString, ...]] = {}  # embedded, 2n per vertex
     for v in g.vertex_ids():
         off, _ = layout[v]
         port_ops[v] = tuple(op.embed(total, off) for op in bases[v].ops)
@@ -373,16 +352,15 @@ def build_encoding(
         graph=g,
         total_qubits=total,
         layout=layout,
-        basis_names={v: bases[v].name for v in g.vertex_ids()},
         local_bases=bases,
-        port_ops=port_ops,
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
         stabilizers=[],
         cycles=cycle_basis(g),
     )
-    enc.stabilizers = [enc.loop_stabilizer(c) for c in enc.cycles.cycles]
-    return enc
+    return replace(
+        enc, stabilizers=[enc.loop_stabilizer(c) for c in enc.cycles.cycles]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +383,8 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
     vertex operators commute among themselves and anticommute with the
     edge operators at their vertex; stabilizers commute with everything;
     every operator is Hermitian and squares to +I; reversed edge queries
-    negate.  The report keeps the first 20 findings.
+    negate; the stabilizers are exactly the loop stabilizers of the cycle
+    basis, in order.  The report keeps the first 20 findings.
     """
     rep = AlgebraReport()
     g = enc.graph
@@ -453,4 +432,12 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
     for i, (a, b) in enumerate(g.edges):
         if enc.directed_edge_operator(i, b) != -enc.directed_edge_operator(i, a):
             note(f"edge {i} is not antisymmetric")
+    try:
+        loops_ok = enc.stabilizers == [
+            enc.loop_stabilizer(c) for c in enc.cycles.cycles
+        ]
+    except VerifyError:
+        loops_ok = False
+    if not loops_ok:
+        note("stabilizers are not the loop stabilizers of the cycle basis")
     return rep

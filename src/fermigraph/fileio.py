@@ -7,7 +7,10 @@
 
 .enc    JSON envelope carrying the graph, layout, per-vertex basis names,
         and every operator table in the textual term format, edges in
-        index order and cycles in basis order.
+        index order and cycles in basis order.  Reading rebuilds the
+        encoding from the graph and the bases (a registered name, else the
+        stored basis operators) and refuses the file with a ParseError
+        naming the first stored table that differs from the rebuilt one.
 
 .fham   line format: ``modes N`` header then ``(re,im) factor...`` with
         factors ``a+<mode>`` / ``a-<mode>`` (1-based creation and
@@ -25,13 +28,12 @@ import json
 import re
 from typing import List
 
-from .encoding import Encoding
-from .errors import ParseError
+from .encoding import Encoding, build_encoding
+from .errors import ParseError, VerifyError
 from .fermion import FermionOperator, Word, majorana_to_ladder
 from .graph import SystemGraph, Vertex
-from .localbasis import MajoranaBasis
+from .localbasis import BASIS_BUILDERS
 from .pauli import (
-    PauliString,
     PauliSum,
     format_term,
     parse_term,
@@ -85,78 +87,55 @@ def read_graph(path: str) -> SystemGraph:
 # encodings
 
 
-def _op_text(p: PauliString) -> str:
-    c = p.label_coefficient()
-    return format_term(c, p.ops_label())
-
-
-def _op_parse(text: str, n: int) -> PauliString:
-    coeff, label = parse_term(text)
-    p = PauliString.from_label(label, n)
-    phases = {1: 0, 1j: 1, -1: 2, -1j: 3}
-    key = complex(round(coeff.real), round(coeff.imag))
-    if key not in phases or abs(coeff - key) > 1e-12:
-        raise ParseError(f"operator coefficient {coeff} is not a power of i")
-    return p.with_phase(phases[key])
-
-
-def encoding_to_json(enc: Encoding) -> str:
-    doc = {
+def _encoding_doc(enc: Encoding) -> dict:
+    return {
         "graph": json.loads(graph_to_json(enc.graph)),
         "total_qubits": enc.total_qubits,
         "layout": [
             [v, enc.layout[v][0], enc.layout[v][1]] for v in enc.graph.vertex_ids()
         ],
-        "bases": {str(v): enc.basis_names[v] for v in enc.graph.vertex_ids()},
+        "bases": {str(v): enc.local_bases[v].name for v in enc.graph.vertex_ids()},
         "basis_ops": {
-            str(v): [_op_text(op) for op in enc.local_bases[v].ops]
+            str(v): [str(op) for op in enc.local_bases[v].ops]
             for v in enc.graph.vertex_ids()
         },
-        "edge_ops": [_op_text(op) for op in enc.edge_ops],
+        "edge_ops": [str(op) for op in enc.edge_ops],
         "vertex_ops": {
-            str(v): _op_text(enc.vertex_ops[v]) for v in enc.graph.vertex_ids()
+            str(v): str(enc.vertex_ops[v]) for v in enc.graph.vertex_ids()
         },
-        "stabilizers": [_op_text(op) for op in enc.stabilizers],
+        "stabilizers": [str(op) for op in enc.stabilizers],
     }
-    return json.dumps(doc, **_JSON_KW) + "\n"
+
+
+def encoding_to_json(enc: Encoding) -> str:
+    return json.dumps(_encoding_doc(enc), **_JSON_KW) + "\n"
 
 
 def encoding_from_json(text: str) -> Encoding:
-    from .encoding import Encoding as Enc
-    from .graph import cycle_basis
-
+    """Rebuild the encoding from the stored graph and per-vertex bases; a
+    registered basis name is rebuilt by name, any other (``custom``,
+    ``empty``) from the letters of its stored operators.  Every stored
+    table but the graph must equal the text ``encoding_to_json`` writes for
+    the rebuilt encoding."""
     try:
         doc = json.loads(text)
         g = graph_from_json(json.dumps(doc["graph"]))
-        total = doc["total_qubits"]
-        layout = {v: (off, cnt) for v, off, cnt in doc["layout"]}
-        names = {int(v): name for v, name in doc["bases"].items()}
-        local = {}
-        port_ops = {}
-        for key, labels in doc["basis_ops"].items():
-            v = int(key)
-            nv = layout[v][1]
-            ops = tuple(_op_parse(t, nv) for t in labels)
-            local[v] = MajoranaBasis(g.degree(v), nv, ops, names[v])
-            off = layout[v][0]
-            port_ops[v] = tuple(op.embed(total, off) for op in ops)
-        edge_ops = [_op_parse(t, total) for t in doc["edge_ops"]]
-        vertex_ops = {int(v): _op_parse(t, total) for v, t in doc["vertex_ops"].items()}
-        stabs = [_op_parse(t, total) for t in doc["stabilizers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        choice = {}
+        for v in g.vertex_ids():
+            name = doc["bases"][str(v)]
+            choice[v] = name if name in BASIS_BUILDERS else [
+                parse_term(t)[1] for t in doc["basis_ops"][str(v)]
+            ]
+        enc = build_encoding(g, choice)
+    except (KeyError, TypeError, ValueError, VerifyError) as exc:
         raise ParseError(f"bad encoding file: {exc}") from exc
-    return Enc(
-        graph=g,
-        total_qubits=total,
-        layout=layout,
-        basis_names=names,
-        local_bases=local,
-        port_ops=port_ops,
-        edge_ops=edge_ops,
-        vertex_ops=vertex_ops,
-        stabilizers=stabs,
-        cycles=cycle_basis(g),
-    )
+    for key, table in _encoding_doc(enc).items():
+        if key != "graph" and doc.get(key) != table:
+            raise ParseError(
+                f"bad encoding file: stored {key} differ from the tables "
+                "rebuilt from its graph and bases"
+            )
+    return enc
 
 
 def write_encoding(path: str, enc: Encoding) -> None:
@@ -170,17 +149,8 @@ def read_encoding(path: str) -> Encoding:
 
 
 def encodings_equal(a: Encoding, b: Encoding) -> bool:
-    return (
-        a.graph == b.graph
-        and a.total_qubits == b.total_qubits
-        and a.layout == b.layout
-        and a.basis_names == b.basis_names
-        and {v: bb.ops for v, bb in a.local_bases.items()}
-        == {v: bb.ops for v, bb in b.local_bases.items()}
-        and a.edge_ops == b.edge_ops
-        and a.vertex_ops == b.vertex_ops
-        and a.stabilizers == b.stabilizers
-    )
+    """Table-by-table equality; an encoding holds nothing but its tables."""
+    return a == b
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ Three constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ParseError, VerifyError
@@ -41,6 +42,16 @@ class MajoranaBasis:
         if self.degree % 2 == 0:
             raise VerifyError(f"degree {self.degree} vertex has no unpaired Majorana")
         return self.ops[self.degree]
+
+    @cached_property
+    def pair_weights(self) -> List[List[int]]:
+        """Pauli weight of c^p c^q per port pair, computed on first use;
+        the memo sits outside the fields, so equality ignores it."""
+        ops, d = self.ops, self.degree
+        return [
+            [(ops[p] * ops[q]).weight() if p != q else 0 for q in range(d)]
+            for p in range(d)
+        ]
 
 
 @dataclass
@@ -201,17 +212,28 @@ def get_basis(name: str, d: int) -> MajoranaBasis:
 # validation
 
 
-def _gf2_rank(rows: List[int]) -> int:
-    rank = 0
-    pivots: List[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
+def gf2_reduce(
+    row: int, pivots: Sequence[Tuple[int, int]], mask: int = 0
+) -> Tuple[int, int]:
+    """Reduce a GF(2) row by ``pivots`` (highest leading bit first),
+    tracking in ``mask`` which input rows were added."""
+    for prow, pmask in pivots:
+        if (row ^ prow) < row:
+            row, mask = row ^ prow, mask ^ pmask
+    return row, mask
+
+
+def gf2_pivots(rows: Sequence[int]) -> List[Tuple[int, int]]:
+    """Row-reduce GF(2) bit-vector rows to (row, mask) pivots with distinct
+    leading bits, sorted high to low; bit i of a mask marks input row i.
+    The number of pivots is the rank."""
+    pivots: List[Tuple[int, int]] = []
+    for i, row in enumerate(rows):
+        row, mask = gf2_reduce(row, pivots, 1 << i)
         if row:
-            pivots.append(row)
+            pivots.append((row, mask))
             pivots.sort(reverse=True)
-            rank += 1
-    return rank
+    return pivots
 
 
 def basis_verify(b: MajoranaBasis) -> BasisReport:
@@ -237,7 +259,7 @@ def basis_verify(b: MajoranaBasis) -> BasisReport:
             if b.ops[i].commutes(b.ops[j]):
                 report.violations.append(f"ops {i} and {j} commute")
     rows = [op.x | (op.z << n) for op in b.ops]
-    rank = _gf2_rank(rows)
+    rank = len(gf2_pivots(rows))
     if rank != 2 * n:
         report.violations.append(
             f"symplectic rank {rank} < {2 * n}: operators do not generate the Pauli group"

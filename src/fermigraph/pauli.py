@@ -154,8 +154,13 @@ class PauliString:
     # structure helpers
 
     def support(self) -> List[int]:
-        bits = self.x | self.z
-        return [q for q in range(self.n) if (bits >> q) & 1]
+        """Acted-on qubits in ascending order, walking only the set bits."""
+        bits, out = self.x | self.z, []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
 
     def letter(self, qubit: int) -> str:
         return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]

@@ -1,9 +1,11 @@
 """Tests for the encoder: operator tables, algebra, routing, stabilizers."""
 
+import dataclasses
+
 import pytest
 
 from conftest import random_connected_graph
-from fermigraph.encoding import build_encoding, verify_encoding_algebra
+from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
 from fermigraph.errors import ResourceError, RoutingError, VerifyError
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
@@ -73,15 +75,34 @@ class TestBuild:
         enc = build_encoding(
             g, {4: "fenwick", "default": "jw", 0: ["Y1", "X1"]}
         )
-        assert enc.basis_names[4] == "fenwick"
-        assert enc.basis_names[0] == "custom"
-        assert enc.basis_names[1] == "jw"
+        assert enc.local_bases[4].name == "fenwick"
+        assert enc.local_bases[0].name == "custom"
+        assert enc.local_bases[1].name == "jw"
         assert verify_encoding_algebra(enc).ok
 
     def test_invalid_override_rejected(self):
         g = gen_syk_geometry("star", 4)
         with pytest.raises(VerifyError):
             build_encoding(g, {0: ["X1", "X1"]})
+
+
+class TestValue:
+    def test_fields_are_the_tables(self):
+        assert [f.name for f in dataclasses.fields(Encoding)] == [
+            "graph", "total_qubits", "layout", "local_bases", "edge_ops",
+            "vertex_ops", "stabilizers", "cycles",
+        ]
+
+    def test_frozen(self):
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            enc.total_qubits = 5
+
+    def test_equality_ignores_routing_history(self):
+        g = gen_lattice("square", (3, 3), "open")
+        routed, fresh = build_encoding(g, "jw"), build_encoding(g, "jw")
+        routed.path_edge_operator(0, 4)
+        assert routed == fresh
 
 
 class TestUnpaired:
@@ -220,6 +241,19 @@ class TestAlgebraSuite:
             enc = build_encoding(g, basis)
             rep = verify_encoding_algebra(enc)
             assert rep.ok, rep.violations
+
+    @pytest.mark.parametrize("tamper", ["s,-s", "-s"])
+    def test_stabilizers_must_be_the_loop_stabilizers(self, tamper):
+        """A negated or duplicated-with-opposite-sign stabilizer list still
+        commutes with everything, so only the comparison with the cycle
+        basis catches it; [s, -s] generates -I (empty codespace)."""
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
+        assert verify_encoding_algebra(enc).ok
+        (s,) = enc.stabilizers
+        stabs = [s, -s] if tamper == "s,-s" else [-s]
+        rep = verify_encoding_algebra(dataclasses.replace(enc, stabilizers=stabs))
+        assert not rep.ok
+        assert any("loop stabilizers" in v for v in rep.violations)
 
     def test_vertex_op_equals_mode_parity_dense(self):
         """Odd-degree vertex operator (unpaired Majorana included) matches

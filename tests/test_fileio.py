@@ -1,5 +1,7 @@
 """Round-trip and byte-stability tests for the file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from fermigraph.fermion import (
     syk2_monomials,
 )
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
-from fermigraph.pauli import PauliString, PauliSumBuilder, format_term
+from fermigraph.graph import SystemGraph
+from fermigraph.pauli import PauliString, PauliSumBuilder, format_term, parse_term
 from fermigraph.transform import transform_hamiltonian
 
 
@@ -62,6 +65,85 @@ class TestEncodingFiles:
             fileio.encoding_from_json(text)
         )
         assert text == again
+
+
+def _negate(text):
+    coeff, label = parse_term(text)
+    return format_term(-coeff, label)
+
+
+def _tamper(doc, table):
+    """Change one stored table of a 4-cycle jw_yx encoding."""
+    if table == "edge_ops":
+        doc["edge_ops"][0] = _negate(doc["edge_ops"][0])
+    elif table == "stabilizers":  # [s, -s]: generates -I
+        doc["stabilizers"].append(_negate(doc["stabilizers"][0]))
+    elif table == "vertex_ops":
+        doc["vertex_ops"]["0"] = _negate(doc["vertex_ops"]["0"])
+    elif table == "basis_ops":  # the jw order under the name jw_yx
+        ops = doc["basis_ops"]["0"]
+        ops[0], ops[1] = ops[1], ops[0]
+    elif table == "layout":
+        for entry in doc["layout"]:
+            entry[1] = (entry[1] + 1) % 4
+    else:
+        doc["total_qubits"] += 1
+
+
+class TestEncodingTampering:
+    """Each stored table, tampered alone, makes the file differ from the
+    encoding rebuilt from its graph and bases."""
+
+    @pytest.mark.parametrize(
+        "table",
+        ["edge_ops", "stabilizers", "vertex_ops", "basis_ops", "layout",
+         "total_qubits"],
+    )
+    def test_tampered_table_refused(self, tmp_path, table):
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
+        doc = json.loads(fileio.encoding_to_json(enc))
+        _tamper(doc, table)
+        path = str(tmp_path / "t.enc")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ParseError, match=table):
+            fileio.read_encoding(path)
+
+    def test_untampered_reads_back(self, tmp_path):
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
+        path = str(tmp_path / "t.enc")
+        with open(path, "w") as fh:
+            json.dump(json.loads(fileio.encoding_to_json(enc)), fh)
+        assert fileio.read_encoding(path) == enc
+
+    def test_mixed_bases_with_custom_labels_round_trip(self, tmp_path):
+        g = gen_syk_geometry("star", 4)
+        enc = build_encoding(g, {4: "fenwick", "default": "jw", 0: ["Y1", "X1"]})
+        path = str(tmp_path / "m.enc")
+        fileio.write_encoding(path, enc)
+        back = fileio.read_encoding(path)
+        assert fileio.encodings_equal(enc, back)
+        assert [back.local_bases[v].name for v in (0, 1, 4)] == [
+            "custom", "jw", "fenwick"]
+
+    def test_isolated_vertex_round_trip(self, tmp_path):
+        g = SystemGraph.from_edges([(0, 1), (1, 2), (0, 2)], n_vertices=4)
+        enc = build_encoding(g, "ternary")
+        assert enc.local_bases[3].name == "empty"
+        path = str(tmp_path / "i.enc")
+        fileio.write_encoding(path, enc)
+        assert fileio.encodings_equal(enc, fileio.read_encoding(path))
+
+    def test_invalid_custom_basis_is_a_parse_error(self, tmp_path):
+        g = gen_syk_geometry("star", 4)
+        doc = json.loads(fileio.encoding_to_json(
+            build_encoding(g, {"default": "jw", 0: ["Y1", "X1"]})))
+        doc["basis_ops"]["0"] = ["(1,0) X1", "(1,0) X1"]
+        path = str(tmp_path / "c.enc")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ParseError):
+            fileio.read_encoding(path)
 
 
 class TestHamiltonianFiles:

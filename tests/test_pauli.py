@@ -97,6 +97,16 @@ class TestWeight:
         n = 7
         assert S(" ".join(f"Z{q+1}" for q in range(n)), n).weight() == n
 
+    def test_support_is_the_acted_on_qubits_in_order(self, rng):
+        assert PauliString.identity(5).support() == []
+        for _ in range(100):
+            n = int(rng.integers(1, 130))
+            x = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
+            z = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
+            p = PauliString(n, x, z)
+            assert p.support() == [q for q in range(n) if p.letter(q) != "I"]
+            assert len(p.support()) == p.weight()
+
 
 class TestHermitian:
     def test_y_is_hermitian(self):
