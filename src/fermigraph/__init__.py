@@ -28,7 +28,7 @@ from .localbasis import (
     basis_verify,
     get_basis,
 )
-from .encoding import Encoding, build_encoding, verify_encoding_algebra
+from .encoding import Encoding, Router, build_encoding, verify_encoding_algebra
 from .fermion import (
     EVTerm,
     FermionOperator,
@@ -63,7 +63,7 @@ __all__ = [
     "gen_blocked_square", "gen_heavy_hex", "heavy_hex_device",
     "MajoranaBasis", "basis_jw", "basis_jw_yx", "basis_fenwick",
     "basis_ternary_tree", "basis_verify", "get_basis",
-    "Encoding", "build_encoding", "verify_encoding_algebra",
+    "Encoding", "Router", "build_encoding", "verify_encoding_algebra",
     "FermionOperator", "MajoranaMonomial", "EVTerm",
     "to_majorana_normal_form", "pair_to_ev", "monomial_to_ev",
     "interaction_graph_from_hamiltonian", "build_syk2", "syk2_couplings",

@@ -21,16 +21,16 @@ the analytics module).
 
 A coupling between non-adjacent vertices is realized by a routed string:
 the raw product of directed edge operators along an n-edge path, times
-i^(n-1) for the canonical Hermitian form.  Default routing minimizes the
-exact Pauli weight the string picks up, using the per-port operator pair
-weights at interior vertices.
+i^(n-1) for the canonical Hermitian form.  Default routing (``Router``)
+minimizes an additive cost built from the per-port operator weights,
+which is not always the Pauli weight of the string; see ``Router``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError, ResourceError, RoutingError, VerifyError
 from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, cycle_basis
@@ -114,13 +114,23 @@ class Encoding:
     ) -> PauliString:
         """Coupling operator between j and k along a path of system edges.
 
-        ``path`` may be a vertex sequence or None for automatic routing.
-        The raw product of the n directed edge operators along the path is
+        ``path`` may be a vertex sequence or None for automatic routing
+        (``route_min_weight``).  See ``walk_operator`` for ``raw``.
+        """
+        if path is None:
+            return self.walk_operator(j, self.route_min_weight(j, k), raw)
+        if list(path)[0] != j or list(path)[-1] != k:
+            raise RoutingError(f"explicit path does not join {j} to {k}")
+        return self.walk_operator(j, _walk_edges(self.graph, list(path)), raw)
+
+    def walk_operator(
+        self, j: int, edges: Sequence[int], raw: bool = False
+    ) -> PauliString:
+        """Product of the directed edge operators along the edge sequence
+        ``edges`` walked from j.  The raw product of the n operators is
         returned when ``raw`` is set; the default multiplies by i^(n-1),
         which is the Hermitian canonical form (equal to the direct edge
-        operator whenever (j, k) is itself an edge).
-        """
-        edges = self._resolve_route(j, k, path)
+        operator whenever the walk is a single edge)."""
         op = PauliString.identity(self.total_qubits)
         src = j
         for eidx in edges:
@@ -134,56 +144,11 @@ class Encoding:
             raise VerifyError("canonical path operator failed the Hermiticity check")
         return op
 
-    def _resolve_route(
-        self, j: int, k: int, path: Optional[Sequence[int]]
-    ) -> List[int]:
-        if path is not None:
-            if list(path)[0] != j or list(path)[-1] != k:
-                raise RoutingError(f"explicit path does not join {j} to {k}")
-            return _walk_edges(self.graph, list(path))
-        if j == k:
-            raise RoutingError("path endpoints must differ")
-        return self.route_min_weight(j, k)
-
     def route_min_weight(self, j: int, k: int) -> List[int]:
-        """Edge sequence from j to k minimizing the exact Pauli weight of
-        the resulting string: endpoint single-operator weights plus, at
-        each interior vertex, the weight of the local operator pair its
-        ports contribute.  Ties break to the lexicographically smallest
-        vertex sequence."""
-        g = self.graph
-        if j not in g or k not in g:
-            raise RoutingError(f"unknown endpoint {j if j not in g else k}")
-        adj = g.adjacency()
-
-        def single_w(v: int, eidx: int) -> int:
-            return self.local_bases[v].ops[g.port_of_edge(v, eidx)].weight()
-
-        heap: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
-        for eidx, u in sorted(adj[j]):
-            w = single_w(j, eidx)
-            if u == k:
-                w += single_w(k, eidx)
-            heapq.heappush(heap, (w, (j, u), (eidx,)))
-        seen: set = set()
-        while heap:
-            w, verts, edges = heapq.heappop(heap)
-            v, e_in = verts[-1], edges[-1]
-            if v == k:
-                return list(edges)
-            if (v, e_in) in seen:
-                continue
-            seen.add((v, e_in))
-            pw = self.local_bases[v].pair_weights
-            p_in = g.port_of_edge(v, e_in)
-            for e_out, u in sorted(adj[v]):
-                if e_out == e_in or (u, e_out) in seen:
-                    continue
-                step = pw[p_in][g.port_of_edge(v, e_out)]
-                if u == k:
-                    step += single_w(k, e_out)
-                heapq.heappush(heap, (w + step, verts + (u,), edges + (e_out,)))
-        raise RoutingError(f"no path between {j} and {k}")
+        """The edge sequence ``Router.route`` gives from j to k, from one
+        search with k absorbing; a caller routing many pairs keeps one
+        ``Router`` instead."""
+        return list(Router(self)._absorbing(j, k)[2])
 
     # ------------------------------------------------------------------
     # stabilizers
@@ -244,17 +209,129 @@ class Encoding:
 
     # ------------------------------------------------------------------
 
-    def mode_vertex(self, mode: int) -> int:
-        """Physical vertex carrying fermionic mode ``mode`` (physical
-        vertices in ascending id order)."""
-        phys = self.graph.physical_ids()
-        if not 0 <= mode < len(phys):
-            raise ParseError(f"mode {mode} out of range for {len(phys)} physical modes")
-        return phys[mode]
-
     @property
     def n_modes(self) -> int:
         return len(self.graph.physical_ids())
+
+
+#: A routing search entry: (cost, vertex sequence, edge sequence, terminal).
+#: Entries order by cost, then by vertex sequence, then by edge sequence; no
+#: two entries tie on all three.
+_Entry = Tuple[int, Tuple[int, ...], Tuple[int, ...], bool]
+
+
+class Router:
+    """Minimum-cost routes between the vertices of an encoding's graph.
+
+    The cost of a walk from j to k is additive: the weights of j's and k's
+    single local operators on the walk's end ports plus, at each interior
+    vertex, the weight of the local operator pair its in and out ports
+    contribute.  It equals the Pauli weight of the routed string when the
+    walk visits no vertex twice.  ``route`` minimizes it over walks that
+    meet k only at their end, breaking ties to the lexicographically
+    smallest vertex sequence, then edge sequence.  A walk that re-enters k
+    can weigh less; it is not considered.
+
+    A search is a resumable Dijkstra from one source over (vertex, in-edge)
+    states.  A state entry continues the search; when it first pops, a
+    terminal entry for its vertex u is pushed with u's single-port weight
+    added, and the first terminal entry to pop for u is the route to u.
+    The search of the latest source stays live, so routing one source's
+    destinations one after another runs one search for all of them;
+    returning to an earlier source starts its search again.  When the
+    popped walk passes through its destination before its end, that one
+    pair is searched again with the destination absorbing.
+    """
+
+    def __init__(self, enc: Encoding):
+        self._graph = enc.graph
+        self._bases = enc.local_bases
+        self._source: Optional[int] = None
+        self._search: Iterator[_Entry] = iter(())
+        self._found: Dict[int, _Entry] = {}  # end vertex -> entry, for _source
+
+    def route(self, j: int, k: int) -> List[int]:
+        """Edge sequence of the minimum-cost walk from j to k."""
+        return list(self._entry(j, k)[2])
+
+    def cost(self, j: int, k: int) -> int:
+        """The cost ``route`` minimized for (j, k), which is the predicted
+        Pauli weight of the routed string."""
+        return self._entry(j, k)[0]
+
+    def _check(self, j: int, k: int) -> None:
+        g = self._graph
+        if j not in g or k not in g:
+            raise RoutingError(f"unknown endpoint {j if j not in g else k}")
+        if j == k:
+            raise RoutingError("path endpoints must differ")
+
+    def _absorbing(self, j: int, k: int) -> _Entry:
+        """The entry for k from a search of its own with k absorbing."""
+        self._check(j, k)
+        for entry in self._walks(j, k):
+            return entry
+        raise RoutingError(f"no path between {j} and {k}")
+
+    def _entry(self, j: int, k: int) -> _Entry:
+        self._check(j, k)
+        if j != self._source:
+            self._source, self._search, self._found = j, self._walks(j, None), {}
+        found = self._found
+        if k not in found:
+            for entry in self._search:
+                found[entry[1][-1]] = entry
+                if entry[1][-1] == k:
+                    break
+            else:
+                raise RoutingError(f"no path between {j} and {k}")
+        if k in found[k][1][:-1]:
+            found[k] = self._absorbing(j, k)
+        return found[k]
+
+    def _walks(self, j: int, stop: Optional[int]) -> Iterator[_Entry]:
+        """The terminal entries of the search from j in pop order, the
+        first one per end vertex only.  With a ``stop`` vertex, its states
+        are not expanded, so no walk passes through it, and only its
+        terminal entry is pushed.
+
+        A terminal entry is larger than its state's entry, so pushing it
+        when that state first pops still pops it in order; later arrivals
+        at a popped state cannot give a smaller terminal entry."""
+        g, bases = self._graph, self._bases
+        heap: List[_Entry] = []
+        seen: set = set()
+        reached: set = set()
+        # the source expands first, paying its single operator per out-port
+        w, verts, edges, v, e_in = 0, (j,), (), j, None
+        row: Sequence[int] = bases[j].op_weights
+        while True:
+            for p_out, e_out in enumerate(g.vertices[v].ports):
+                a, b = g.edges[e_out]
+                u = b if a == v else a
+                if e_out != e_in and (u, e_out) not in seen:
+                    heapq.heappush(
+                        heap, (w + row[p_out], verts + (u,), edges + (e_out,), False)
+                    )
+            while heap:
+                entry = heapq.heappop(heap)
+                w, verts, edges, terminal = entry
+                v, e_in = verts[-1], edges[-1]
+                if terminal:
+                    if v not in reached:
+                        reached.add(v)
+                        yield entry
+                elif (v, e_in) not in seen:
+                    seen.add((v, e_in))
+                    p_in = g.port_of_edge(v, e_in)
+                    if v not in reached and (stop is None or v == stop):
+                        end = w + bases[v].op_weights[p_in]
+                        heapq.heappush(heap, (end, verts, edges, True))
+                    if v != stop:
+                        break
+            else:
+                return
+            row = bases[v].pair_weights[p_in]
 
 
 def _walk_edges(g: SystemGraph, verts: Sequence[int]) -> List[int]:
@@ -275,10 +352,12 @@ def _walk_edges(g: SystemGraph, verts: Sequence[int]) -> List[int]:
 
 def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, MajoranaBasis]:
     """Per-vertex basis resolution: a single name, or a map from vertex id
-    to a name or an explicit operator label list."""
+    to a name or an explicit operator label list.  Vertices with the same
+    registered name and degree share one verified basis object."""
     if basis_choice is None:
         basis_choice = "jw"
     out: Dict[int, MajoranaBasis] = {}
+    named: Dict[Tuple[str, int], MajoranaBasis] = {}
     for v in g.vertex_ids():
         d = g.degree(v)
         if d == 0:
@@ -288,7 +367,10 @@ def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, Majora
         if isinstance(basis_choice, dict):
             choice = basis_choice.get(v, basis_choice.get("default", "jw"))
         if isinstance(choice, str):
-            basis = get_basis(choice, d)
+            if (choice, d) in named:
+                out[v] = named[(choice, d)]
+                continue
+            basis = named[(choice, d)] = get_basis(choice, d)
         else:
             basis = basis_from_labels(d, list(choice))
         report = basis_verify(basis)

@@ -80,6 +80,10 @@ class SystemGraph:
         self._pair_index: Dict[Edge, List[int]] = {}
         for eidx, e in enumerate(self.edges):
             self._pair_index.setdefault(e, []).append(eidx)
+        self._port: Dict[int, Dict[int, int]] = {
+            v.id: {eidx: p for p, eidx in enumerate(v.ports)}
+            for v in self.vertices.values()
+        }
 
     # ------------------------------------------------------------------
     # convenience constructors
@@ -139,7 +143,7 @@ class SystemGraph:
 
     def port_of_edge(self, vid: int, eidx: int) -> int:
         """0-based position of edge ``eidx`` in ``vid``'s port list."""
-        return self.vertices[vid].ports.index(eidx)
+        return self._port[vid][eidx]
 
     def edges_between(self, a: int, b: int) -> List[int]:
         return self._pair_index.get((min(a, b), max(a, b)), [])

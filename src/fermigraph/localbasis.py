@@ -44,6 +44,11 @@ class MajoranaBasis:
         return self.ops[self.degree]
 
     @cached_property
+    def op_weights(self) -> List[int]:
+        """Pauli weight of each operator, computed on first use."""
+        return [op.weight() for op in self.ops]
+
+    @cached_property
     def pair_weights(self) -> List[List[int]]:
         """Pauli weight of c^p c^q per port pair, computed on first use;
         the memo sits outside the fields, so equality ignores it."""

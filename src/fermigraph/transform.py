@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
-from .encoding import Encoding
+from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
 from .fermion import (
     EVTerm,
@@ -30,19 +30,31 @@ Routing = Union[str, Dict[Tuple[int, int], Sequence[int]]]
 
 
 class _Realizer:
-    """Caches the Pauli image of each coupling generator and parity."""
+    """Caches the Pauli image of each coupling generator and parity; one
+    ``Router`` serves every routed coupling of the compile."""
 
     def __init__(self, enc: Encoding, route: Routing = "auto"):
         self.enc = enc
         self.route = route
+        self.router = Router(enc)
+        self.physical = enc.graph.physical_ids()
         self._coupling: Dict[Tuple[int, int], PauliString] = {}
         self._parity: Dict[int, PauliString] = {}
+
+    def vertex(self, mode: int) -> int:
+        """Physical vertex carrying fermionic mode ``mode`` (physical
+        vertices in ascending id order)."""
+        if not 0 <= mode < len(self.physical):
+            raise ParseError(
+                f"mode {mode} out of range for {len(self.physical)} physical modes"
+            )
+        return self.physical[mode]
 
     def coupling(self, p: int, q: int) -> PauliString:
         key = (p, q)
         if key not in self._coupling:
             enc = self.enc
-            vp, vq = enc.mode_vertex(p), enc.mode_vertex(q)
+            vp, vq = self.vertex(p), self.vertex(q)
             if enc.graph.edges_between(vp, vq):
                 op = enc.edge_operator(vp, vq)
             elif isinstance(self.route, dict):
@@ -55,7 +67,7 @@ class _Realizer:
                 else:
                     op = enc.path_edge_operator(vp, vq, path=path)
             elif self.route == "auto":
-                op = enc.path_edge_operator(vp, vq)
+                op = enc.walk_operator(vp, self.router.route(vp, vq))
             else:
                 raise ParseError(f"unknown routing policy {self.route!r}")
             self._coupling[key] = op
@@ -64,7 +76,7 @@ class _Realizer:
     def parity(self, p: int) -> PauliString:
         if p not in self._parity:
             enc = self.enc
-            v = enc.mode_vertex(p)
+            v = self.vertex(p)
             op = enc.vertex_operator(v)
             if op.weight() == 0:
                 raise RoutingError(

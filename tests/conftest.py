@@ -1,7 +1,13 @@
-"""Shared test helpers: tiny dense matrices and random graph generation."""
+"""Shared test helpers: tiny dense matrices, random graph generation and
+the per-pair reference router."""
+
+import heapq
+from typing import List, Tuple
 
 import numpy as np
 import pytest
+
+from fermigraph.errors import RoutingError
 
 from fermigraph.graph import SystemGraph
 
@@ -48,3 +54,45 @@ def random_connected_graph(rng, max_vertices=10, max_edges=20) -> SystemGraph:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_route(enc, j: int, k: int) -> List[int]:
+    """The per-pair Dijkstra that ``Router`` replaced, kept as its
+    reference: one fresh search from j with k absorbing.  Edge sequence
+    from j to k minimizing the routing cost: endpoint single-operator
+    weights plus, at each interior vertex, the weight of the local
+    operator pair its ports contribute.  Ties break to the
+    lexicographically smallest vertex sequence."""
+    g = enc.graph
+    if j not in g or k not in g:
+        raise RoutingError(f"unknown endpoint {j if j not in g else k}")
+    adj = g.adjacency()
+
+    def single_w(v: int, eidx: int) -> int:
+        return enc.local_bases[v].ops[g.port_of_edge(v, eidx)].weight()
+
+    heap: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = []
+    for eidx, u in sorted(adj[j]):
+        w = single_w(j, eidx)
+        if u == k:
+            w += single_w(k, eidx)
+        heapq.heappush(heap, (w, (j, u), (eidx,)))
+    seen: set = set()
+    while heap:
+        w, verts, edges = heapq.heappop(heap)
+        v, e_in = verts[-1], edges[-1]
+        if v == k:
+            return list(edges)
+        if (v, e_in) in seen:
+            continue
+        seen.add((v, e_in))
+        pw = enc.local_bases[v].pair_weights
+        p_in = g.port_of_edge(v, e_in)
+        for e_out, u in sorted(adj[v]):
+            if e_out == e_in or (u, e_out) in seen:
+                continue
+            step = pw[p_in][g.port_of_edge(v, e_out)]
+            if u == k:
+                step += single_w(k, e_out)
+            heapq.heappush(heap, (w + step, verts + (u,), edges + (e_out,)))
+    raise RoutingError(f"no path between {j} and {k}")

@@ -9,6 +9,7 @@ from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebr
 from fermigraph.errors import ResourceError, RoutingError, VerifyError
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
+from fermigraph.localbasis import basis_verify
 from fermigraph.pauli import PauliString
 
 
@@ -79,6 +80,27 @@ class TestBuild:
         assert enc.local_bases[0].name == "custom"
         assert enc.local_bases[1].name == "jw"
         assert verify_encoding_algebra(enc).ok
+
+    def test_named_basis_built_and_verified_once_per_degree(self, monkeypatch):
+        """Vertices with the same registered basis name and degree share
+        one verified basis object; label lists are verified per vertex."""
+        from fermigraph import encoding
+
+        calls = []
+
+        def counting_verify(basis):
+            calls.append((basis.name, basis.degree))
+            return basis_verify(basis)
+
+        monkeypatch.setattr(encoding, "basis_verify", counting_verify)
+        g = gen_syk_geometry("star", 4)
+        labels = ["Y1", "X1"]
+        enc = build_encoding(g, {4: "fenwick", "default": "jw", 0: labels, 1: labels})
+        assert sorted(calls) == [
+            ("custom", 1), ("custom", 1), ("fenwick", 4), ("jw", 1)
+        ]
+        assert enc.local_bases[2] is enc.local_bases[3]
+        assert enc.local_bases[0] is not enc.local_bases[1]
 
     def test_invalid_override_rejected(self):
         g = gen_syk_geometry("star", 4)

@@ -1,12 +1,16 @@
 """Tests for the graph model: ports, cycles, routing, qubit counts.
 
-Routing lives in ``Encoding.route_min_weight``; the path tests here pin its
-behavior on plain geometries."""
+Routing lives in ``encoding.Router``, and ``Encoding.route_min_weight`` is
+its one-shot form.  The path tests here pin its behavior on plain
+geometries and compare it with the per-pair Dijkstra it replaced
+(``conftest.reference_route``)."""
 
+import numpy as np
 import pytest
 
-from conftest import random_connected_graph
-from fermigraph.encoding import build_encoding
+from conftest import random_connected_graph, reference_route
+from fermigraph.analytics import SWEEP_GEOMETRIES
+from fermigraph.encoding import Router, build_encoding
 from fermigraph.errors import ParseError, RoutingError
 from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
@@ -31,6 +35,19 @@ class TestSystemGraph:
     def test_canonical_edge_order(self):
         g = SystemGraph.from_edges([(2, 1), (0, 1)])
         assert g.edges == ((0, 1), (1, 2))
+
+    def test_port_of_edge_after_renumbering(self):
+        """Ports given in input edge numbers follow the canonical edge
+        renumbering: input edge 0 = (1,2) becomes edge 1."""
+        g = SystemGraph(
+            [Vertex(0, "physical", (1,)), Vertex(1, "physical", (0, 1)),
+             Vertex(2, "physical", (0,))],
+            [(1, 2), (0, 1)],
+        )
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.vertices[1].ports == (1, 0)
+        assert [g.port_of_edge(1, e) for e in (0, 1)] == [1, 0]
+        assert g.port_of_edge(2, 1) == 0
 
     def test_neighbors_in_port_order(self):
         g = gen_lattice("square", (3, 3), "open")
@@ -123,8 +140,8 @@ class TestCycleBasis:
 
 
 class TestShortestPath:
-    """Minimum-Pauli-weight routes from the encoding's router, as edge
-    index sequences."""
+    """Minimum-cost routes from the encoding's router, as edge index
+    sequences."""
 
     def test_adjacent(self):
         g = gen_lattice("square", (3, 3), "open")
@@ -155,3 +172,98 @@ class TestShortestPath:
         assert hops <= 3 * 4 + 2
         lateral = 2 * 40 // 3  # bottom-row routing costs ~2 hops per 3 sites
         assert hops < lateral
+
+    def test_walks_that_reenter_the_destination_are_excluded(self):
+        """The route minimizes the additive cost over walks that meet the
+        destination only at their end, not the Pauli weight over all
+        walks: 1-2-0 weighs 6, while the walk 1-2-0-3-0 through both
+        parallel (0,3) edges weighs 5.  The single-source search pops that
+        walk first, so this pair takes the re-search with 0 absorbing,
+        also when other destinations of source 1 were routed before."""
+        ports = {0: (2, 3, 4, 5, 6, 7, 0, 1), 1: (8,), 2: (0, 8), 3: (1, 2)}
+        ports.update({v: (v - 1,) for v in range(4, 9)})
+        g = SystemGraph(
+            [Vertex(v, "physical", p) for v, p in sorted(ports.items())],
+            [(0, 2), (0, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2)],
+        )
+        enc = build_encoding(g, "jw")
+        assert enc.path_edge_operator(1, 0, path=[1, 2, 0, 3, 0]).weight() == 5
+        assert enc.route_min_weight(1, 0) == [8, 0]
+        assert enc.path_edge_operator(1, 0).weight() == 6
+        router = Router(enc)
+        assert router.route(1, 4) == [8, 0, 1, 2, 3] == reference_route(enc, 1, 4)
+        assert router.route(1, 0) == [8, 0] == reference_route(enc, 1, 0)
+        assert router.cost(1, 0) == 6
+
+
+class TestRouterMatchesReference:
+    """The single-source ``Router`` returns the edge list of the per-pair
+    Dijkstra it replaced, pair by pair."""
+
+    @staticmethod
+    def assert_same_routes(enc, sources, targets):
+        router = Router(enc)
+        for j in sources:
+            for k in targets:
+                if j != k:
+                    assert router.route(j, k) == reference_route(enc, j, k), (j, k)
+
+    @pytest.mark.parametrize("kind", SWEEP_GEOMETRIES)
+    def test_sweep_geometries(self, kind):
+        for n in (8, 16, 32):
+            g = gen_syk_geometry(kind, n)
+            phys = g.physical_ids()
+            # the per-pair reference takes ~15 ms a pair on complete/32, so
+            # two sources stand in for all 32 there
+            sources = phys[:: n - 1] if kind == "complete" and n == 32 else phys
+            for basis in ("fenwick", "jw"):
+                self.assert_same_routes(build_encoding(g, basis), sources, phys)
+
+    def test_sources_interleaved(self):
+        """Switching source on every call restarts the searches and still
+        gives the reference routes."""
+        g = gen_syk_geometry("hyperbolic46", 16)
+        enc = build_encoding(g, "fenwick")
+        router = Router(enc)
+        phys = g.physical_ids()
+        for k in phys:
+            for j in phys:
+                if j != k:
+                    assert router.route(j, k) == reference_route(enc, j, k), (j, k)
+
+    def test_random_graphs(self):
+        """The 50 seeded random graphs of acceptance criterion 5, all
+        vertex pairs, under its three bases; the one-shot
+        ``route_min_weight`` too."""
+        rng = np.random.default_rng(505)
+        for _ in range(50):
+            g = random_connected_graph(rng)
+            for basis in ("jw", "fenwick", "ternary"):
+                enc = build_encoding(g, basis)
+                ids = g.vertex_ids()
+                self.assert_same_routes(enc, ids, ids)
+                for j in ids:
+                    for k in ids:
+                        if j != k:
+                            want = reference_route(enc, j, k)
+                            assert enc.route_min_weight(j, k) == want
+
+
+class TestPredictedCost:
+    @pytest.mark.parametrize("basis", ["fenwick", "jw", "jw_yx", "ternary"])
+    def test_cost_is_the_string_weight(self, basis):
+        """On the sweep geometries the cost the router minimized for a
+        non-adjacent pair is the Pauli weight of the raw string multiplied
+        out along its route, the string ``path_edge_operator(j, k,
+        raw=True)`` returns."""
+        for kind in SWEEP_GEOMETRIES:
+            for n in (8, 16, 32):
+                g = gen_syk_geometry(kind, n)
+                enc = build_encoding(g, basis)
+                router = Router(enc)
+                phys = g.physical_ids()
+                for j in phys:
+                    for k in phys:
+                        if j < k and not g.edges_between(j, k):
+                            op = enc.walk_operator(j, router.route(j, k), raw=True)
+                            assert router.cost(j, k) == op.weight(), (kind, n, j, k)

@@ -11,9 +11,10 @@ from fermigraph.dense import (
     pauli_sum_to_matrix,
 )
 from fermigraph.encoding import build_encoding
-from fermigraph.errors import ParityError, RoutingError
+from fermigraph.errors import ParityError, ParseError, RoutingError
 from fermigraph.fermion import (
     FermionOperator,
+    MajoranaMonomial,
     build_lattice_model,
     build_syk2,
     syk2_couplings,
@@ -67,6 +68,12 @@ class TestChainCompile:
         f = FermionOperator.from_terms(3, [(1.0, ((0, True),))])
         with pytest.raises(ParityError):
             transform_hamiltonian(f, enc)
+
+    def test_mode_out_of_range(self):
+        """g_6 belongs to mode 3, which a 3-mode chain does not host."""
+        enc = chain_encoding(3)
+        with pytest.raises(ParseError):
+            transform_monomials([MajoranaMonomial(1.0, (0, 6))], enc)
 
     def test_unroutable(self):
         from fermigraph.graph import SystemGraph
