@@ -67,7 +67,7 @@ class BenchRecord:
 
 def weight_stats(h: PauliSum) -> WeightStats:
     """Exact weight statistics over the non-identity terms of a sum."""
-    weights = [p.weight() for p, _ in h.terms() if p.weight() > 0]
+    weights = [w for w in h.weights() if w]
     if not weights:
         return WeightStats(0, 0, 0.0, 0, h.n)
     total = sum(weights)

@@ -39,14 +39,9 @@ import numpy as np
 
 from .encoding import Encoding, verify_encoding_algebra
 from .errors import ResourceError
-from .fermion import FermionOperator, MajoranaMonomial
+from .fermion import FermionOperator
 from .pauli import PauliString, PauliSum
 from .transform import transform_hamiltonian
-
-_I = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: i^k for k = 0..3, indexed by an integer phase exponent mod 4.
 _IPOW = np.array([1, 1j, -1, -1j])
@@ -98,31 +93,6 @@ def pauli_sum_to_matrix(s: PauliSum) -> np.ndarray:
 # reference fermionic matrices (chain representation)
 
 
-def majorana_matrix(n_modes: int, index: int) -> np.ndarray:
-    """g_{2m} = Z..Z X_m, g_{2m+1} = Z..Z Y_m on mode qubits 0..n-1.
-
-    Built from kron products; the tests use it as an independent
-    reference for ``fermion_operator_matrix``."""
-    mode, imag = index // 2, index % 2
-    m = np.eye(1, dtype=complex)
-    for q in range(n_modes):
-        if q < mode:
-            f = _Z
-        elif q == mode:
-            f = _Y if imag else _X
-        else:
-            f = _I
-        m = np.kron(m, f)
-    return m
-
-
-def monomial_matrix(n_modes: int, mono: MajoranaMonomial) -> np.ndarray:
-    m = np.eye(2**n_modes, dtype=complex)
-    for g in mono.indices:
-        m = m @ majorana_matrix(n_modes, g)
-    return mono.coefficient * m
-
-
 def fermion_operator_matrix(f: FermionOperator) -> np.ndarray:
     """Dense matrix of ``f`` in the chain representation.
 
@@ -147,26 +117,6 @@ def fermion_operator_matrix(f: FermionOperator) -> np.ndarray:
             state = state ^ bit
         out[state[alive], cols[alive]] += coeff * sign[alive]
     return out
-
-
-def coupling_matrix(n_modes: int, p: int, q: int) -> np.ndarray:
-    """A(p,q) = -i g_{2p} g_{2q}."""
-    return -1j * majorana_matrix(n_modes, 2 * p) @ majorana_matrix(n_modes, 2 * q)
-
-
-def parity_matrix(n_modes: int, p: int) -> np.ndarray:
-    """B(p) = -i g_{2p} g_{2p+1}."""
-    return -1j * majorana_matrix(n_modes, 2 * p) @ majorana_matrix(n_modes, 2 * p + 1)
-
-
-def ev_term_matrix(n_modes: int, ev) -> np.ndarray:
-    """Dense image of an edge/vertex term in the reference representation."""
-    m = np.eye(2**n_modes, dtype=complex)
-    for p, q in ev.edge_factors:
-        m = m @ coupling_matrix(n_modes, p, q)
-    for p in sorted(ev.vertex_factors):
-        m = m @ parity_matrix(n_modes, p)
-    return ev.coefficient * m
 
 
 def even_sector_states(n_modes: int) -> np.ndarray:

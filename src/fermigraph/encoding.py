@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import mul, xor
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import ParseError, ResourceError, RoutingError, VerifyError
+from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
 from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, cycle_basis
 from .localbasis import (
     MajoranaBasis,
@@ -42,7 +44,7 @@ from .localbasis import (
     gf2_pivots,
     gf2_reduce,
 )
-from .pauli import PauliString
+from .pauli import PauliString, set_bits
 
 BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]], None]
 
@@ -165,9 +167,7 @@ class Encoding:
             edges = _walk_edges(self.graph, verts + [verts[0]])
         if len(edges) < 2:
             raise ParseError("a closed walk needs at least 2 edges")
-        op = PauliString.identity(self.total_qubits)
-        for src, eidx in zip(verts, edges):
-            op = op * self.directed_edge_operator(eidx, src)
+        op = reduce(mul, map(self.directed_edge_operator, edges, verts))
         op = op.with_phase(len(edges))
         if not op.is_hermitian():
             raise VerifyError("cycle stabilizer failed the Hermiticity check")
@@ -255,8 +255,9 @@ class Router:
         return list(self._entry(j, k)[2])
 
     def cost(self, j: int, k: int) -> int:
-        """The cost ``route`` minimized for (j, k), which is the predicted
-        Pauli weight of the routed string."""
+        """The additive cost ``route`` minimized for (j, k); it is the
+        Pauli weight of the routed string when the walk visits no vertex
+        twice."""
         return self._entry(j, k)[0]
 
     def _check(self, j: int, k: int) -> None:
@@ -477,7 +478,7 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
 
     everything = (
         [("edge", i, op) for i, op in enumerate(enc.edge_ops)]
-        + [("vertex", v, op) for v, op in sorted(enc.vertex_ops.items())]
+        + [("vertex", v, enc.vertex_ops[v]) for v in g.vertex_ids()]
         + [("stab", i, op) for i, op in enumerate(enc.stabilizers)]
     )
     for kind, tag, op in everything:
@@ -488,29 +489,41 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
         if (op * op).phase != 0:
             note(f"{kind} {tag} squares to -I")
 
-    ne = len(enc.edge_ops)
-    for i in range(ne):
-        a, b = g.edges[i]
-        for j in range(i + 1, ne):
-            c, d = g.edges[j]
-            share = len({a, b} & {c, d})
-            expect = share != 1  # commute unless exactly one shared endpoint
-            if enc.edge_ops[i].commutes(enc.edge_ops[j]) != expect:
-                note(f"edges {i} and {j} have wrong commutation")
-    verts = g.vertex_ids()
-    for vi, v in enumerate(verts):
-        for u in verts[vi + 1 :]:
-            if not enc.vertex_ops[v].commutes(enc.vertex_ops[u]):
-                note(f"vertex ops {v} and {u} anticommute")
+    # anti[r] bit k: operators r and k of ``everything`` anticommute; the
+    # XOR of the operator columns (xcol[q] bit k: op k has X on q) over r's
+    # support.  inc[v] bit i: edge i ends at v (parallel edges cancel).
+    verts, ops = g.vertex_ids(), [op for _, _, op in everything]
+    if any(op.n != enc.total_qubits for op in ops):
+        raise DimensionError("encoded operators act on different qubit counts")
+    xcol, zcol = [0] * enc.total_qubits, [0] * enc.total_qubits
+    for k, op in enumerate(ops):
+        for col, mask in ((xcol, op.x), (zcol, op.z)):
+            for q in set_bits(mask):
+                col[q] |= 1 << k
+    anti = [
+        reduce(xor, [zcol[q] for q in set_bits(op.x)], 0)
+        ^ reduce(xor, [xcol[q] for q in set_bits(op.z)], 0)
+        for op in ops
+    ]
+    ne, nv, inc = len(enc.edge_ops), len(verts), {v: 0 for v in verts}
+    emask, vmask = (1 << ne) - 1, (1 << nv) - 1
     for i, (a, b) in enumerate(g.edges):
-        for v in verts:
-            expect = v not in (a, b)
-            if enc.edge_ops[i].commutes(enc.vertex_ops[v]) != expect:
-                note(f"edge {i} vs vertex {v}: wrong commutation")
-    for si, s in enumerate(enc.stabilizers):
-        for kind, tag, op in everything:
-            if not s.commutes(op):
-                note(f"stabilizer {si} fails to commute with {kind} {tag}")
+        inc[a] |= 1 << i
+        inc[b] |= 1 << i
+    for i, (a, b) in enumerate(g.edges):
+        for j in set_bits((anti[i] ^ inc[a] ^ inc[b]) & (emask >> i + 1 << i + 1)):
+            note(f"edges {i} and {j} have wrong commutation")
+    for vi, v in enumerate(verts):
+        for ui in set_bits((anti[ne + vi] >> ne) & (vmask >> vi + 1 << vi + 1)):
+            note(f"vertex ops {v} and {verts[ui]} anticommute")
+    vbit = {v: 1 << vi for vi, v in enumerate(verts)}
+    for i, (a, b) in enumerate(g.edges):
+        for vi in set_bits(((anti[i] >> ne) & vmask) ^ vbit[a] ^ vbit[b]):
+            note(f"edge {i} vs vertex {verts[vi]}: wrong commutation")
+    for si in range(len(enc.stabilizers)):
+        for k in set_bits(anti[ne + nv + si]):
+            kind, tag, _ = everything[k]
+            note(f"stabilizer {si} fails to commute with {kind} {tag}")
     for i, (a, b) in enumerate(g.edges):
         if enc.directed_edge_operator(i, b) != -enc.directed_edge_operator(i, a):
             note(f"edge {i} is not antisymmetric")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from operator import ge
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,7 +84,7 @@ class MajoranaMonomial:
     indices: Tuple[int, ...]
 
     def __post_init__(self):
-        if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
+        if any(map(ge, self.indices, self.indices[1:])):
             raise ParseError("Majorana indices must be strictly increasing")
 
 
@@ -162,23 +163,26 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
 # edge/vertex decomposition
 
 
+def pair_substitution(
+    i1: int, i2: int
+) -> Tuple[complex, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The substitution identity for g_{i1} g_{i2}, i1 < i2: its
+    coefficient factor, its edge factors (none or one) and its vertex
+    factors in ascending order."""
+    p, q = i1 // 2, i2 // 2
+    if p == q:
+        return 1j, (), (p,)
+    if i1 % 2 == 0:
+        return (1j, ((p, q),), ()) if i2 % 2 == 0 else (-1, ((p, q),), (q,))
+    return (-1, ((p, q),), (p,)) if i2 % 2 == 0 else (-1j, ((p, q),), (p, q))
+
+
 def pair_to_ev(m: MajoranaMonomial) -> EVTerm:
     """Decompose a quadratic monomial per the substitution identities."""
     if len(m.indices) != 2:
         raise ParseError("pair_to_ev needs a length-2 monomial")
-    i1, i2 = m.indices
-    p, q = i1 // 2, i2 // 2
-    c = m.coefficient
-    if p == q:
-        return EVTerm(1j * c, (), frozenset({p}))
-    odd1, odd2 = i1 % 2 == 0, i2 % 2 == 0
-    if odd1 and odd2:
-        return EVTerm(1j * c, ((p, q),), frozenset())
-    if odd1 and not odd2:
-        return EVTerm(-c, ((p, q),), frozenset({q}))
-    if not odd1 and odd2:
-        return EVTerm(-c, ((p, q),), frozenset({p}))
-    return EVTerm(-1j * c, ((p, q),), frozenset({p, q}))
+    factor, edges, verts = pair_substitution(*m.indices)
+    return EVTerm(factor * m.coefficient, edges, frozenset(verts))
 
 
 def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
@@ -194,13 +198,13 @@ def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
     edges: List[Tuple[int, int]] = []
     verts: frozenset = frozenset()
     for a, b in zip(m.indices[::2], m.indices[1::2]):
-        part = pair_to_ev(MajoranaMonomial(1.0, (a, b)))
-        coeff *= part.coefficient
-        for e in part.edge_factors:
+        factor, pair_edges, pair_verts = pair_substitution(a, b)
+        coeff *= factor
+        for e in pair_edges:
             if len(verts & set(e)) % 2:
                 coeff = -coeff
             edges.append(e)
-        verts = verts ^ part.vertex_factors
+        verts = verts ^ frozenset(pair_verts)
     return EVTerm(coeff, tuple(edges), verts)
 
 
@@ -247,10 +251,10 @@ def syk2_monomials(
             f"couplings must be {dim}x{dim}, got {couplings.shape}"
         )
     out = []
-    for j in range(dim):
+    for j, row in enumerate(couplings.tolist()):
         for k in range(j + 1, dim):
-            if couplings[j, k] != 0.0:
-                out.append(MajoranaMonomial(-1j * couplings[j, k], (j, k)))
+            if row[k] != 0.0:
+                out.append(MajoranaMonomial(-1j * row[k], (j, k)))
     return out
 
 

@@ -28,6 +28,13 @@ coefficient multiplies the ordinary Hermitian Pauli product.
 ``PauliString`` and ``PauliSum`` are immutable values; all operations are
 pure functions, so instances may be shared freely across workers.  Sums
 are assembled with ``PauliSumBuilder``.
+
+Strings made from outside input (``PauliString(...)``, ``identity``,
+``from_ops``, ``from_label``) are checked: ``n >= 0``, masks within n bits.
+The algebra (``*``, ``with_phase``, ``-``, ``adjoint``, ``embed``) and
+``PauliSum.terms`` skip that check through ``PauliString._raw``; their masks
+are XORs or range-checked shifts of checked masks, or keys a builder took
+from checked strings, so they always fit.
 """
 
 from __future__ import annotations
@@ -48,8 +55,14 @@ _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 _TERM_RE = re.compile(r"^\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)\s*(.*)$")
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
+def set_bits(v: int) -> List[int]:
+    """Ascending positions of the set bits of ``v >= 0``."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,6 +81,14 @@ class PauliString:
         if (self.x & ~mask) or (self.z & ~mask):
             raise DimensionError("bit vector exceeds qubit count")
         object.__setattr__(self, "phase", self.phase % 4)
+
+    @classmethod
+    def _raw(cls, n: int, x: int, z: int, phase: int) -> "PauliString":
+        """Unchecked constructor; see the module docstring."""
+        p = object.__new__(cls)
+        d = p.__dict__
+        d["n"], d["x"], d["z"], d["phase"] = n, x, z, phase & 3
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -120,8 +141,8 @@ class PauliString:
             raise DimensionError(
                 f"cannot multiply operators on {self.n} and {other.n} qubits"
             )
-        phase = self.phase + other.phase + 2 * _popcount(self.z & other.x)
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
+        return PauliString._raw(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product vanishes mod 2."""
@@ -129,38 +150,33 @@ class PauliString:
             raise DimensionError(
                 f"cannot compare operators on {self.n} and {other.n} qubits"
             )
-        return (_popcount(self.x & other.z) + _popcount(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
 
     def weight(self) -> int:
         """Number of qubits acted on nontrivially."""
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def is_hermitian(self) -> bool:
-        return self.phase % 2 == _popcount(self.x & self.z) % 2
+        return self.phase % 2 == (self.x & self.z).bit_count() % 2
 
     def adjoint(self) -> "PauliString":
-        return PauliString(
-            self.n, self.x, self.z, -self.phase + 2 * _popcount(self.x & self.z)
+        return PauliString._raw(
+            self.n, self.x, self.z, -self.phase + 2 * (self.x & self.z).bit_count()
         )
 
     def with_phase(self, k: int) -> "PauliString":
         """Multiply by the global phase i^k."""
-        return PauliString(self.n, self.x, self.z, self.phase + k)
+        return PauliString._raw(self.n, self.x, self.z, self.phase + k)
 
     def __neg__(self) -> "PauliString":
-        return self.with_phase(2)
+        return PauliString._raw(self.n, self.x, self.z, self.phase + 2)
 
     # ------------------------------------------------------------------
     # structure helpers
 
     def support(self) -> List[int]:
-        """Acted-on qubits in ascending order, walking only the set bits."""
-        bits, out = self.x | self.z, []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        """Acted-on qubits in ascending order."""
+        return set_bits(self.x | self.z)
 
     def letter(self, qubit: int) -> str:
         return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
@@ -169,7 +185,8 @@ class PauliString:
         """Place this operator into a larger register starting at ``offset``."""
         if offset < 0 or offset + self.n > n_total:
             raise DimensionError("embedding range out of bounds")
-        return PauliString(n_total, self.x << offset, self.z << offset, self.phase)
+        x, z = self.x << offset, self.z << offset
+        return PauliString._raw(n_total, x, z, self.phase)
 
     def key(self) -> Tuple[int, int]:
         """Canonical (x, z) key with the phase stripped."""
@@ -184,7 +201,7 @@ class PauliString:
         The letter product treats every (1,1) qubit as the standard Y, so
         c = i^(phase - |x & z|); it is +1 or -1 for Hermitian strings.
         """
-        k = (self.phase - _popcount(self.x & self.z)) % 4
+        k = (self.phase - (self.x & self.z).bit_count()) % 4
         return (1, 1j, -1, -1j)[k]
 
     def ops_label(self) -> str:
@@ -228,16 +245,16 @@ class PauliSum:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Dict[Tuple[int, int], complex] | None = None):
+    def __init__(self, n: int):
         self.n = n
         self._terms: Dict[Tuple[int, int], complex] = {}
-        if terms:
-            for key, c in terms.items():
-                if abs(c) >= ZERO_THRESHOLD:
-                    self._terms[key] = c
 
     def __len__(self) -> int:
         return len(self._terms)
+
+    def weights(self) -> List[int]:
+        """Pauli weight of each term, read off the (x, z) keys, unordered."""
+        return [(x | z).bit_count() for x, z in self._terms]
 
     def coefficient(self, p: PauliString) -> complex:
         """Coefficient of p's canonical form (p's own phase folded in)."""
@@ -247,13 +264,13 @@ class PauliSum:
     def terms(self) -> Iterator[Tuple[PauliString, complex]]:
         """Iterate (canonical string with phase 0, coefficient), sorted."""
         for key in sorted(self._terms):
-            yield PauliString(self.n, key[0], key[1], 0), self._terms[key]
+            yield PauliString._raw(self.n, key[0], key[1], 0), self._terms[key]
 
     def labeled_terms(self) -> Iterator[Tuple[str, complex]]:
         """Iterate (letter label, coefficient of the Hermitian letter product)."""
         for p, c in self.terms():
             # prod X^x Z^z = (-i)^y * (letter product with Y's), y = |x & z|
-            y = _popcount(p.x & p.z) % 4
+            y = (p.x & p.z).bit_count() % 4
             yield p.ops_label(), c * (1, -1j, -1, 1j)[y]
 
     def is_real(self) -> bool:
@@ -290,24 +307,18 @@ class PauliSumBuilder:
             raise DimensionError(
                 f"cannot accumulate a {p.n}-qubit term into a {self.n}-qubit sum"
             )
-        _acc(self._terms, coeff, p)
+        terms, key = self._terms, (p.x, p.z)
+        new = terms.get(key, 0.0) + coeff * (1, 1j, -1, -1j)[p.phase]
+        if abs(new) < ZERO_THRESHOLD:
+            terms.pop(key, None)
+        else:
+            terms[key] = new
 
     def build(self) -> PauliSum:
+        # ``add`` drops small coefficients as they land; dict() keeps hashes
         out = PauliSum(self.n)
-        out._terms = {
-            k: c for k, c in self._terms.items() if abs(c) >= ZERO_THRESHOLD
-        }
+        out._terms = dict(self._terms)
         return out
-
-
-def _acc(terms: Dict[Tuple[int, int], complex], coeff: complex, p: PauliString) -> None:
-    c = coeff * (1, 1j, -1, -1j)[p.phase % 4]
-    key = p.key()
-    new = terms.get(key, 0.0) + c
-    if abs(new) < ZERO_THRESHOLD:
-        terms.pop(key, None)
-    else:
-        terms[key] = new
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,15 @@ Each Hamiltonian term runs through the pipeline
 
 with every edge factor realized either by the stored edge operator (when
 the two modes share a system-graph edge) or by a canonical routed string,
-and every vertex factor by the encoded vertex operator.
+and every vertex factor by the encoded vertex operator.  A quadratic
+monomial (every SYK2 and hopping term) skips the edge/vertex term and goes
+straight to its substitution identity.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .encoding import Encoding, Router
@@ -20,6 +24,7 @@ from .fermion import (
     FermionOperator,
     MajoranaMonomial,
     monomial_to_ev,
+    pair_substitution,
     to_majorana_normal_form,
 )
 from .pauli import PauliString, PauliSum, PauliSumBuilder
@@ -85,13 +90,25 @@ class _Realizer:
             self._parity[p] = op
         return self._parity[p]
 
+    def product(
+        self, edges: Sequence[Tuple[int, int]], verts: Iterable[int]
+    ) -> PauliString:
+        """The couplings of ``edges``, then the parities of ``verts``,
+        multiplied from the first factor on."""
+        ops = [self.coupling(p, q) for p, q in edges] + list(map(self.parity, verts))
+        return reduce(mul, ops) if ops else PauliString.identity(self.enc.total_qubits)
+
     def ev(self, term: EVTerm) -> PauliString:
-        op = PauliString.identity(self.enc.total_qubits)
-        for p, q in term.edge_factors:
-            op = op * self.coupling(p, q)
-        for p in sorted(term.vertex_factors):
-            op = op * self.parity(p)
-        return op
+        return self.product(term.edge_factors, sorted(term.vertex_factors))
+
+    def term(self, mono: MajoranaMonomial) -> Tuple[complex, PauliString]:
+        """(coefficient, string) realizing ``mono``; a quadratic monomial
+        goes straight to its substitution identity, with no ``EVTerm``."""
+        if len(mono.indices) == 2:
+            factor, edges, verts = pair_substitution(*mono.indices)
+            return mono.coefficient * factor, self.product(edges, verts)
+        ev = monomial_to_ev(mono)
+        return ev.coefficient, self.ev(ev)
 
 
 def transform_monomials(
@@ -103,8 +120,7 @@ def transform_monomials(
     realizer = _Realizer(enc, route)
     builder = PauliSumBuilder(enc.total_qubits)
     for mono in monomials:
-        ev = monomial_to_ev(mono)
-        builder.add(ev.coefficient, realizer.ev(ev))
+        builder.add(*realizer.term(mono))
     return builder.build()
 
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: tiny dense matrices, random graph generation and
-the per-pair reference router."""
+"""Shared test helpers: tiny dense matrices, the kron-chain fermionic
+reference matrices, random graph generation, the per-pair reference router
+and the pairwise reference algebra check."""
 
 import heapq
 from typing import List, Tuple
@@ -7,7 +8,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from fermigraph.errors import RoutingError
+from fermigraph.errors import RoutingError, VerifyError
 
 from fermigraph.graph import SystemGraph
 
@@ -34,6 +35,50 @@ def label_matrix(label: str, n: int) -> np.ndarray:
 def string_matrix(p) -> np.ndarray:
     """Dense matrix of a PauliString via its textual form."""
     return p.label_coefficient() * label_matrix(p.ops_label(), p.n)
+
+
+def majorana_matrix(n_modes: int, index: int) -> np.ndarray:
+    """g_{2m} = Z..Z X_m, g_{2m+1} = Z..Z Y_m on mode qubits 0..n-1, built
+    from kron products: an independent reference for the package's
+    ``fermion_operator_matrix``."""
+    mode, imag = index // 2, index % 2
+    m = np.eye(1, dtype=complex)
+    for q in range(n_modes):
+        if q < mode:
+            f = ZM
+        elif q == mode:
+            f = YM if imag else XM
+        else:
+            f = I2
+        m = np.kron(m, f)
+    return m
+
+
+def monomial_matrix(n_modes: int, mono) -> np.ndarray:
+    m = np.eye(2**n_modes, dtype=complex)
+    for g in mono.indices:
+        m = m @ majorana_matrix(n_modes, g)
+    return mono.coefficient * m
+
+
+def coupling_matrix(n_modes: int, p: int, q: int) -> np.ndarray:
+    """A(p,q) = -i g_{2p} g_{2q}."""
+    return -1j * majorana_matrix(n_modes, 2 * p) @ majorana_matrix(n_modes, 2 * q)
+
+
+def parity_matrix(n_modes: int, p: int) -> np.ndarray:
+    """B(p) = -i g_{2p} g_{2p+1}."""
+    return -1j * majorana_matrix(n_modes, 2 * p) @ majorana_matrix(n_modes, 2 * p + 1)
+
+
+def ev_term_matrix(n_modes: int, ev) -> np.ndarray:
+    """Dense image of an edge/vertex term in the reference representation."""
+    m = np.eye(2**n_modes, dtype=complex)
+    for p, q in ev.edge_factors:
+        m = m @ coupling_matrix(n_modes, p, q)
+    for p in sorted(ev.vertex_factors):
+        m = m @ parity_matrix(n_modes, p)
+    return ev.coefficient * m
 
 
 def random_connected_graph(rng, max_vertices=10, max_edges=20) -> SystemGraph:
@@ -96,3 +141,64 @@ def reference_route(enc, j: int, k: int) -> List[int]:
                 step += single_w(k, e_out)
             heapq.heappush(heap, (w + step, verts + (u,), edges + (e_out,)))
     raise RoutingError(f"no path between {j} and {k}")
+
+
+def reference_algebra_violations(enc) -> List[str]:
+    """The pairwise form of ``verify_encoding_algebra`` that the column
+    bitset check replaced, kept as its reference: one ``commutes`` call per
+    operator pair, the same messages in the same order, first 20 kept."""
+    violations: List[str] = []
+    g = enc.graph
+
+    def note(msg: str) -> None:
+        if len(violations) < 20:
+            violations.append(msg)
+
+    everything = (
+        [("edge", i, op) for i, op in enumerate(enc.edge_ops)]
+        + [("vertex", v, op) for v, op in sorted(enc.vertex_ops.items())]
+        + [("stab", i, op) for i, op in enumerate(enc.stabilizers)]
+    )
+    for kind, tag, op in everything:
+        if op.weight() == 0 and kind != "vertex":
+            note(f"{kind} {tag} is trivial")
+        if not op.is_hermitian():
+            note(f"{kind} {tag} is not Hermitian")
+        if (op * op).phase != 0:
+            note(f"{kind} {tag} squares to -I")
+
+    ne = len(enc.edge_ops)
+    for i in range(ne):
+        a, b = g.edges[i]
+        for j in range(i + 1, ne):
+            c, d = g.edges[j]
+            share = len({a, b} & {c, d})
+            expect = share != 1  # commute unless exactly one shared endpoint
+            if enc.edge_ops[i].commutes(enc.edge_ops[j]) != expect:
+                note(f"edges {i} and {j} have wrong commutation")
+    verts = g.vertex_ids()
+    for vi, v in enumerate(verts):
+        for u in verts[vi + 1 :]:
+            if not enc.vertex_ops[v].commutes(enc.vertex_ops[u]):
+                note(f"vertex ops {v} and {u} anticommute")
+    for i, (a, b) in enumerate(g.edges):
+        for v in verts:
+            expect = v not in (a, b)
+            if enc.edge_ops[i].commutes(enc.vertex_ops[v]) != expect:
+                note(f"edge {i} vs vertex {v}: wrong commutation")
+    for si, s in enumerate(enc.stabilizers):
+        for kind, tag, op in everything:
+            if not s.commutes(op):
+                note(f"stabilizer {si} fails to commute with {kind} {tag}")
+    for i, (a, b) in enumerate(g.edges):
+        if enc.directed_edge_operator(i, b) != -enc.directed_edge_operator(i, a):
+            note(f"edge {i} is not antisymmetric")
+    try:
+        loops_ok = enc.stabilizers == [
+            enc.loop_stabilizer(c) for c in enc.cycles.cycles
+        ]
+    except VerifyError:
+        loops_ok = False
+    if not loops_ok:
+        note("stabilizers are not the loop stabilizers of the cycle basis")
+    return violations

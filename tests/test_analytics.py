@@ -15,7 +15,7 @@ from fermigraph.encoding import build_encoding
 from fermigraph.errors import ParseError, ResourceError
 from fermigraph.fermion import build_lattice_model
 from fermigraph.geometries import gen_lattice
-from fermigraph.pauli import PauliSum
+from fermigraph.pauli import PauliString, PauliSum, PauliSumBuilder
 from fermigraph.transform import transform_hamiltonian
 
 
@@ -36,6 +36,29 @@ class TestWeightStats:
         assert st.term_count == 12
         assert st.max_term_weight == 2
         assert st.total_weight == 8 * 2 + 4
+
+    def test_equals_the_terms_definition(self, rng):
+        """Weights read off the sum's keys give the stats of the weights of
+        the strings ``terms()`` yields, identity excluded."""
+        for _ in range(40):
+            n = int(rng.integers(1, 100))
+            b = PauliSumBuilder(n)
+            for _ in range(int(rng.integers(0, 30))):
+                mask = (1 << n) - 1
+                x = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & mask
+                z = int(rng.integers(0, 2**62)) >> int(rng.integers(0, 62)) & mask
+                b.add(complex(rng.normal(), rng.normal()), PauliString(n, x, z))
+            if rng.integers(2):
+                b.add(1.0, PauliString.identity(n))
+            h = b.build()
+            weights = [p.weight() for p, _ in h.terms() if p.weight() > 0]
+            assert sorted(h.weights()) == sorted(p.weight() for p, _ in h.terms())
+            want = (
+                WeightStats(max(weights), sum(weights), sum(weights) / len(weights),
+                            len(weights), n)
+                if weights else WeightStats(0, 0, 0.0, 0, n)
+            )
+            assert weight_stats(h) == want
 
     def test_empty(self):
         st = weight_stats(PauliSum(3))

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reference_algebra_violations
 from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
-from fermigraph.errors import ResourceError, RoutingError, VerifyError
+from fermigraph.errors import DimensionError, ResourceError, RoutingError, VerifyError
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.localbasis import basis_verify
@@ -263,6 +263,80 @@ class TestAlgebraSuite:
             enc = build_encoding(g, basis)
             rep = verify_encoding_algebra(enc)
             assert rep.ok, rep.violations
+
+    @pytest.mark.parametrize("basis", ["jw", "fenwick", "ternary"])
+    def test_bitset_check_matches_pairwise_reference(self, basis, rng):
+        for _ in range(12):
+            enc = build_encoding(random_connected_graph(rng), basis)
+            rep = verify_encoding_algebra(enc)
+            assert rep.violations == reference_algebra_violations(enc) == []
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "edge",
+            "vertex",
+            "vertex_pair",
+            "stab",
+            "stab_is_edge",
+            "every_edge",
+            "parallel_edge",
+        ],
+    )
+    def test_tampered_ops_match_pairwise_reference(self, tamper, rng):
+        """Each tampering breaks some commutations; the bitset check reports
+        the reference's messages in the reference's order, capped at 20."""
+        if tamper == "parallel_edge":
+            g = SystemGraph.from_edges([(0, 1), (0, 1), (1, 2), (0, 2), (2, 3)])
+        else:
+            g = gen_lattice("square", (3, 3), "periodic")
+        enc = build_encoding(g, "fenwick")
+        n = enc.total_qubits
+
+        def hermitian(op):
+            return op if op.is_hermitian() else op.with_phase(1)
+
+        def flip(op):
+            """op times a Z on one qubit of its support: flips its
+            commutation with every operator acting there with an X or a Y."""
+            q = op.support()[int(rng.integers(len(op.support())))]
+            return hermitian(op * PauliString(n, 0, 1 << q))
+
+        edges, verts = list(enc.edge_ops), dict(enc.vertex_ops)
+        stabs = list(enc.stabilizers)
+        if tamper == "edge":
+            edges[3] = flip(edges[3])
+        elif tamper == "vertex":
+            verts[4] = flip(verts[4])
+        elif tamper == "vertex_pair":
+            # anticommutes with the vertex op at the edge's other end
+            verts[4] = hermitian(verts[4] * edges[g.vertices[4].ports[0]])
+        elif tamper == "stab":
+            stabs[1] = flip(stabs[1])
+        elif tamper == "stab_is_edge":
+            stabs[0] = edges[0]
+        elif tamper == "every_edge":
+            edges = [edges[0]] * len(edges)
+        else:
+            edges[1] = flip(edges[1])
+        bad = dataclasses.replace(
+            enc, edge_ops=edges, vertex_ops=verts, stabilizers=stabs
+        )
+        rep = verify_encoding_algebra(bad)
+        assert rep.violations == reference_algebra_violations(bad)
+        assert any("commut" in v for v in rep.violations)
+        if tamper == "every_edge":
+            assert len(rep.violations) == 20
+
+    def test_operator_on_another_register_is_rejected(self):
+        enc = build_encoding(gen_lattice("square", (2, 2), "open"), "jw")
+        op = enc.vertex_ops[0]
+        wide = PauliString(enc.total_qubits + 1, op.x, op.z, op.phase)
+        bad = dataclasses.replace(enc, vertex_ops={**enc.vertex_ops, 0: wide})
+        with pytest.raises(DimensionError):
+            reference_algebra_violations(bad)
+        with pytest.raises(DimensionError):
+            verify_encoding_algebra(bad)
 
     @pytest.mark.parametrize("tamper", ["s,-s", "-s"])
     def test_stabilizers_must_be_the_loop_stabilizers(self, tamper):

@@ -5,13 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from fermigraph.dense import (
-    ev_term_matrix,
-    fermion_operator_matrix,
-    majorana_matrix,
-    monomial_matrix,
-    parity_matrix,
-)
+from conftest import ev_term_matrix, majorana_matrix, monomial_matrix, parity_matrix
+from fermigraph.dense import fermion_operator_matrix
 from fermigraph.errors import ParityError, ParseError
 from fermigraph.fermion import (
     FermionOperator,

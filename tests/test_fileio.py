@@ -162,7 +162,7 @@ class TestHamiltonianFiles:
         with open(path, "w") as fh:
             fh.write("modes 2\n(0,-1) g1 g3\n")  # -i g1 g3 = A(0,1), 1-based
         f = fileio.read_fermion(path)
-        from fermigraph.dense import coupling_matrix
+        from conftest import coupling_matrix
 
         assert np.allclose(fermion_operator_matrix(f), coupling_matrix(2, 0, 1))
 

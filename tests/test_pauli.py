@@ -134,6 +134,71 @@ class TestHermitian:
             assert np.allclose(string_matrix(p.adjoint()), m.conj().T)
 
 
+class TestUncheckedConstructor:
+    """The algebra builds its results unchecked; each must equal the string
+    the checked constructor makes from the same fields."""
+
+    @staticmethod
+    def random_string(rng, n):
+        x = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
+        z = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
+        return PauliString(n, x, z, int(rng.integers(-9, 9)))
+
+    @staticmethod
+    def same(got, want):
+        assert type(got) is PauliString
+        assert got == want and hash(got) == hash(want)
+        assert got.__dict__ == want.__dict__ and 0 <= got.phase < 4
+
+    def test_results_equal_the_checked_constructor(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 130))
+            a, b = self.random_string(rng, n), self.random_string(rng, n)
+            k = int(rng.integers(-9, 9))
+            self.same(a * b, PauliString(
+                n, a.x ^ b.x, a.z ^ b.z, a.phase + b.phase + 2 * (a.z & b.x).bit_count()
+            ))
+            self.same(a.with_phase(k), PauliString(n, a.x, a.z, a.phase + k))
+            self.same(-a, PauliString(n, a.x, a.z, a.phase + 2))
+            self.same(a.adjoint(), PauliString(
+                n, a.x, a.z, -a.phase + 2 * (a.x & a.z).bit_count()
+            ))
+            off = int(rng.integers(0, 9))
+            self.same(a.embed(n + off + 3, off),
+                      PauliString(n + off + 3, a.x << off, a.z << off, a.phase))
+
+    def test_sum_terms_equal_the_checked_constructor(self, rng):
+        n = 70
+        strings = [self.random_string(rng, n) for _ in range(30)]
+        s = build_sum(n, [(1.5, p) for p in strings])
+        for p, _ in s.terms():
+            self.same(p, PauliString(n, p.x, p.z))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 129])
+    def test_public_constructors_still_check(self, n):
+        with pytest.raises(DimensionError):
+            PauliString(n, 1 << n, 0)
+        with pytest.raises(DimensionError):
+            PauliString(n, 0, 1 << n)
+        with pytest.raises(DimensionError):
+            PauliString(-1, 0, 0)
+        with pytest.raises(DimensionError):
+            PauliString.identity(-1)
+        with pytest.raises(DimensionError):
+            PauliString.from_ops(n, {n: "X"})
+        with pytest.raises(DimensionError):
+            PauliString.from_label(f"Z{n + 1}", n)
+        with pytest.raises(DimensionError):
+            PauliString.identity(n) * PauliString.identity(n + 1)
+        with pytest.raises(DimensionError):
+            PauliString.identity(n).embed(n, 1)
+
+    def test_sum_takes_terms_only_from_a_builder(self):
+        with pytest.raises(TypeError):
+            PauliSum(2, {(1, 0): 1.0})
+        assert len(PauliSum(2)) == 0
+
+
 class TestSum:
     def test_merge(self):
         b = PauliSumBuilder(2)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import coupling_matrix, parity_matrix
 from fermigraph.dense import (
-    coupling_matrix,
     dense_oracle_check,
     fermion_operator_matrix,
-    parity_matrix,
     pauli_sum_to_matrix,
 )
 from fermigraph.encoding import build_encoding
@@ -17,12 +16,13 @@ from fermigraph.fermion import (
     MajoranaMonomial,
     build_lattice_model,
     build_syk2,
+    monomial_to_ev,
     syk2_couplings,
     syk2_monomials,
 )
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
 from fermigraph.pauli import PauliString, PauliSumBuilder
-from fermigraph.transform import transform_hamiltonian, transform_monomials
+from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
 
 
 def chain_encoding(n, bc="periodic", basis="jw_yx"):
@@ -85,6 +85,43 @@ class TestChainCompile:
         )
         with pytest.raises(RoutingError):
             transform_hamiltonian(f, enc)
+
+
+class TestQuadraticPath:
+    """A quadratic monomial skips the EVTerm; its coefficient and string
+    must be those of the general edge/vertex path."""
+
+    @pytest.mark.parametrize(
+        "kind,n,basis,route",
+        [
+            ("star", 6, "jw", "auto"),
+            ("ternary_mera", 9, "fenwick", "auto"),
+            # open chain 0-1-2-3: (0, 2) runs 0-1-2, (0, 3) is given from 3
+            # back to 0, (1, 3) runs 1-2-3
+            ("linear", 4, "jw",
+             {(0, 2): [0, 1, 2], (0, 3): [3, 2, 1, 0], (1, 3): [1, 2, 3]}),
+        ],
+    )
+    def test_equals_the_edge_vertex_path(self, kind, n, basis, route, rng):
+        if kind == "linear":
+            enc = build_encoding(gen_lattice("linear", n, "open"), basis)
+        else:
+            enc = build_encoding(gen_syk_geometry(kind, n), basis)
+        realizer = _Realizer(enc, route)
+        pairs = [(a, b) for a in range(2 * n) for b in range(a + 1, 2 * n)]
+        assert {(a % 2, b % 2, a // 2 == b // 2) for a, b in pairs} == {
+            (0, 0, False), (0, 1, False), (1, 0, False), (1, 1, False), (0, 1, True)
+        }
+        for pair in pairs:
+            mono = MajoranaMonomial(complex(rng.normal(), rng.normal()), pair)
+            ev = monomial_to_ev(mono)
+            want = PauliString.identity(enc.total_qubits)
+            for p, q in ev.edge_factors:
+                want = want * realizer.coupling(p, q)
+            for p in sorted(ev.vertex_factors):
+                want = want * realizer.parity(p)
+            assert realizer.ev(ev) == want
+            assert realizer.term(mono) == (ev.coefficient, want)
 
 
 class TestHoppingIdentity:
