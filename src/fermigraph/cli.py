@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", action="store_true")
     p.add_argument("--hamiltonian", help="defaults to a seeded quadratic Hamiltonian")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-qubits", type=int, default=12)
+    p.add_argument("--max-qubits", type=int, default=24,
+                   help="qubit cap of the dense oracle (default 24); a codespace "
+                        "block or reference too large to hold also exits 5")
     p.set_defaults(func=_cmd_verify)
     return ap
 

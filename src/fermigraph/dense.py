@@ -5,8 +5,11 @@ permutation,
 
     P |b> = i^phase (-1)^{|b & z|} |b ^ x>,
 
-so every matrix here is filled by index/sign scatter at O(2^n) work per
-term instead of being multiplied out of single-qubit kron factors.
+and a product of creation and annihilation operators in the chain
+representation acts the same way, except that it also kills the states
+it annihilates.  So both sides of the oracle are built as entry arrays
+(rows, cols, vals): every term contributes one entry per basis state it
+keeps, and a batch of terms is one (terms x states) array operation.
 
 The codespace (the joint +1 eigenspace of commuting Hermitian
 constraints) has a basis indexed by stabilizer orbits.  Reducing the
@@ -15,11 +18,22 @@ pivot elements with independent X parts and pure-Z elements.  Each orbit
 of basis states under the pivots has one representative r with every
 pivot bit zero; the orbit carries a codespace vector, the normalized
 P_code |r>, exactly when every pure-Z element acts as +1 on r.  The
-oracle builds the d x d codespace block of the compiled Hamiltonian on
-these vectors directly and diagonalizes it one decoupled part at a time,
-so it holds O(d^2) numbers for the block plus O(4^m) for the m-mode
-reference, instead of O(4^n) for the n-qubit encoded matrix and its
-projector; no projector is formed or diagonalized.
+oracle builds the entries of the compiled Hamiltonian's d x d codespace
+block on these vectors directly; no projector and no 2^n x 2^n matrix
+is formed.
+
+Each entry list is split into the connected components of its nonzero
+pattern, after duplicate entries are summed, so that a cancelled entry
+links nothing; each component is rephased by powers of i to be real where
+its entries allow it, and scattered into a dense k x k matrix for
+``eigvalsh``.  Conserved quantities keep the components small: fermion
+parity splits the codespace block, particle number splits a
+number-conserving Hamiltonian on both sides, and surplus unpaired
+Majoranas give identical copies.  Memory is O(terms x d) entries plus
+O(k^2) per component.  Two module constants bound the work:
+``ENTRY_BUDGET`` caps terms x basis states on either side and is checked
+before any entry is allocated, and ``MAX_COMPONENT`` caps the dimension
+of a dense component.  Exceeding either raises ``ResourceError``.
 
 The reference side uses the standard chain representation
 g_{2m} = Z..Z X_m, g_{2m+1} = Z..Z Y_m and nothing from the Pauli,
@@ -33,7 +47,7 @@ the most significant bit of a basis-state index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +59,18 @@ from .transform import transform_hamiltonian
 
 #: i^k for k = 0..3, indexed by an integer phase exponent mod 4.
 _IPOW = np.array([1, 1j, -1, -1j])
+
+#: Most (term, basis state) entries either side of the oracle may build.
+ENTRY_BUDGET = 1 << 21
+#: Largest connected component that is diagonalized as a dense matrix.
+MAX_COMPONENT = 4096
+#: Basis-state indices are int64 bit masks.
+_MAX_INDEX_BITS = 62
+#: Most matrix elements in one stacked ``eigvalsh`` call.
+_STACK_ELEMENTS = 1 << 20
+
+#: (dim, rows, cols, vals) of a dim x dim matrix; duplicates add up.
+Entries = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _parity(v: np.ndarray) -> np.ndarray:
@@ -89,34 +115,70 @@ def pauli_sum_to_matrix(s: PauliSum) -> np.ndarray:
     return m
 
 
+def _check_budget(states: int, terms: int, what: str) -> None:
+    """Refuse a (terms x states) batch larger than ``ENTRY_BUDGET``."""
+    if states * max(terms, 1) > ENTRY_BUDGET:
+        raise ResourceError(
+            f"dense check needs {terms} terms x {states} {what} = "
+            f"{terms * states} entries, above the budget of {ENTRY_BUDGET}"
+        )
+
+
+def _scatter(entries: Entries) -> np.ndarray:
+    dim, rows, cols, vals = entries
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
 # ----------------------------------------------------------------------
 # reference fermionic matrices (chain representation)
 
 
-def fermion_operator_matrix(f: FermionOperator) -> np.ndarray:
-    """Dense matrix of ``f`` in the chain representation.
+def _reference_entries(f: FermionOperator, even: bool) -> Entries:
+    """Entries of ``f`` in the chain representation, on every basis state
+    or, with ``even``, on the even-occupation ones in ascending order.
 
     There a_m = Z..Z |0><1|_m and a_m^dag = Z..Z |1><0|_m, so each term is
-    a signed partial permutation of the basis states: the factors are
-    applied right to left to every column at once, killing the columns
-    they annihilate, at O(factors * 2^m) work per term."""
+    a signed partial permutation of the basis states.  Terms are batched by
+    their factor count: factor i of every term in a batch is applied, right
+    to left, to a (terms x states) array at once, killing the states it
+    annihilates.  The even states are the ones of 2j, 2j + 1 with even
+    parity, so state s sits at position s >> 1 among them; a term with an
+    odd factor count leaves the even sector and has no entries there."""
     n = f.n_modes
-    dim = 2**n
-    cols = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    dim = 2**n >> 1 if even and n else 2**n
+    _check_budget(dim, len(f.terms), "basis states")
+    states = even_sector_states(n) if even else np.arange(dim)
+    by_length: Dict[int, List[Tuple[complex, Sequence]]] = {}
     for coeff, factors in f.terms:
-        state = cols.copy()
-        sign = np.ones(dim, dtype=np.int64)
-        alive = np.ones(dim, dtype=bool)
-        for mode, dagger in reversed(factors):
-            bit = 1 << (n - 1 - mode)
-            occupied = (state & bit) != 0
-            alive &= ~occupied if dagger else occupied
+        if not (even and len(factors) % 2):
+            by_length.setdefault(len(factors), []).append((coeff, factors))
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
+    for length, group in sorted(by_length.items()):
+        coeff = np.array([c for c, _ in group], dtype=complex)
+        modes = np.array([[m for m, _ in fs] for _, fs in group], np.int64)
+        dagger = np.array([[d for _, d in fs] for _, fs in group], bool)
+        state = np.tile(states, (len(group), 1))
+        alive = np.ones(state.shape, dtype=bool)
+        flips = np.zeros(state.shape, dtype=np.int64)
+        for i in reversed(range(length)):
+            bit = (1 << (n - 1 - modes[:, i]))[:, None]
+            alive &= ((state & bit) == 0) == dagger[:, i, None]
             # the Z string on modes before ``mode``: the bits above ``bit``
-            sign *= 1 - 2 * _parity(state & -(bit << 1))
-            state = state ^ bit
-        out[state[alive], cols[alive]] += coeff * sign[alive]
-    return out
+            flips += np.bitwise_count(state & -(bit << 1))
+            state ^= bit
+        vals = coeff[:, None] * (1 - 2 * (flips & 1))
+        rows = state >> 1 if even else state
+        parts.append((rows[alive], np.broadcast_to(np.arange(dim), state.shape)[alive],
+                      vals[alive]))
+    return (dim, *(np.concatenate(a) for a in zip(*parts)))
+
+
+def fermion_operator_matrix(f: FermionOperator) -> np.ndarray:
+    """Dense matrix of ``f`` in the chain representation: the scatter of
+    its reference entries on the full register."""
+    return _scatter(_reference_entries(f, even=False))
 
 
 def even_sector_states(n_modes: int) -> np.ndarray:
@@ -134,22 +196,44 @@ class _Orbits:
     """Stabilizer orbits of the basis states (index-ordered operators).
 
     ``pivots`` holds the X-reduced generators, highest pivot bit first;
-    ``reps`` holds, ascending, the orbit representatives (pivot bits zero)
-    whose orbit carries a codespace vector."""
+    ``z_type`` the pure-Z ones, each of which must act as +1 on an
+    orbit's representative for the orbit to carry a codespace vector."""
 
+    n: int
     pivots: List[PauliString]
-    reps: np.ndarray
+    z_type: List[PauliString]
+
+    def count(self) -> int:
+        """Number of orbits, before the pure-Z elements select among them."""
+        return 1 << (self.n - len(self.pivots))
+
+    def representatives(self) -> np.ndarray:
+        """Ascending representatives (pivot bits zero) of the orbits that
+        carry a codespace vector."""
+        tops = {g.x.bit_length() - 1 for g in self.pivots}
+        reps = np.zeros(1, dtype=np.int64)
+        for bit in range(self.n):
+            if bit not in tops:
+                reps = np.concatenate([reps, reps | (1 << bit)])
+        for g in self.z_type:  # includes -I, which keeps no representative
+            reps = reps[_phase_exponents(g, reps) % 4 == 0]
+        return reps
 
 
-def _orbits(n_qubits: int, constraints: Sequence[PauliString]) -> _Orbits:
-    none = _Orbits([], np.zeros(0, dtype=np.int64))
-    # a non-Hermitian constraint has no +1 eigenvalue, and two
-    # anticommuting ones share no +1 eigenvector
+def _orbits(n_qubits: int, constraints: Sequence[PauliString]) -> Optional[_Orbits]:
+    """The orbit structure, or None when the constraints visibly share no
+    +1 eigenvector: a non-Hermitian constraint has no +1 eigenvalue, and
+    two anticommuting ones share no +1 eigenvector."""
+    if n_qubits > _MAX_INDEX_BITS:
+        raise ResourceError(
+            f"dense check indexes basis states of at most {_MAX_INDEX_BITS} "
+            f"qubits, not {n_qubits}"
+        )
     if not all(s.is_hermitian() for s in constraints):
-        return none
+        return None
     if not all(s.commutes(t) for i, s in enumerate(constraints)
                for t in constraints[:i]):
-        return none
+        return None
     pivot_of = {}
     z_type = []
     for s in constraints:
@@ -160,13 +244,8 @@ def _orbits(n_qubits: int, constraints: Sequence[PauliString]) -> _Orbits:
             pivot_of[g.x.bit_length() - 1] = g
         else:
             z_type.append(g)
-    reps = np.zeros(1, dtype=np.int64)
-    for bit in range(n_qubits):
-        if bit not in pivot_of:
-            reps = np.concatenate([reps, reps | (1 << bit)])
-    for g in z_type:  # includes -I, which keeps no representative
-        reps = reps[_phase_exponents(g, reps) % 4 == 0]
-    return _Orbits([pivot_of[b] for b in sorted(pivot_of, reverse=True)], reps)
+    pivots = [pivot_of[b] for b in sorted(pivot_of, reverse=True)]
+    return _Orbits(n_qubits, pivots, z_type)
 
 
 def joint_plus_one_basis(
@@ -180,7 +259,9 @@ def joint_plus_one_basis(
     eigenvector (for instance when the constraints generate -I) the
     result has no columns."""
     orbits = _orbits(n_qubits, constraints)
-    reps = orbits.reps
+    if orbits is None:
+        return np.zeros((2**n_qubits, 0), dtype=complex)
+    reps = orbits.representatives()
     elements = [PauliString.identity(n_qubits)]
     for p in orbits.pivots:
         elements += [e * p for e in elements]
@@ -192,52 +273,157 @@ def joint_plus_one_basis(
     return basis
 
 
-def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarray:
-    """B^dag S B for B = ``joint_plus_one_basis(s.n, constraints)``,
-    built without B or the 2^n x 2^n matrix of ``s``.
+def _block_entries(s: PauliSum, constraints: Sequence[PauliString]) -> Entries:
+    """Entries of B^dag S B for B = ``joint_plus_one_basis(s.n,
+    constraints)``, built without B or the 2^n x 2^n matrix of ``s``.
 
     A term that commutes with every constraint maps the vector of orbit r
     to a phase times the vector of the orbit of its image r ^ x; the image
     is walked back to its representative with the pivot elements, which
-    act as +1 on the codespace, collecting their phases.  A term that
-    anticommutes with a constraint has a zero block."""
+    act as +1 on the codespace, collecting their phases.  All commuting
+    terms go through the walk together as one (terms x d) array, one step
+    per pivot.  A term that anticommutes with a constraint has a zero
+    block."""
     orbits = _orbits(s.n, constraints)
-    reps = orbits.reps
-    cols = np.arange(len(reps))
-    block = np.zeros((len(reps), len(reps)), dtype=complex)
-    for p, c in s.terms():
-        if not all(p.commutes(t) for t in constraints):
-            continue
-        q = _index_order(p)
-        state = reps ^ q.x
-        k = _phase_exponents(q, reps)
-        for g in orbits.pivots:
-            hit = (state >> (g.x.bit_length() - 1)) & 1
-            k = k + hit * _phase_exponents(g, state)
-            state = state ^ (hit * g.x)
-        block[np.searchsorted(reps, state), cols] += c * _IPOW[k % 4]
-    return block
+    empty = np.zeros(0, dtype=np.int64)
+    if orbits is None:
+        return 0, empty, empty, np.zeros(0, dtype=complex)
+    terms = [(_index_order(p), c) for p, c in s.terms()]
+    tx = np.array([q.x for q, _ in terms], dtype=np.int64)
+    tz = np.array([q.z for q, _ in terms], dtype=np.int64)
+    cons = [_index_order(t) for t in constraints]
+    cx = np.array([t.x for t in cons], dtype=np.int64)
+    cz = np.array([t.z for t in cons], dtype=np.int64)
+    anti = np.bitwise_count(tx[:, None] & cz) + np.bitwise_count(tz[:, None] & cx)
+    keep = np.flatnonzero(~(anti & 1).any(axis=1))
+    _check_budget(orbits.count(), len(keep), "orbits")
+    reps = orbits.representatives()
+    d = len(reps)
+    state = reps ^ tx[keep, None]
+    k = 2 * _parity(reps & tz[keep, None])  # ``terms()`` strings have phase 0
+    for g in orbits.pivots:
+        hit = (state >> (g.x.bit_length() - 1)) & 1
+        k += hit * _phase_exponents(g, state)
+        state ^= hit * g.x
+    coeff = np.array([c for _, c in terms], dtype=complex)[keep]
+    vals = coeff[:, None] * _IPOW[k & 3]
+    rows = np.searchsorted(reps, state)
+    cols = np.broadcast_to(np.arange(d), state.shape)
+    return d, rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def _eigvalsh_by_components(m: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of the Hermitian ``m``, one ``eigvalsh`` per
-    connected component of its nonzero pattern: a symmetric permutation
-    makes ``m`` block diagonal over them.  Conserved quantities split both
-    oracle sides this way: the fermion parity splits the codespace block,
-    and the particle number splits a number-conserving reference."""
-    linked = (m != 0) | (m.T != 0)
-    unseen = np.ones(len(m), dtype=bool)
+def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarray:
+    """B^dag S B for B = ``joint_plus_one_basis(s.n, constraints)``: the
+    scatter of the block entries (see ``_block_entries``)."""
+    return _scatter(_block_entries(s, constraints))
+
+
+# ----------------------------------------------------------------------
+# components of an entry list
+
+
+def _sum_duplicates(entries: Entries) -> Entries:
+    """One entry per (row, col), in row-major order, exact zeros dropped:
+    entries that cancel must not link two components."""
+    dim, rows, cols, vals = entries
+    key, slot = np.unique(rows * dim + cols, return_inverse=True)
+    summed = np.bincount(slot, vals.real, len(key)) + 1j * np.bincount(
+        slot, vals.imag, len(key)
+    )
+    nonzero = summed != 0
+    key = key[nonzero]
+    return dim, key // max(dim, 1), key % max(dim, 1), summed[nonzero]
+
+
+def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component number of each of ``dim`` states under the links
+    rows[i] -- cols[i], numbered 0, 1, ... in order of their least state.
+
+    Label propagation with pointer jumping: every label points at a state
+    of its own component, no higher than itself.  Each round hooks the
+    root of each link's larger label onto the smaller label, then jumps
+    every pointer to its root; it stops when no link joins two roots."""
+    label = np.arange(dim)
+    while True:
+        lr, lc = label[rows], label[cols]
+        if np.array_equal(lr, lc):
+            return np.unique(label, return_inverse=True)[1]
+        low = np.minimum(lr, lc)
+        np.minimum.at(label, lr, low)
+        np.minimum.at(label, lc, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _real_gauge(dim: int, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> np.ndarray:
+    """``vals`` after the diagonal similarity that multiplies state r by
+    i^(s_r), s_r in {0, 1}, which leaves the spectrum as it is.
+
+    The s_r are chosen so that every entry of a component comes out real
+    whenever that is possible: each entry purely real or purely imaginary,
+    with s_r ^ s_c = 1 exactly on the imaginary ones.  State r becomes the
+    two nodes 2r and 2r + 1, for s_r = 0 and 1, linked the way that
+    equation asks.  Where it can be met, each component splits into two
+    mirror halves, and s_r = 0 exactly when node 2r lies in the half of
+    node 2m, m the component's least state; that half has the lower label.
+    The factors are exact powers of i, so real entries stay exactly real."""
+    imag = (vals.imag != 0).astype(np.int64)
+    twin = _component_labels(
+        2 * dim,
+        np.concatenate([2 * rows, 2 * rows + 1]),
+        np.concatenate([2 * cols + imag, 2 * cols + 1 - imag]),
+    )
+    s = (twin[0::2] > twin[1::2]).astype(np.int64)
+    return vals * _IPOW[(s[cols] - s[rows]) & 3]
+
+
+def _eigvalsh_by_components(entries: Entries) -> np.ndarray:
+    """Sorted eigenvalues of the Hermitian matrix with these entries, one
+    dense ``eigvalsh`` per connected component of its nonzero pattern: a
+    symmetric permutation makes the matrix block diagonal over them.
+    Components of one size and kind are diagonalized as one stack, in real
+    arithmetic when ``_real_gauge`` leaves every entry of theirs real."""
+    dim, rows, cols, vals = _sum_duplicates(entries)
+    comp = _component_labels(dim, rows, cols)
+    vals = _real_gauge(dim, rows, cols, vals)
+    sizes = np.bincount(comp)
+    if dim and sizes.max() > MAX_COMPONENT:
+        raise ResourceError(
+            f"dense check needs a {sizes.max()}-dimensional component, "
+            f"above the cap of {MAX_COMPONENT}"
+        )
+    # position of each state within its component
+    order = np.argsort(comp, kind="stable")
+    local = np.empty(dim, dtype=np.int64)
+    local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[comp[order]]
+    # components grouped by kind (size, then real before complex), and
+    # the entries in the same order, so that a stack is a slice of each
+    cplx = np.bincount(comp[rows], vals.imag != 0, len(sizes)) > 0
+    kinds = 2 * sizes + cplx
+    by_kind = np.argsort(kinds, kind="stable")
+    rank = np.empty_like(by_kind)
+    rank[by_kind] = np.arange(len(by_kind))
+    erank = rank[comp[rows]]
+    by = np.argsort(erank, kind="stable")
+    erank, rows, cols, vals = erank[by], local[rows[by]], local[cols[by]], vals[by]
+    kinds = kinds[by_kind]
     evals = [np.zeros(0)]
-    while unseen.any():
-        reach = np.zeros(len(m), dtype=bool)
-        frontier = np.flatnonzero(unseen)[:1]
-        while frontier.size:
-            reach[frontier] = True
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~reach)
-        unseen &= ~reach
-        part = np.flatnonzero(reach)
-        evals.append(np.linalg.eigvalsh(m[np.ix_(part, part)]))
-    return np.sort(np.concatenate(evals).real)
+    for kind in np.unique(kinds):
+        size, is_complex = divmod(int(kind), 2)
+        first, end = np.searchsorted(kinds, [kind, kind + 1])
+        step = max(1, _STACK_ELEMENTS // (size * size))
+        for a in range(first, end, step):
+            b = min(a + step, end)
+            ea, eb = np.searchsorted(erank, [a, b])
+            m = np.zeros((b - a, size, size), dtype=complex if is_complex else float)
+            v = vals[ea:eb]
+            m[erank[ea:eb] - a, rows[ea:eb], cols[ea:eb]] = v if is_complex else v.real
+            evals.append(np.linalg.eigvalsh(m).ravel())
+    return np.sort(np.concatenate(evals))
 
 
 # ----------------------------------------------------------------------
@@ -260,23 +446,29 @@ def dense_oracle_check(
     f: FermionOperator,
     enc: Encoding,
     tol: float = 1e-9,
-    qubit_cap: int = 12,
+    qubit_cap: int = 24,
 ) -> OracleReport:
     """Compare the compiled Hamiltonian, restricted to the codespace,
     against the exact fermionic spectrum in the matching sector.
 
     The codespace is the joint +1 eigenspace of the cycle stabilizers and
     of the vertex operators of virtual modes.  The compiled Hamiltonian's
-    block on it is built orbit by orbit (``codespace_block``); only that
-    d x d block and the reference matrix are diagonalized, each one
-    decoupled part at a time.  With no odd-degree physical vertex
-    the codespace hosts the even-parity sector; unpaired Majoranas on
-    odd-degree physical vertices open up the odd sector as well, and each
-    surplus pair of unpaired Majoranas doubles every level, so the
-    expected spectrum is the appropriate sector multiset repeated
+    d x d block on it is built as entry arrays orbit by orbit, the
+    reference in the chain representation the same way, and each is
+    diagonalized one connected component at a time; memory is O(terms x d)
+    entries plus O(k^2) per k-dimensional component.  With no odd-degree
+    physical vertex the codespace hosts the even-parity sector; unpaired
+    Majoranas on odd-degree physical vertices open up the odd sector as
+    well, and each surplus pair of unpaired Majoranas doubles every level,
+    so the expected spectrum is the appropriate sector multiset repeated
     codespace_dim / sector_dim times.  An empty codespace is reported as
     a failed check.  The encoding's operator algebra is validated along
-    the way.  ``qubit_cap`` bounds the total qubit count.
+    the way.
+
+    ``qubit_cap`` bounds the total qubit count.  ``ResourceError`` is also
+    raised, before the entries are allocated, when terms x orbits or
+    terms x sector states exceed ``ENTRY_BUDGET``, and when a component
+    is larger than ``MAX_COMPONENT``.
     """
     if enc.total_qubits > qubit_cap:
         raise ResourceError(
@@ -289,20 +481,14 @@ def dense_oracle_check(
 
     compiled = transform_hamiltonian(f, enc)
     constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
-    block = codespace_block(compiled, constraints)
-    code_dim = block.shape[0]
+    block = _block_entries(compiled, constraints)
+    code_dim = block[0]
 
-    h_exact = fermion_operator_matrix(f)
     odd_physical = [
         v for v in enc.graph.physical_ids() if enc.graph.degree(v) % 2 == 1
     ]
-    if odd_physical:
-        sector = "full"
-    else:
-        sector = "even"
-        even = even_sector_states(f.n_modes)
-        h_exact = h_exact[np.ix_(even, even)]
-    spec_ref = _eigvalsh_by_components(h_exact)
+    sector = "full" if odd_physical else "even"
+    spec_ref = _eigvalsh_by_components(_reference_entries(f, sector == "even"))
 
     mult, rem = divmod(code_dim, len(spec_ref))
     if rem or mult < 1:

@@ -54,6 +54,25 @@ def majorana_matrix(n_modes: int, index: int) -> np.ndarray:
     return m
 
 
+def ladder_matrix(n_modes: int, mode: int, dagger: bool) -> np.ndarray:
+    """a_m = (g_{2m} + i g_{2m+1}) / 2, or its adjoint, from the kron-chain
+    Majoranas."""
+    g_re = majorana_matrix(n_modes, 2 * mode)
+    g_im = majorana_matrix(n_modes, 2 * mode + 1)
+    return (g_re - 1j * g_im) / 2 if dagger else (g_re + 1j * g_im) / 2
+
+
+def fermion_kron_matrix(f) -> np.ndarray:
+    """Dense matrix of a FermionOperator as kron-chain ladder products."""
+    out = np.zeros((2**f.n_modes, 2**f.n_modes), dtype=complex)
+    for coeff, factors in f.terms:
+        m = np.eye(2**f.n_modes, dtype=complex)
+        for mode, dagger in factors:
+            m = m @ ladder_matrix(f.n_modes, mode, dagger)
+        out += coeff * m
+    return out
+
+
 def monomial_matrix(n_modes: int, mono) -> np.ndarray:
     m = np.eye(2**n_modes, dtype=complex)
     for g in mono.indices:

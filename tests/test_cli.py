@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import time
+
 from fermigraph import fileio
 from fermigraph.cli import main
 
@@ -129,6 +131,19 @@ class TestErrors:
         capsys.readouterr()
         assert main(["encode", "--graph", g, "--max-qubits", "10",
                      "--out", str(tmp_path / "k.enc")]) == 5
+        assert "error: resource:" in capsys.readouterr().err
+
+    def test_dense_register_too_large_exit_code(self, tmp_path, capsys):
+        """An open 20-mode chain has no stabilizers, so its codespace is
+        the whole 2^20-state register: the oracle refuses it at once
+        instead of allocating a 2^20 x 2^20 block."""
+        g = str(tmp_path / "chain20.graph")
+        main(["gen", "--geometry", "linear", "--dims", "20", "--bc", "open",
+              "--out", g])
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["verify", "--graph", g, "--dense", "--max-qubits", "20"]) == 5
+        assert time.perf_counter() - start < 1.0
         assert "error: resource:" in capsys.readouterr().err
 
     def test_route_error_exit_code(self, tmp_path, capsys):
