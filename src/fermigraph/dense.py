@@ -24,16 +24,18 @@ is formed.
 
 Each entry list is split into the connected components of its nonzero
 pattern, after duplicate entries are summed, so that a cancelled entry
-links nothing; each component is rephased by powers of i to be real where
-its entries allow it, and scattered into a dense k x k matrix for
-``eigvalsh``.  Conserved quantities keep the components small: fermion
-parity splits the codespace block, particle number splits a
-number-conserving Hamiltonian on both sides, and surplus unpaired
-Majoranas give identical copies.  Memory is O(terms x d) entries plus
-O(k^2) per component.  Two module constants bound the work:
-``ENTRY_BUDGET`` caps terms x basis states on either side and is checked
-before any entry is allocated, and ``MAX_COMPONENT`` caps the dimension
-of a dense component.  Exceeding either raises ``ResourceError``.
+links nothing; each component is scattered into a dense k x k matrix for
+``eigvalsh``, in real arithmetic when its imaginary part is exactly zero.
+Conserved quantities keep the components small: fermion parity splits
+the codespace block, particle number splits a number-conserving
+Hamiltonian on both sides, and surplus unpaired Majoranas give identical
+copies.  Memory is O(terms x d) entries plus O(k^2) per component.  Two
+module constants bound the work: ``ENTRY_BUDGET`` caps kept terms x
+basis states on either side and is checked before any entry is
+allocated, and ``MAX_COMPONENT`` caps the dimension of a dense
+component.  Exceeding either raises ``ResourceError``.  The budget
+refuses some inputs a dense 2^m x 2^m reference would take: on the
+4,096 states of 12 modes it allows 512 terms.
 
 The reference side uses the standard chain representation
 g_{2m} = Z..Z X_m, g_{2m+1} = Z..Z Y_m and nothing from the Pauli,
@@ -66,8 +68,6 @@ ENTRY_BUDGET = 1 << 21
 MAX_COMPONENT = 4096
 #: Basis-state indices are int64 bit masks.
 _MAX_INDEX_BITS = 62
-#: Most matrix elements in one stacked ``eigvalsh`` call.
-_STACK_ELEMENTS = 1 << 20
 
 #: (dim, rows, cols, vals) of a dim x dim matrix; duplicates add up.
 Entries = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -148,12 +148,12 @@ def _reference_entries(f: FermionOperator, even: bool) -> Entries:
     odd factor count leaves the even sector and has no entries there."""
     n = f.n_modes
     dim = 2**n >> 1 if even and n else 2**n
-    _check_budget(dim, len(f.terms), "basis states")
+    kept = [(c, fs) for c, fs in f.terms if not (even and len(fs) % 2)]
+    _check_budget(dim, len(kept), "basis states")
     states = even_sector_states(n) if even else np.arange(dim)
     by_length: Dict[int, List[Tuple[complex, Sequence]]] = {}
-    for coeff, factors in f.terms:
-        if not (even and len(factors) % 2):
-            by_length.setdefault(len(factors), []).append((coeff, factors))
+    for coeff, factors in kept:
+        by_length.setdefault(len(factors), []).append((coeff, factors))
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
     for length, group in sorted(by_length.items()):
         coeff = np.array([c for c, _ in group], dtype=complex)
@@ -358,71 +358,35 @@ def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
             label = jumped
 
 
-def _real_gauge(dim: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> np.ndarray:
-    """``vals`` after the diagonal similarity that multiplies state r by
-    i^(s_r), s_r in {0, 1}, which leaves the spectrum as it is.
-
-    The s_r are chosen so that every entry of a component comes out real
-    whenever that is possible: each entry purely real or purely imaginary,
-    with s_r ^ s_c = 1 exactly on the imaginary ones.  State r becomes the
-    two nodes 2r and 2r + 1, for s_r = 0 and 1, linked the way that
-    equation asks.  Where it can be met, each component splits into two
-    mirror halves, and s_r = 0 exactly when node 2r lies in the half of
-    node 2m, m the component's least state; that half has the lower label.
-    The factors are exact powers of i, so real entries stay exactly real."""
-    imag = (vals.imag != 0).astype(np.int64)
-    twin = _component_labels(
-        2 * dim,
-        np.concatenate([2 * rows, 2 * rows + 1]),
-        np.concatenate([2 * cols + imag, 2 * cols + 1 - imag]),
-    )
-    s = (twin[0::2] > twin[1::2]).astype(np.int64)
-    return vals * _IPOW[(s[cols] - s[rows]) & 3]
-
-
 def _eigvalsh_by_components(entries: Entries) -> np.ndarray:
     """Sorted eigenvalues of the Hermitian matrix with these entries, one
     dense ``eigvalsh`` per connected component of its nonzero pattern: a
-    symmetric permutation makes the matrix block diagonal over them.
-    Components of one size and kind are diagonalized as one stack, in real
-    arithmetic when ``_real_gauge`` leaves every entry of theirs real."""
+    symmetric permutation makes the matrix block diagonal over them.  A
+    component whose imaginary part is exactly zero is diagonalized in real
+    arithmetic."""
     dim, rows, cols, vals = _sum_duplicates(entries)
     comp = _component_labels(dim, rows, cols)
-    vals = _real_gauge(dim, rows, cols, vals)
     sizes = np.bincount(comp)
     if dim and sizes.max() > MAX_COMPONENT:
         raise ResourceError(
             f"dense check needs a {sizes.max()}-dimensional component, "
             f"above the cap of {MAX_COMPONENT}"
         )
-    # position of each state within its component
+    # position of each state within its component, and the entries
+    # grouped by component
     order = np.argsort(comp, kind="stable")
     local = np.empty(dim, dtype=np.int64)
     local[order] = np.arange(dim) - (np.cumsum(sizes) - sizes)[comp[order]]
-    # components grouped by kind (size, then real before complex), and
-    # the entries in the same order, so that a stack is a slice of each
-    cplx = np.bincount(comp[rows], vals.imag != 0, len(sizes)) > 0
-    kinds = 2 * sizes + cplx
-    by_kind = np.argsort(kinds, kind="stable")
-    rank = np.empty_like(by_kind)
-    rank[by_kind] = np.arange(len(by_kind))
-    erank = rank[comp[rows]]
-    by = np.argsort(erank, kind="stable")
-    erank, rows, cols, vals = erank[by], local[rows[by]], local[cols[by]], vals[by]
-    kinds = kinds[by_kind]
+    entry_comp = comp[rows]
+    by = np.argsort(entry_comp, kind="stable")
+    counts = np.bincount(entry_comp, minlength=len(sizes))
+    ends = np.cumsum(counts)
+    rows, cols, vals = local[rows[by]], local[cols[by]], vals[by]
     evals = [np.zeros(0)]
-    for kind in np.unique(kinds):
-        size, is_complex = divmod(int(kind), 2)
-        first, end = np.searchsorted(kinds, [kind, kind + 1])
-        step = max(1, _STACK_ELEMENTS // (size * size))
-        for a in range(first, end, step):
-            b = min(a + step, end)
-            ea, eb = np.searchsorted(erank, [a, b])
-            m = np.zeros((b - a, size, size), dtype=complex if is_complex else float)
-            v = vals[ea:eb]
-            m[erank[ea:eb] - a, rows[ea:eb], cols[ea:eb]] = v if is_complex else v.real
-            evals.append(np.linalg.eigvalsh(m).ravel())
+    for size, a, b in zip(sizes, ends - counts, ends):
+        m = np.zeros((size, size), dtype=complex)
+        m[rows[a:b], cols[a:b]] = vals[a:b]
+        evals.append(np.linalg.eigvalsh(m if m.imag.any() else m.real))
     return np.sort(np.concatenate(evals))
 
 
@@ -466,9 +430,9 @@ def dense_oracle_check(
     the way.
 
     ``qubit_cap`` bounds the total qubit count.  ``ResourceError`` is also
-    raised, before the entries are allocated, when terms x orbits or
-    terms x sector states exceed ``ENTRY_BUDGET``, and when a component
-    is larger than ``MAX_COMPONENT``.
+    raised, before the entries are allocated, when commuting terms x
+    orbits or kept terms x sector states exceed ``ENTRY_BUDGET``, and
+    when a component is larger than ``MAX_COMPONENT``.
     """
     if enc.total_qubits > qubit_cap:
         raise ResourceError(

@@ -15,7 +15,6 @@ from fermigraph.dense import (
     _block_entries,
     _component_labels,
     _eigvalsh_by_components,
-    _real_gauge,
     _reference_entries,
     _scatter,
     _sum_duplicates,
@@ -223,9 +222,9 @@ def component_sizes(entries):
 
 class TestEigvalshByComponents:
     def test_matches_full_eigvalsh(self, rng):
-        """Three Hermitian blocks, scattered by a permutation, give the
-        spectrum of the whole matrix; so do real and complex blocks of one
-        size, stacked into one call."""
+        """Hermitian blocks, scattered by a permutation, give the spectrum
+        of the whole matrix, whether they are all complex, all real or
+        mixed."""
         for sizes, real in (([3, 1, 4], False), ([3, 3, 3, 1], True), ([2, 2, 5], None)):
             n = sum(sizes)
             m = np.zeros((n, n), dtype=complex)
@@ -243,13 +242,6 @@ class TestEigvalshByComponents:
             assert np.allclose(_eigvalsh_by_components(entries), np.linalg.eigvalsh(m))
         empty = np.zeros(0, dtype=np.int64)
         assert _eigvalsh_by_components((0, empty, empty, empty + 0j)).shape == (0,)
-
-    def test_one_call_per_component(self, rng, monkeypatch):
-        """Stacks capped at one matrix give the same spectrum."""
-        monkeypatch.setattr(dense, "_STACK_ELEMENTS", 1)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        m = np.kron(np.eye(3), a + a.conj().T)
-        assert np.allclose(_eigvalsh_by_components(entries_of(m)), np.linalg.eigvalsh(m))
 
     def test_labels_match_union_find(self, rng):
         for _ in range(20):
@@ -291,21 +283,6 @@ class TestEigvalshByComponents:
         assert np.allclose(
             _eigvalsh_by_components(entries), np.linalg.eigvalsh(_scatter(entries))
         )
-
-    def test_real_gauge(self):
-        """Powers of i on the states make a component real when its
-        imaginary entries can be cut that way (the path 0-1-2), and leave a
-        triangle of imaginary links complex; the spectrum stays."""
-        path = np.array([[1, 2j, 0], [-2j, 0, 3], [0, 3, -1]])
-        triangle = np.array([[0, 1j, 1j], [-1j, 0, 1j], [-1j, -1j, 0]])
-        for m, real in ((path, True), (triangle, False)):
-            dim, rows, cols, vals = entries_of(m)
-            gauged = _real_gauge(dim, rows, cols, vals)
-            assert (not gauged.imag.any()) == real
-            assert np.allclose(
-                np.linalg.eigvalsh(_scatter((dim, rows, cols, gauged))),
-                np.linalg.eigvalsh(m),
-            )
 
     def test_cancellation_keeps_the_chain_block_split(self):
         """The periodic jw_yx chain's codespace block has cancelling
@@ -445,6 +422,20 @@ class TestOracleBeyondKronReach:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, f"held {peak / 1e6:.0f} MB before refusing"
+
+    def test_reference_budget_counts_kept_terms(self):
+        """The budget caps kept terms x sector states.  Twelve modes with
+        1,100 odd-length terms and 4 even ones fit in the 2,048-state even
+        sector, where the odd ones have no entries; the same operator on
+        the full 4,096-state register is refused (the budget allows 512
+        terms there)."""
+        terms = [(1.0, ((j % 12, True),)) for j in range(1100)]
+        terms += [(0.5, ((j, True), (j, False))) for j in range(4)]
+        f = FermionOperator.from_terms(12, terms)
+        dim, rows, _, _ = _reference_entries(f, even=True)
+        assert dim == 2048 and len(rows) == 4 * 1024
+        with pytest.raises(ResourceError, match="budget"):
+            _reference_entries(f, even=False)
 
     def test_component_over_cap(self, monkeypatch):
         monkeypatch.setattr(dense, "MAX_COMPONENT", 100)
