@@ -37,7 +37,6 @@ from .fermion import (
     build_syk2,
     interaction_graph_from_hamiltonian,
     monomial_to_ev,
-    pair_to_ev,
     syk2_couplings,
     syk2_monomials,
     to_majorana_normal_form,
@@ -65,7 +64,7 @@ __all__ = [
     "basis_ternary_tree", "basis_verify", "get_basis",
     "Encoding", "Router", "build_encoding", "verify_encoding_algebra",
     "FermionOperator", "MajoranaMonomial", "EVTerm",
-    "to_majorana_normal_form", "pair_to_ev", "monomial_to_ev",
+    "to_majorana_normal_form", "monomial_to_ev",
     "interaction_graph_from_hamiltonian", "build_syk2", "syk2_couplings",
     "syk2_monomials", "build_lattice_model",
     "transform_hamiltonian", "transform_monomials",

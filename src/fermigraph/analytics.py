@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .encoding import build_encoding
-from .errors import ParseError, ResourceError
+from .errors import ParseError
 from .fermion import syk2_couplings, syk2_monomials
 from .geometries import gen_syk_geometry
-from .graph import qubit_count
 from .pauli import PauliSum
 from .transform import transform_monomials
 
@@ -78,14 +77,14 @@ def sweep_syk_geometries(
     geometries: Sequence[str],
     n_list: Sequence[int],
     seed: int = 1,
-    max_qubits: Optional[int] = None,
 ) -> List[BenchRecord]:
     """Encode each geometry at each mode count, compile the quadratic
     all-to-all Hamiltonian with seeded couplings, and record the stats.
 
     The couplings at a given (seed, N) are shared across geometries so
     columns are directly comparable; records are deterministic for a fixed
-    seed apart from the wall-time column.
+    seed apart from the wall-time column.  A point whose encoding exceeds
+    ``encoding.TABLE_BUDGET`` raises ``ResourceError``.
     """
     records = []
     for kind in geometries:
@@ -96,16 +95,11 @@ def sweep_syk_geometries(
         for n in n_list:
             t0 = time.perf_counter()
             g = gen_syk_geometry(kind, n)
-            q = qubit_count(g)
-            if max_qubits is not None and q > max_qubits:
-                raise ResourceError(
-                    f"{kind} at N={n} needs {q} qubits, above the cap of {max_qubits}"
-                )
             enc = build_encoding(g, SWEEP_BASIS)
             compiled = transform_monomials(syk2_monomials(n, couplings[n]), enc)
             stats = weight_stats(compiled)
             records.append(
-                BenchRecord(kind, n, q, stats, time.perf_counter() - t0)
+                BenchRecord(kind, n, enc.total_qubits, stats, time.perf_counter() - t0)
             )
     return records
 

@@ -8,7 +8,12 @@
     verify     algebra checks, optionally the dense spectral oracle
 
 Failures exit non-zero with a machine-readable category on stderr
-(parse=2, route=3, parity=4, resource=5, verify-fail=6).
+(parse=2, route=3, parity=4, resource=5, verify-fail=6).  No verb takes
+a size option: resource=5 comes from the bounds on what is allocated.
+Every verb that builds an encoding refuses one whose tables exceed
+``encoding.TABLE_BUDGET`` (qubits x table strings, about 100 MB at the
+budget), and ``verify --dense`` also refuses an oracle over
+``dense.ENTRY_BUDGET`` entries (64 MiB per side) or ``dense.MAX_COMPONENT``.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_encode(args) -> int:
     g = fileio.read_graph(args.graph)
-    enc = build_encoding(g, args.basis, max_qubits=args.max_qubits)
+    enc = build_encoding(g, args.basis)
     fileio.write_encoding(args.out, enc)
     print(
         f"wrote {args.out}: {enc.total_qubits} qubits, {len(enc.edge_ops)} edge ops, "
@@ -87,7 +92,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_transform(args) -> int:
     g = fileio.read_graph(args.graph)
-    enc = build_encoding(g, args.basis, max_qubits=args.max_qubits)
+    enc = build_encoding(g, args.basis)
     f = fileio.read_fermion(args.hamiltonian)
     route = _route_policy(args.route, enc)
     compiled = transform_hamiltonian(f, enc, route)
@@ -145,9 +150,7 @@ def _cmd_stats(args) -> int:
 def _cmd_bench(args) -> int:
     geometries = args.geometries.split(",")
     n_list = [int(tok) for tok in args.n.split(",")]
-    records = analytics.sweep_syk_geometries(
-        geometries, n_list, seed=args.seed, max_qubits=args.max_qubits
-    )
+    records = analytics.sweep_syk_geometries(geometries, n_list, seed=args.seed)
     csv = analytics.records_to_csv(records)
     with open(args.out, "w") as fh:
         fh.write(csv)
@@ -169,7 +172,7 @@ def _cmd_verify(args) -> int:
             f = fileio.read_fermion(args.hamiltonian)
         else:
             f = build_syk2(len(g.physical_ids()), seed=args.seed)
-        report = dense_oracle_check(f, enc, qubit_cap=args.max_qubits)
+        report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "
             f"multiplicity={report.multiplicity} max_diff={report.max_spectrum_diff:.3e}"
@@ -199,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="build the encoded operator tables")
     p.add_argument("--graph", required=True)
     p.add_argument("--basis", default="jw", help="jw | jw_yx | fenwick | ternary")
-    p.add_argument("--max-qubits", type=int, default=26)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
@@ -208,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True)
     p.add_argument("--basis", default="jw")
     p.add_argument("--route", default="auto", help="auto | explicit:<path-file>")
-    p.add_argument("--max-qubits", type=int, default=26)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_transform)
 
@@ -221,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometries", required=True, help="comma list, e.g. linear,star")
     p.add_argument("--n", required=True, help="comma list of mode counts")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-qubits", type=int, default=None,
-                   help="per-point qubit guard (default unlimited)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
@@ -232,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense", action="store_true")
     p.add_argument("--hamiltonian", help="defaults to a seeded quadratic Hamiltonian")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-qubits", type=int, default=24,
-                   help="qubit cap of the dense oracle (default 24); a codespace "
-                        "block or reference too large to hold also exits 5")
     p.set_defaults(func=_cmd_verify)
     return ap
 

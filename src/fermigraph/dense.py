@@ -29,13 +29,17 @@ links nothing; each component is scattered into a dense k x k matrix for
 Conserved quantities keep the components small: fermion parity splits
 the codespace block, particle number splits a number-conserving
 Hamiltonian on both sides, and surplus unpaired Majoranas give identical
-copies.  Memory is O(terms x d) entries plus O(k^2) per component.  Two
-module constants bound the work: ``ENTRY_BUDGET`` caps kept terms x
-basis states on either side and is checked before any entry is
-allocated, and ``MAX_COMPONENT`` caps the dimension of a dense
-component.  Exceeding either raises ``ResourceError``.  The budget
-refuses some inputs a dense 2^m x 2^m reference would take: on the
-4,096 states of 12 modes it allows 512 terms.
+copies.  Memory is O(terms x d) entries plus O(k^2) per component.  The
+work is bounded by what is allocated, not by the qubit count:
+``ENTRY_BUDGET`` caps kept terms x basis states on either side and is
+checked before any entry is allocated (an entry is an int64 row, an
+int64 column and a complex value, 32 bytes, so 64 MiB per side at the
+budget), and ``MAX_COMPONENT`` caps the dimension of a dense component.
+Basis states are int64 bit masks, so registers wider than 62 qubits are
+refused before any work.  Exceeding a bound raises ``ResourceError``.
+The budget refuses some inputs a dense 2^m x 2^m reference would take:
+on the 4,096 states of 12 modes it allows 512 terms.  The dense matrices
+of Pauli strings and sums are the same entries with no constraints.
 
 The reference side uses the standard chain representation
 g_{2m} = Z..Z X_m, g_{2m+1} = Z..Z Y_m and nothing from the Pauli,
@@ -56,7 +60,7 @@ import numpy as np
 from .encoding import Encoding, verify_encoding_algebra
 from .errors import ResourceError
 from .fermion import FermionOperator
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .transform import transform_hamiltonian
 
 #: i^k for k = 0..3, indexed by an integer phase exponent mod 4.
@@ -94,25 +98,17 @@ def _phase_exponents(q: PauliString, b: np.ndarray) -> np.ndarray:
     return q.phase + 2 * _parity(b & q.z)
 
 
-def _add_pauli(m: np.ndarray, c: complex, p: PauliString) -> None:
-    """m += c * P, one entry per column."""
-    q = _index_order(p)
-    b = np.arange(len(m))
-    m[b ^ q.x, b] += c * _IPOW[_phase_exponents(q, b) % 4]
-
-
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string, including its exact phase."""
-    m = np.zeros((2**p.n, 2**p.n), dtype=complex)
-    _add_pauli(m, 1.0, p)
-    return m
+    one = PauliSumBuilder(p.n)
+    one.add(1.0, p)
+    return pauli_sum_to_matrix(one.build())
 
 
 def pauli_sum_to_matrix(s: PauliSum) -> np.ndarray:
-    m = np.zeros((2**s.n, 2**s.n), dtype=complex)
-    for p, c in s.terms():
-        _add_pauli(m, c, p)
-    return m
+    """Dense 2^n x 2^n matrix of a Pauli sum: its codespace block under no
+    constraints, where every basis state is an orbit of its own."""
+    return codespace_block(s, [])
 
 
 def _check_budget(states: int, terms: int, what: str) -> None:
@@ -273,9 +269,10 @@ def joint_plus_one_basis(
     return basis
 
 
-def _block_entries(s: PauliSum, constraints: Sequence[PauliString]) -> Entries:
+def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
     """Entries of B^dag S B for B = ``joint_plus_one_basis(s.n,
-    constraints)``, built without B or the 2^n x 2^n matrix of ``s``.
+    constraints)`` and ``orbits = _orbits(s.n, constraints)``, built
+    without B or the 2^n x 2^n matrix of ``s``.
 
     A term that commutes with every constraint maps the vector of orbit r
     to a phase times the vector of the orbit of its image r ^ x; the image
@@ -284,14 +281,13 @@ def _block_entries(s: PauliSum, constraints: Sequence[PauliString]) -> Entries:
     terms go through the walk together as one (terms x d) array, one step
     per pivot.  A term that anticommutes with a constraint has a zero
     block."""
-    orbits = _orbits(s.n, constraints)
     empty = np.zeros(0, dtype=np.int64)
     if orbits is None:
         return 0, empty, empty, np.zeros(0, dtype=complex)
     terms = [(_index_order(p), c) for p, c in s.terms()]
     tx = np.array([q.x for q, _ in terms], dtype=np.int64)
     tz = np.array([q.z for q, _ in terms], dtype=np.int64)
-    cons = [_index_order(t) for t in constraints]
+    cons = orbits.pivots + orbits.z_type
     cx = np.array([t.x for t in cons], dtype=np.int64)
     cz = np.array([t.z for t in cons], dtype=np.int64)
     anti = np.bitwise_count(tx[:, None] & cz) + np.bitwise_count(tz[:, None] & cx)
@@ -315,7 +311,7 @@ def _block_entries(s: PauliSum, constraints: Sequence[PauliString]) -> Entries:
 def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarray:
     """B^dag S B for B = ``joint_plus_one_basis(s.n, constraints)``: the
     scatter of the block entries (see ``_block_entries``)."""
-    return _scatter(_block_entries(s, constraints))
+    return _scatter(_block_entries(s, _orbits(s.n, constraints)))
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +406,6 @@ def dense_oracle_check(
     f: FermionOperator,
     enc: Encoding,
     tol: float = 1e-9,
-    qubit_cap: int = 24,
 ) -> OracleReport:
     """Compare the compiled Hamiltonian, restricted to the codespace,
     against the exact fermionic spectrum in the matching sector.
@@ -429,23 +424,21 @@ def dense_oracle_check(
     a failed check.  The encoding's operator algebra is validated along
     the way.
 
-    ``qubit_cap`` bounds the total qubit count.  ``ResourceError`` is also
-    raised, before the entries are allocated, when commuting terms x
-    orbits or kept terms x sector states exceed ``ENTRY_BUDGET``, and
+    ``ResourceError`` is raised before the algebra check and the compile
+    when the register is wider than 62 qubits, the int64 basis-state
+    index; before the entries are allocated when commuting terms x
+    orbits or kept terms x sector states exceed ``ENTRY_BUDGET``; and
     when a component is larger than ``MAX_COMPONENT``.
     """
-    if enc.total_qubits > qubit_cap:
-        raise ResourceError(
-            f"dense check needs {enc.total_qubits} qubits, above the cap of {qubit_cap}"
-        )
+    orbits = _orbits(
+        enc.total_qubits, list(enc.stabilizers) + enc.virtual_parity_ops()
+    )
     messages: List[str] = []
     algebra = verify_encoding_algebra(enc)
     if not algebra.ok:
         messages.extend("algebra: " + v for v in algebra.violations)
 
-    compiled = transform_hamiltonian(f, enc)
-    constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
-    block = _block_entries(compiled, constraints)
+    block = _block_entries(transform_hamiltonian(f, enc), orbits)
     code_dim = block[0]
 
     odd_physical = [

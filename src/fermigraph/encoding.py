@@ -17,7 +17,13 @@ product of directed edge operators around any closed walk equals the
 corresponding product of cycle stabilizers exactly, so the joint +1
 eigenspace of the stabilizers is the codespace on which the encoded
 algebra reproduces the fermionic one (checked against a dense oracle in
-the analytics module).
+the dense module).
+
+The tables hold edges + vertices + cycles strings of n qubits each, so
+their size follows n x (edges + vertices + cycles), not n alone: an
+all-to-all graph on N modes grows like N^4.  ``build_encoding`` checks
+that product against ``TABLE_BUDGET`` before it embeds any operator;
+there is no separate limit on the qubit count.
 
 A coupling between non-adjacent vertices is realized by a routed string:
 the raw product of directed edge operators along an n-edge path, times
@@ -47,6 +53,14 @@ from .localbasis import (
 from .pauli import PauliString, set_bits
 
 BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]], None]
+
+#: Most total qubits x table strings (edges + vertices + cycles, the cycles
+#: counted at their bound of one per edge) an encoding may hold.  A table
+#: string keeps two masks of one bit per qubit, a quarter byte per unit;
+#: with the embedded port operators ``build_encoding`` peaks near 0.4 byte
+#: per unit (complete/150, just under the budget: 91 MB traced), while
+#: complete/96 needs 16 % of it and complete/300 is refused.
+TABLE_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -133,12 +147,14 @@ class Encoding:
         returned when ``raw`` is set; the default multiplies by i^(n-1),
         which is the Hermitian canonical form (equal to the direct edge
         operator whenever the walk is a single edge)."""
-        op = PauliString.identity(self.total_qubits)
-        src = j
+        if not edges:
+            raise RoutingError("a walk needs at least one edge")
+        factors, src = [], j
         for eidx in edges:
-            op = op * self.directed_edge_operator(eidx, src)
+            factors.append(self.directed_edge_operator(eidx, src))
             a, b = self.graph.edges[eidx]
             src = b if src == a else a
+        op = reduce(mul, factors)
         if raw:
             return op
         op = op.with_phase(len(edges) - 1)
@@ -167,8 +183,7 @@ class Encoding:
             edges = _walk_edges(self.graph, verts + [verts[0]])
         if len(edges) < 2:
             raise ParseError("a closed walk needs at least 2 edges")
-        op = reduce(mul, map(self.directed_edge_operator, edges, verts))
-        op = op.with_phase(len(edges))
+        op = self.walk_operator(verts[0], edges, raw=True).with_phase(len(edges))
         if not op.is_hermitian():
             raise VerifyError("cycle stabilizer failed the Hermiticity check")
         return op
@@ -383,16 +398,13 @@ def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, Majora
     return out
 
 
-def build_encoding(
-    g: SystemGraph,
-    basis_choice: BasisChoice = "jw",
-    max_qubits: Optional[int] = None,
-) -> Encoding:
+def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding:
     """Assemble the full encoding for a system graph.
 
     Qubits are laid out contiguously per vertex in ascending id order.
     Stabilizers are built for a fundamental cycle basis; disconnected
-    graphs get a basis per component.
+    graphs get a basis per component.  ``ResourceError`` is raised, before
+    any operator is embedded, when the tables would exceed ``TABLE_BUDGET``.
     """
     bases = resolve_bases(g, basis_choice)
     layout: Dict[int, Tuple[int, int]] = {}
@@ -402,9 +414,12 @@ def build_encoding(
         layout[v] = (offset, nv)
         offset += nv
     total = offset
-    if max_qubits is not None and total > max_qubits:
+    # a fundamental cycle basis has at most one cycle per edge
+    strings = 2 * len(g.edges) + len(layout)
+    if total * strings > TABLE_BUDGET:
         raise ResourceError(
-            f"encoding needs {total} qubits, above the cap of {max_qubits}"
+            f"encoding tables need {total} qubits x {strings} strings = "
+            f"{total * strings}, above the budget of {TABLE_BUDGET}"
         )
 
     port_ops: Dict[int, Tuple[PauliString, ...]] = {}  # embedded, 2n per vertex

@@ -177,14 +177,6 @@ def pair_substitution(
     return (-1, ((p, q),), (p,)) if i2 % 2 == 0 else (-1j, ((p, q),), (p, q))
 
 
-def pair_to_ev(m: MajoranaMonomial) -> EVTerm:
-    """Decompose a quadratic monomial per the substitution identities."""
-    if len(m.indices) != 2:
-        raise ParseError("pair_to_ev needs a length-2 monomial")
-    factor, edges, verts = pair_substitution(*m.indices)
-    return EVTerm(factor * m.coefficient, edges, frozenset(verts))
-
-
 def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
     """Decompose an even monomial by pairing adjacent sorted indices.
 

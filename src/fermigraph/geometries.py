@@ -409,8 +409,9 @@ def _gen_hyperbolic46(n: int) -> SystemGraph:
 # blocked square lattice
 
 
-def gen_blocked_square(L: int, blocks=None, block_dims: Optional[Tuple[int, int]] = None) -> SystemGraph:
-    """L x L lattice partitioned into blocks, each block internally a chain.
+def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
+    """L x L lattice partitioned into ``blocks`` square blocks, each block
+    internally a chain.
 
     The top-left mode of each block stays on a coarse square lattice of
     block heads (degree 5 in the bulk: four lattice neighbors plus the
@@ -420,20 +421,10 @@ def gen_blocked_square(L: int, blocks=None, block_dims: Optional[Tuple[int, int]
     """
     if L < 1:
         raise ParseError("L must be positive")
-    if block_dims is None:
-        if blocks is None:
-            raise ParseError("give blocks count or block_dims")
-        root = math.isqrt(blocks)
-        if root * root != blocks or L % root:
-            raise ParseError(
-                f"cannot arrange {blocks} blocks on a {L}x{L} lattice; "
-                "use block_dims for non-square blocks"
-            )
-        bh = bw = L // root
-    else:
-        bh, bw = block_dims
-    if L % bh or L % bw:
-        raise ParseError(f"block dims {bh}x{bw} do not divide {L}")
+    root = math.isqrt(max(blocks, 0))
+    if root < 1 or root * root != blocks or L % root:
+        raise ParseError(f"cannot arrange {blocks} blocks on a {L}x{L} lattice")
+    bh = bw = L // root
     K, M = L // bh, L // bw  # coarse grid
 
     def vid(r: int, c: int) -> int:

@@ -142,8 +142,9 @@ class TestSweep:
         assert a.stats == b.stats
 
     def test_qubit_guard(self):
-        with pytest.raises(ResourceError):
-            sweep_syk_geometries(["complete"], [16], seed=1, max_qubits=64)
+        """A sweep point over the encoding's table budget is refused."""
+        with pytest.raises(ResourceError, match="budget"):
+            sweep_syk_geometries(["complete"], [300], seed=1)
 
     def test_stats_consistency(self):
         from fermigraph.graph import qubit_count

@@ -1,9 +1,14 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
+import re
 import time
+from pathlib import Path
 
 from fermigraph import fileio
-from fermigraph.cli import main
+from fermigraph.cli import build_parser, main
+from fermigraph.fermion import build_lattice_model
+from fermigraph.geometries import gen_syk_geometry
 
 
 class TestGenEncode:
@@ -92,6 +97,21 @@ class TestTransform:
         assert "max_weight 2" in text and "terms 12" in text
 
 
+    def test_square4_open(self, tmp_path, capsys):
+        """The 4x4 open square lattice (28 qubits) encodes and compiles
+        with default settings."""
+        g = str(tmp_path / "sq.graph")
+        h = str(tmp_path / "h.fham")
+        main(["gen", "--geometry", "square", "--dims", "4x4", "--out", g])
+        fileio.write_fermion(h, build_lattice_model("square_nn", (4, 4), t=1.0,
+                                                    u=0.5))
+        capsys.readouterr()
+        assert main(["encode", "--graph", g, "--out", str(tmp_path / "sq.enc")]) == 0
+        assert "28 qubits" in capsys.readouterr().out
+        assert main(["transform", "--graph", g, "--hamiltonian", h,
+                     "--out", str(tmp_path / "sq.pauli")]) == 0
+
+
 class TestBench:
     def test_row_count_and_determinism(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -126,23 +146,32 @@ class TestErrors:
         assert "error: parse:" in capsys.readouterr().err
 
     def test_resource_error_exit_code(self, tmp_path, capsys):
+        """complete/300 (45,000 qubits) is over the encoding's table
+        budget in every verb that builds an encoding."""
         g = str(tmp_path / "k.graph")
-        main(["gen", "--geometry", "complete", "--n", "12", "--out", g])
-        capsys.readouterr()
-        assert main(["encode", "--graph", g, "--max-qubits", "10",
-                     "--out", str(tmp_path / "k.enc")]) == 5
-        assert "error: resource:" in capsys.readouterr().err
+        fileio.write_graph(g, gen_syk_geometry("complete", 300))
+        h = tmp_path / "h.fham"
+        h.write_text("modes 300\n(1,0) a+1 a-2\n(1,0) a+2 a-1\n")
+        for argv in (
+            ["encode", "--graph", g, "--out", str(tmp_path / "k.enc")],
+            ["transform", "--graph", g, "--hamiltonian", str(h),
+             "--out", str(tmp_path / "k.pauli")],
+            ["bench", "--geometries", "complete", "--n", "300",
+             "--out", str(tmp_path / "k.csv")],
+        ):
+            assert main(argv) == 5, argv[0]
+            assert "error: resource:" in capsys.readouterr().err
 
     def test_dense_register_too_large_exit_code(self, tmp_path, capsys):
         """An open 20-mode chain has no stabilizers, so its codespace is
-        the whole 2^20-state register: the oracle refuses it at once
-        instead of allocating a 2^20 x 2^20 block."""
+        the whole 2^20-state register: the oracle's entry budget refuses
+        it at once instead of allocating a 2^20 x 2^20 block."""
         g = str(tmp_path / "chain20.graph")
         main(["gen", "--geometry", "linear", "--dims", "20", "--bc", "open",
               "--out", g])
         capsys.readouterr()
         start = time.perf_counter()
-        assert main(["verify", "--graph", g, "--dense", "--max-qubits", "20"]) == 5
+        assert main(["verify", "--graph", g, "--dense"]) == 5
         assert time.perf_counter() - start < 1.0
         assert "error: resource:" in capsys.readouterr().err
 
@@ -186,3 +215,27 @@ class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["encode", "--graph", str(tmp_path / "none.graph"),
                      "--out", str(tmp_path / "x.enc")]) == 2
+
+
+class TestDocs:
+    def test_readme_documents_every_option(self):
+        """The long options of every subcommand are exactly the ``--flag``
+        tokens of README's "Command line" and "Conventions" sections, so
+        neither can gain or lose a flag alone."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {
+            opt
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sections = re.findall(r"^## (Command line|Conventions.*?)$\n(.*?)(?=^## |\Z)",
+                              readme, flags=re.M | re.S)
+        assert [name for name, _ in sections] == ["Command line",
+                                                  "Conventions worth knowing"]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                                    "".join(text for _, text in sections)))
+        assert documented == options

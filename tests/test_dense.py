@@ -15,6 +15,7 @@ from fermigraph.dense import (
     _block_entries,
     _component_labels,
     _eigvalsh_by_components,
+    _orbits,
     _reference_entries,
     _scatter,
     _sum_duplicates,
@@ -28,7 +29,12 @@ from fermigraph.dense import (
 from fermigraph.encoding import build_encoding
 from fermigraph.errors import ResourceError
 from fermigraph.fermion import FermionOperator, build_lattice_model, build_syk2
-from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
+from fermigraph.geometries import (
+    gen_heavy_hex,
+    gen_lattice,
+    gen_square_with_diagonals,
+    gen_syk_geometry,
+)
 from fermigraph.graph import SystemGraph
 from fermigraph.pauli import PauliString, PauliSumBuilder
 from fermigraph.transform import transform_hamiltonian
@@ -290,7 +296,8 @@ class TestEigvalshByComponents:
         C(10, N) states each, not into one 512-state part."""
         enc = build_encoding(gen_lattice("linear", 10, "periodic"), "jw_yx")
         h = build_lattice_model("chain", 10, t=1.3, u=0.8, bc="periodic")
-        block = _block_entries(transform_hamiltonian(h, enc), constraints_of(enc))
+        orbits = _orbits(enc.total_qubits, constraints_of(enc))
+        block = _block_entries(transform_hamiltonian(h, enc), orbits)
         assert block[0] == 512
         assert component_sizes(block) == [1, 1, 45, 45, 210, 210]
 
@@ -370,8 +377,8 @@ def heavy_hex_hopping():
 
 class TestOracleBeyondKronReach:
     """Cases whose 2^n x 2^n matrices and projector eigh the kron-based
-    oracle could not afford, several of them above the old 12-qubit cap;
-    each must pass at 1e-9 within 5 s and 200 MB of numpy buffers."""
+    oracle could not afford, several of them wider than 24 qubits; each
+    must pass at 1e-9 within 5 s and 200 MB of numpy buffers."""
 
     @pytest.mark.parametrize(
         "make_graph, basis, ham, qubits",
@@ -388,9 +395,15 @@ class TestOracleBeyondKronReach:
              lambda: build_lattice_model("square_nn", (3, 4), t=1.0, u=0.5,
                                          bc="periodic"), 24),
             (heavy_hex_patch, "jw", heavy_hex_hopping, 13),
+            (lambda: gen_square_with_diagonals(3, 3, "periodic"), "jw",
+             lambda: build_lattice_model("square_nn_diag", 3, t=1.0, t_diag=0.5,
+                                         u=0.3, bc="periodic"), 36),
+            (lambda: gen_syk_geometry("complete", 6), "jw",
+             lambda: build_syk2(6, seed=1), 18),
         ],
         ids=["star8_jw", "square3x3_open_fenwick", "star6_fenwick",
-             "square3x4_open_jw", "square3x4_periodic_jw", "heavy_hex_patch_jw"],
+             "square3x4_open_jw", "square3x4_periodic_jw", "heavy_hex_patch_jw",
+             "square_diag3x3_periodic_jw", "complete6_jw"],
     )
     def test_passes_quickly(self, make_graph, basis, ham, qubits):
         tracemalloc.start()
@@ -408,9 +421,9 @@ class TestOracleBeyondKronReach:
         assert peak < 200e6, f"oracle held {peak / 1e6:.0f} MB"
 
     def test_cycle_free_register_over_budget(self):
-        """An open 24-mode chain fits the default qubit cap, but its
-        codespace is the whole 2^24-state register: refused before the
-        entries are allocated."""
+        """An open 24-mode chain has no stabilizers, so its codespace is
+        the whole 2^24-state register: refused before the entries are
+        allocated."""
         enc = build_encoding(gen_lattice("linear", 24, "open"), "jw")
         h = build_lattice_model("chain", 24, t=1.0, u=0.5)
         assert enc.total_qubits == 24

@@ -1,10 +1,13 @@
 """Tests for the encoder: operator tables, algebra, routing, stabilizers."""
 
 import dataclasses
+import time
+import tracemalloc
 
 import pytest
 
 from conftest import random_connected_graph, reference_algebra_violations
+from fermigraph import encoding
 from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
 from fermigraph.errors import DimensionError, ResourceError, RoutingError, VerifyError
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
@@ -59,9 +62,37 @@ class TestBuild:
         with pytest.raises(RoutingError):
             enc.edge_operator(0, 2)
 
+    def test_edgeless_walk_raises(self):
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw")
+        with pytest.raises(RoutingError, match="at least one edge"):
+            enc.path_edge_operator(0, 0, path=[0])
+
     def test_qubit_cap(self):
-        with pytest.raises(ResourceError):
-            build_encoding(gen_syk_geometry("complete", 8), "jw", max_qubits=10)
+        """complete/300 (45,000 qubits, 44,850 edges) is over
+        ``TABLE_BUDGET``: refused from its graph and bases alone, before
+        any operator is embedded."""
+        g = gen_syk_geometry("complete", 300)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceError, match="budget"):
+                build_encoding(g, "jw")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0, f"refusal took {elapsed:.2f}s"
+        assert peak < 50e6, f"held {peak / 1e6:.0f} MB before refusing"
+
+    def test_table_budget_counts_qubits_times_strings(self, monkeypatch):
+        """The 4-cycle with ``jw``: 4 qubits x (2 x 4 edges + 4 vertices)
+        = 48 units, accepted at a budget of 48 and refused at 47."""
+        g = gen_lattice("linear", 4, "periodic")
+        monkeypatch.setattr(encoding, "TABLE_BUDGET", 48)
+        assert build_encoding(g, "jw").total_qubits == 4
+        monkeypatch.setattr(encoding, "TABLE_BUDGET", 47)
+        with pytest.raises(ResourceError, match="4 qubits x 12 strings = 48"):
+            build_encoding(g, "jw")
 
     def test_star_leaf_edge_weight(self):
         """Leaf-center edges carry 1 plus at most the center basis weight."""

@@ -9,13 +9,14 @@ from conftest import ev_term_matrix, majorana_matrix, monomial_matrix, parity_ma
 from fermigraph.dense import fermion_operator_matrix
 from fermigraph.errors import ParityError, ParseError
 from fermigraph.fermion import (
+    EVTerm,
     FermionOperator,
     MajoranaMonomial,
     build_lattice_model,
     build_syk2,
     interaction_graph_from_hamiltonian,
     monomial_to_ev,
-    pair_to_ev,
+    pair_substitution,
     syk2_couplings,
     syk2_monomials,
     to_majorana_normal_form,
@@ -101,33 +102,36 @@ class TestNormalForm:
 
 
 class TestPairToEV:
+    """``monomial_to_ev`` on quadratic monomials."""
+
     def test_odd_odd(self):
-        ev = pair_to_ev(MajoranaMonomial(1.0, (0, 2)))
+        ev = monomial_to_ev(MajoranaMonomial(1.0, (0, 2)))
         assert ev.coefficient == 1j
         assert ev.edge_factors == ((0, 1),) and not ev.vertex_factors
 
     def test_same_mode(self):
-        ev = pair_to_ev(MajoranaMonomial(1.0, (0, 1)))
+        ev = monomial_to_ev(MajoranaMonomial(1.0, (0, 1)))
         assert ev.coefficient == 1j
         assert not ev.edge_factors and ev.vertex_factors == {0}
 
     def test_even_even_sign_fixed_by_oracle(self):
         mono = MajoranaMonomial(1.0, (1, 3))
-        ev = pair_to_ev(mono)
+        ev = monomial_to_ev(mono)
         assert ev.coefficient == -1j
         assert np.allclose(monomial_matrix(2, mono), ev_term_matrix(2, ev))
 
     @pytest.mark.parametrize("pair", list(itertools.combinations(range(6), 2)))
     def test_all_pairs_against_dense(self, pair):
         mono = MajoranaMonomial(0.7 - 0.2j, pair)
-        ev = pair_to_ev(mono)
+        ev = monomial_to_ev(mono)
         assert np.allclose(monomial_matrix(3, mono), ev_term_matrix(3, ev))
 
 
 class TestMonomialToEV:
     def test_quadratic_delegates(self):
         mono = MajoranaMonomial(2.0, (0, 3))
-        assert monomial_to_ev(mono) == pair_to_ev(mono)
+        factor, edges, verts = pair_substitution(0, 3)
+        assert monomial_to_ev(mono) == EVTerm(2.0 * factor, edges, frozenset(verts))
 
     def test_double_parity(self):
         """g1 g2 g3 g4 over two modes composes to -B(0) B(1)."""

@@ -159,6 +159,11 @@ class TestBlockedSquare:
         with pytest.raises(ParseError):
             gen_blocked_square(4, 3)
 
+    @pytest.mark.parametrize("blocks", [0, -4])
+    def test_no_blocks(self, blocks):
+        with pytest.raises(ParseError, match="cannot arrange"):
+            gen_blocked_square(4, blocks)
+
 
 class TestHeavyHex:
     def test_device_shape(self):

@@ -227,9 +227,19 @@ class TestDenseOracle:
         rep = dense_oracle_check(h, enc)
         assert rep.passed and rep.sector == "full" and rep.multiplicity == 2
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        """A register wider than the oracle's int64 basis-state index
+        (complete/12 with ``jw``: 72 qubits) is refused before the algebra
+        check and the compile run."""
+        from fermigraph import dense
         from fermigraph.errors import ResourceError
 
-        enc = build_encoding(gen_syk_geometry("complete", 6), "jw")
-        with pytest.raises(ResourceError):
-            dense_oracle_check(build_syk2(6, seed=1), enc, qubit_cap=12)
+        def unreachable(*args):
+            raise AssertionError("ran before the index check")
+
+        monkeypatch.setattr(dense, "verify_encoding_algebra", unreachable)
+        monkeypatch.setattr(dense, "transform_hamiltonian", unreachable)
+        enc = build_encoding(gen_syk_geometry("complete", 12), "jw")
+        assert enc.total_qubits == 72
+        with pytest.raises(ResourceError, match="at most 62 qubits"):
+            dense_oracle_check(build_syk2(12, seed=1), enc)
