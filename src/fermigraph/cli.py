@@ -50,12 +50,23 @@ def _parse_dims(text: str) -> List[int]:
         raise ParseError(f"bad dims {text!r}; use e.g. 4 or 4x6") from None
 
 
+def _geometry_dims(kind: str, text: str) -> List[int]:
+    """The --dims entries of a geometry that takes one (``linear``,
+    ``blocked_square``) or one or two (the other lattices)."""
+    dims = _parse_dims(text)
+    most = 1 if kind in ("linear", "blocked_square") else 2
+    if len(dims) > most:
+        takes = "1 dim" if most == 1 else "1 or 2 dims"
+        raise ParseError(f"{kind} takes {takes} in --dims, got {len(dims)}: {text!r}")
+    return dims
+
+
 def _cmd_gen(args) -> int:
     kind = args.geometry
     if kind in _LATTICES:
         if not args.dims:
             raise ParseError("--dims is required for lattice geometries")
-        dims = _parse_dims(args.dims)
+        dims = _geometry_dims(kind, args.dims)
         if kind == "square_diag":
             rows, cols = dims if len(dims) == 2 else (dims[0], dims[0])
             g = gen_square_with_diagonals(rows, cols, args.bc)
@@ -68,7 +79,7 @@ def _cmd_gen(args) -> int:
     elif kind == "blocked_square":
         if not args.dims or args.blocks is None:
             raise ParseError("blocked_square needs --dims L and --blocks b")
-        g = gen_blocked_square(_parse_dims(args.dims)[0], args.blocks)
+        g = gen_blocked_square(_geometry_dims(kind, args.dims)[0], args.blocks)
     elif kind == "heavy_hex":
         g = gen_heavy_hex()
     else:

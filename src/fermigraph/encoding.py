@@ -30,15 +30,18 @@ the raw product of directed edge operators along an n-edge path, times
 i^(n-1) for the canonical Hermitian form.  Default routing (``Router``)
 minimizes an additive cost built from the per-port operator weights,
 which is not always the Pauli weight of the string; see ``Router``.
+``Router.operator`` builds the routed strings of one source from shared
+prefix products along its search tree; ``Encoding.walk_operator``
+multiplies out an explicit edge sequence.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import mul, xor
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
 from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, cycle_basis
@@ -166,7 +169,7 @@ class Encoding:
         """The edge sequence ``Router.route`` gives from j to k, from one
         search with k absorbing; a caller routing many pairs keeps one
         ``Router`` instead."""
-        return list(Router(self)._absorbing(j, k)[2])
+        return list(Router(self)._absorbing(j, k)[1])
 
     # ------------------------------------------------------------------
     # stabilizers
@@ -229,10 +232,13 @@ class Encoding:
         return len(self.graph.physical_ids())
 
 
-#: A routing search entry: (cost, vertex sequence, edge sequence, terminal).
-#: Entries order by cost, then by vertex sequence, then by edge sequence; no
-#: two entries tie on all three.
-_Entry = Tuple[int, Tuple[int, ...], Tuple[int, ...], bool]
+#: A route: (cost, edge sequence, end state).  The end state is -1 for a
+#: route of the re-search, whose states belong to another search.
+_Route = Tuple[int, Tuple[int, ...], int]
+#: A move of a transition table: (step weight, next state).
+_Move = Tuple[int, int]
+#: The transition row of an in-state: (vertex, single-port weight, moves).
+_Row = Tuple[int, int, Tuple[_Move, ...]]
 
 
 class Router:
@@ -248,32 +254,86 @@ class Router:
     can weigh less; it is not considered.
 
     A search is a resumable Dijkstra from one source over (vertex, in-edge)
-    states.  A state entry continues the search; when it first pops, a
-    terminal entry for its vertex u is pushed with u's single-port weight
-    added, and the first terminal entry to pop for u is the route to u.
+    states, numbered ``2*e + (v == edges[e][0])``.  Every single-operator
+    weight and every pair weight of two different ports is at least 1 (a
+    Majorana operator is never the identity, and two anticommuting ones
+    never multiply to it), so each step costs at least 1 and the search
+    settles states a cost bucket at a time: every candidate of cost c is
+    known once all states below c have settled.  Each state keeps only
+    its least candidate under (cost, vertex sequence, edge sequence),
+    and sequences are compared only when two candidates tie on cost; a
+    settled state records its predecessor, and the walk is read back from
+    those.  When a state at u settles, it offers u a terminal candidate
+    with u's single-port weight added, kept by the same rule, and u's
+    least terminal candidate is the route to u.  Each vertex's transition
+    table is built the first time the vertex is expanded and kept for the
+    router's life.
+
     The search of the latest source stays live, so routing one source's
     destinations one after another runs one search for all of them;
     returning to an earlier source starts its search again.  When the
-    popped walk passes through its destination before its end, that one
-    pair is searched again with the destination absorbing.
+    route passes through its destination before its end, that one pair
+    is searched again with the destination absorbing.  ``operator`` keeps
+    one raw string product per state on a returned route of the live
+    search, so every route from one source multiplies out only the states
+    no earlier route reached.
+
+    ``searches`` counts the single-source searches started and
+    ``re_searches`` the pairs searched again.
     """
 
     def __init__(self, enc: Encoding):
+        self._enc = enc
         self._graph = enc.graph
-        self._bases = enc.local_bases
+        # per in-state its row once built; per vertex its moves as a source
+        self._rows: List[Optional[_Row]] = [None] * (2 * len(enc.graph.edges))
+        self._starts: Dict[int, Tuple[_Move, ...]] = {}
+        # the vertex of each state: state 2e is edge e's second end, 2e+1 its first
+        self._vertex_of = [v for a, b in enc.graph.edges for v in (b, a)]
+        self.searches = 0
+        self.re_searches = 0
         self._source: Optional[int] = None
-        self._search: Iterator[_Entry] = iter(())
-        self._found: Dict[int, _Entry] = {}  # end vertex -> entry, for _source
+        self._search: Iterator[Tuple[int, int, int]] = iter(())
+        self._pred: List[int] = []  # state -> predecessor, -1 at the source
+        # end vertex -> (cost, edge sequence once read back, end state)
+        self._found: Dict[int, Tuple[int, Optional[Tuple[int, ...]], int]] = {}
+        self._prefix: Dict[int, Tuple[int, int, int]] = {}  # state -> (x, z, phase)
 
     def route(self, j: int, k: int) -> List[int]:
         """Edge sequence of the minimum-cost walk from j to k."""
-        return list(self._entry(j, k)[2])
+        return list(self._entry(j, k)[1])
 
     def cost(self, j: int, k: int) -> int:
         """The additive cost ``route`` minimized for (j, k); it is the
         Pauli weight of the routed string when the walk visits no vertex
         twice."""
         return self._entry(j, k)[0]
+
+    def operator(self, j: int, k: int) -> PauliString:
+        """The canonical routed string of (j, k), equal to
+        ``enc.walk_operator(j, route(j, k))``: the product of the states
+        on the route that no earlier route from j reached, on the stored
+        product of the last one that was, times i^(n-1)."""
+        _, edges, s = self._entry(j, k)
+        if s < 0:
+            return self._enc.walk_operator(j, edges)
+        prefix, pred = self._prefix, self._pred
+        chain = []
+        while s >= 0 and s not in prefix:
+            chain.append(s)
+            s = pred[s]
+        x, z, phase = prefix[s] if s >= 0 else (0, 0, 0)
+        ops = self._enc.edge_ops
+        for s in reversed(chain):
+            # the edge walked into state s, negated when entered at its first end
+            op = ops[s >> 1]
+            phase += op.phase + 2 * (s & 1) + 2 * (z & op.x).bit_count()
+            x, z = x ^ op.x, z ^ op.z
+            prefix[s] = x, z, phase
+        op = PauliString._raw(self._enc.total_qubits, x, z, phase + len(edges) - 1)
+        if not op.is_hermitian():
+            raise VerifyError("canonical path operator failed the Hermiticity check")
+        return op
 
     def _check(self, j: int, k: int) -> None:
         g = self._graph
@@ -282,72 +342,143 @@ class Router:
         if j == k:
             raise RoutingError("path endpoints must differ")
 
-    def _absorbing(self, j: int, k: int) -> _Entry:
-        """The entry for k from a search of its own with k absorbing."""
+    def _absorbing(self, j: int, k: int) -> Tuple[int, Tuple[int, ...]]:
+        """(cost, edge sequence) of k's route from a search of its own
+        with k absorbing."""
         self._check(j, k)
-        for entry in self._walks(j, k):
-            return entry
+        pred = [-1] * len(self._rows)
+        for _, cost, s in self._walks(j, k, pred):
+            return cost, self._walk(j, s, pred)[1]
         raise RoutingError(f"no path between {j} and {k}")
 
-    def _entry(self, j: int, k: int) -> _Entry:
+    def _entry(self, j: int, k: int) -> _Route:
+        """The route from j to k, from j's live search, started here when
+        j is not its source, or from the re-search."""
         self._check(j, k)
         if j != self._source:
-            self._source, self._search, self._found = j, self._walks(j, None), {}
+            self.searches += 1
+            self._source, self._found, self._prefix = j, {}, {}
+            self._pred = [-1] * len(self._rows)
+            self._search = self._walks(j, None, self._pred)
         found = self._found
         if k not in found:
-            for entry in self._search:
-                found[entry[1][-1]] = entry
-                if entry[1][-1] == k:
+            for v, cost, s in self._search:
+                found[v] = cost, None, s
+                if v == k:
                     break
             else:
                 raise RoutingError(f"no path between {j} and {k}")
-        if k in found[k][1][:-1]:
-            found[k] = self._absorbing(j, k)
+        cost, edges, s = found[k]
+        if edges is None:
+            verts, edges = self._walk(j, s, self._pred)
+            if k in verts[:-1]:
+                self.re_searches += 1
+                (cost, edges), s = self._absorbing(j, k), -1
+            found[k] = cost, edges, s
         return found[k]
 
-    def _walks(self, j: int, stop: Optional[int]) -> Iterator[_Entry]:
-        """The terminal entries of the search from j in pop order, the
-        first one per end vertex only.  With a ``stop`` vertex, its states
-        are not expanded, so no walk passes through it, and only its
-        terminal entry is pushed.
+    def _walk(
+        self, j: int, s: int, pred: List[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(vertex sequence, edge sequence) of the walk from j that
+        ``pred`` records for state s."""
+        verts, edges = [], []
+        while s >= 0:
+            verts.append(self._vertex_of[s])
+            edges.append(s >> 1)
+            s = pred[s]
+        verts.append(j)
+        return tuple(reversed(verts)), tuple(reversed(edges))
 
-        A terminal entry is larger than its state's entry, so pushing it
-        when that state first pops still pops it in order; later arrivals
-        at a popped state cannot give a smaller terminal entry."""
-        g, bases = self._graph, self._bases
-        heap: List[_Entry] = []
-        seen: set = set()
-        reached: set = set()
-        # the source expands first, paying its single operator per out-port
-        w, verts, edges, v, e_in = 0, (j,), (), j, None
-        row: Sequence[int] = bases[j].op_weights
-        while True:
-            for p_out, e_out in enumerate(g.vertices[v].ports):
-                a, b = g.edges[e_out]
-                u = b if a == v else a
-                if e_out != e_in and (u, e_out) not in seen:
-                    heapq.heappush(
-                        heap, (w + row[p_out], verts + (u,), edges + (e_out,), False)
-                    )
-            while heap:
-                entry = heapq.heappop(heap)
-                w, verts, edges, terminal = entry
-                v, e_in = verts[-1], edges[-1]
-                if terminal:
-                    if v not in reached:
-                        reached.add(v)
-                        yield entry
-                elif (v, e_in) not in seen:
-                    seen.add((v, e_in))
-                    p_in = g.port_of_edge(v, e_in)
-                    if v not in reached and (stop is None or v == stop):
-                        end = w + bases[v].op_weights[p_in]
-                        heapq.heappush(heap, (end, verts, edges, True))
-                    if v != stop:
-                        break
+    def _before(
+        self, a: int, b: int, best: List[int], pred: List[int], t: int = -1
+    ) -> bool:
+        """Whether the walk to settled state a, then state t when t >= 0,
+        comes before the walk to settled state b, then t, under (vertex
+        sequence, edge sequence).  Both are read back only to the deepest
+        state they share: costs grow along a walk, so the costlier end is
+        never that state."""
+        ta, tb = ([t], [t]) if t >= 0 else ([], [])
+        while a != b:
+            if b < 0 or a >= 0 and best[a] <= best[b]:
+                ta.append(a)
+                a = pred[a]
             else:
-                return
-            row = bases[v].pair_weights[p_in]
+                tb.append(b)
+                b = pred[b]
+        of = self._vertex_of
+        va, vb = [of[s] for s in reversed(ta)], [of[s] for s in reversed(tb)]
+        if va != vb:
+            return va < vb
+        return [s >> 1 for s in reversed(ta)] < [s >> 1 for s in reversed(tb)]
+
+    def _table(self, v: int) -> None:
+        """Build v's transition rows: a move per out-port, to the state at
+        the port edge's far end, weighing v's single operator there when v
+        is the source and the in/out pair otherwise."""
+        g, basis = self._graph, self._enc.local_bases[v]
+        ports = g.vertices[v].ports
+        far = [2 * e + (g.edges[e][0] != v) for e in ports]
+        self._starts[v] = tuple(zip(basis.op_weights, far))
+        for p, (e, row) in enumerate(zip(ports, basis.pair_weights)):
+            moves = tuple(m for q, m in enumerate(zip(row, far)) if q != p)
+            self._rows[2 * e + (g.edges[e][0] == v)] = (v, basis.op_weights[p], moves)
+
+    def _walks(
+        self, j: int, stop: Optional[int], pred: List[int]
+    ) -> Iterator[Tuple[int, int, int]]:
+        """(vertex, cost, end state) of each vertex's route from j, in
+        order of cost, with ``pred`` filled in for every settled state.
+        With a ``stop`` vertex, its states are not expanded, so no walk
+        passes through it, and only its route is given."""
+        rows = self._rows
+        if j not in self._starts:
+            self._table(j)
+        # least candidate cost per state, above any cost until offered one;
+        # ~cost once settled
+        best = [1 << 62] * len(rows)
+        ends = {j: (-1, -1)}  # vertex -> least terminal (cost, state); -1 once given
+        buckets: DefaultDict[int, List[int]] = defaultdict(list)  # states by cost
+        tails: DefaultDict[int, List[int]] = defaultdict(list)  # vertices by cost
+        for step, t in self._starts[j]:
+            best[t], pred[t] = step, -1
+            buckets[step].append(t)
+        cost = 0
+        while buckets or tails:
+            for v in tails.pop(cost, ()):
+                c, s = ends[v]
+                if c == cost:
+                    ends[v] = -1, s
+                    yield v, cost, s
+            for s in buckets.pop(cost, ()):
+                if best[s] != cost:
+                    continue
+                best[s] = ~cost
+                row = rows[s]
+                if row is None:
+                    self._table(self._vertex_of[s])
+                    row = rows[s]
+                v, single, moves = row
+                if stop is None or v == stop:
+                    c = cost + single
+                    old = ends.get(v)
+                    if old is None or c < old[0]:
+                        ends[v] = c, s
+                        tails[c].append(v)
+                    elif c == old[0] and self._before(s, old[1], best, pred):
+                        ends[v] = c, s
+                    if v == stop:
+                        continue
+                for step, t in moves:
+                    c = cost + step
+                    old = best[t]
+                    if c < old:
+                        best[t] = c
+                        pred[t] = s
+                        buckets[c].append(t)
+                    elif c == old and self._before(s, pred[t], best, pred, t):
+                        pred[t] = s
+            cost += 1
 
 
 def _walk_edges(g: SystemGraph, verts: Sequence[int]) -> List[int]:

@@ -307,8 +307,13 @@ class PauliSumBuilder:
             raise DimensionError(
                 f"cannot accumulate a {p.n}-qubit term into a {self.n}-qubit sum"
             )
-        terms, key = self._terms, (p.x, p.z)
-        new = terms.get(key, 0.0) + coeff * (1, 1j, -1, -1j)[p.phase]
+        self._add_raw(coeff, p.x, p.z, p.phase)
+
+    def _add_raw(self, coeff: complex, x: int, z: int, phase: int) -> None:
+        """Unchecked ``add`` of coeff * i^phase X^x Z^z; the masks must fit
+        the register, as those of a string ``add`` has checked do."""
+        terms, key = self._terms, (x, z)
+        new = terms.get(key, 0.0) + coeff * (1, 1j, -1, -1j)[phase & 3]
         if abs(new) < ZERO_THRESHOLD:
             terms.pop(key, None)
         else:

@@ -5,22 +5,22 @@ Each Hamiltonian term runs through the pipeline
     second-quantized -> Majorana normal form -> edge/vertex term -> Paulis
 
 with every edge factor realized either by the stored edge operator (when
-the two modes share a system-graph edge) or by a canonical routed string,
-and every vertex factor by the encoded vertex operator.  A quadratic
-monomial (every SYK2 and hopping term) skips the edge/vertex term and goes
-straight to its substitution identity.
+the two modes share a system-graph edge) or by a canonical routed string
+(``Router.operator``), and every vertex factor by the encoded vertex
+operator.  A quadratic monomial (every SYK2 and hopping term) skips the
+edge/vertex term and goes straight to its substitution identity.  Each
+term's string is multiplied out on raw (x, z, phase) ints and added
+through ``PauliSumBuilder._add_raw``, the unchecked step of
+``PauliSumBuilder.add``; no ``PauliString`` is built per term.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
 from .fermion import (
-    EVTerm,
     FermionOperator,
     MajoranaMonomial,
     monomial_to_ev,
@@ -36,7 +36,8 @@ Routing = Union[str, Dict[Tuple[int, int], Sequence[int]]]
 
 class _Realizer:
     """Caches the Pauli image of each coupling generator and parity; one
-    ``Router`` serves every routed coupling of the compile."""
+    ``Router`` serves every routed coupling of the compile, building each
+    source's strings from shared prefix products."""
 
     def __init__(self, enc: Encoding, route: Routing = "auto"):
         self.enc = enc
@@ -72,7 +73,7 @@ class _Realizer:
                 else:
                     op = enc.path_edge_operator(vp, vq, path=path)
             elif self.route == "auto":
-                op = enc.walk_operator(vp, self.router.route(vp, vq))
+                op = self.router.operator(vp, vq)
             else:
                 raise ParseError(f"unknown routing policy {self.route!r}")
             self._coupling[key] = op
@@ -90,25 +91,31 @@ class _Realizer:
             self._parity[p] = op
         return self._parity[p]
 
-    def product(
-        self, edges: Sequence[Tuple[int, int]], verts: Iterable[int]
-    ) -> PauliString:
-        """The couplings of ``edges``, then the parities of ``verts``,
-        multiplied from the first factor on."""
-        ops = [self.coupling(p, q) for p, q in edges] + list(map(self.parity, verts))
-        return reduce(mul, ops) if ops else PauliString.identity(self.enc.total_qubits)
-
-    def ev(self, term: EVTerm) -> PauliString:
-        return self.product(term.edge_factors, sorted(term.vertex_factors))
-
-    def term(self, mono: MajoranaMonomial) -> Tuple[complex, PauliString]:
-        """(coefficient, string) realizing ``mono``; a quadratic monomial
-        goes straight to its substitution identity, with no ``EVTerm``."""
+    def term(self, mono: MajoranaMonomial) -> Tuple[complex, int, int, int]:
+        """(coefficient, x, z, phase) of the string realizing ``mono``: its
+        couplings, then its parities, multiplied on raw ints in that order.
+        A quadratic monomial goes straight to its substitution identity,
+        with no ``EVTerm``."""
         if len(mono.indices) == 2:
             factor, edges, verts = pair_substitution(*mono.indices)
-            return mono.coefficient * factor, self.product(edges, verts)
-        ev = monomial_to_ev(mono)
-        return ev.coefficient, self.ev(ev)
+            coeff = mono.coefficient * factor
+        else:
+            ev = monomial_to_ev(mono)
+            coeff, edges = ev.coefficient, ev.edge_factors
+            verts = sorted(ev.vertex_factors)
+        couplings, parities = self._coupling, self._parity
+        x = z = phase = 0
+        # the fold is written out per factor kind, so no factor list is built;
+        # a zero mask takes the factor's own int, where XOR would copy it
+        for e in edges:
+            op = couplings[e] if e in couplings else self.coupling(*e)
+            phase += op.phase + 2 * (z & op.x).bit_count()
+            x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
+        for v in verts:
+            op = parities[v] if v in parities else self.parity(v)
+            phase += op.phase + 2 * (z & op.x).bit_count()
+            x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
+        return coeff, x, z, phase
 
 
 def transform_monomials(
@@ -119,8 +126,9 @@ def transform_monomials(
     """Compile a list of Majorana monomials (must all be even)."""
     realizer = _Realizer(enc, route)
     builder = PauliSumBuilder(enc.total_qubits)
+    add, term = builder._add_raw, realizer.term
     for mono in monomials:
-        builder.add(*realizer.term(mono))
+        add(*term(mono))
     return builder.build()
 
 

@@ -5,6 +5,8 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 from fermigraph import fileio
 from fermigraph.cli import build_parser, main
 from fermigraph.fermion import build_lattice_model
@@ -144,6 +146,28 @@ class TestErrors:
         assert main(["gen", "--geometry", "nonsense",
                      "--out", str(tmp_path / "x.graph")]) == 2
         assert "error: parse:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "geometry,dims,takes",
+        [
+            ("linear", "4x6", "1 dim"),
+            ("square_diag", "3x4x5", "1 or 2 dims"),
+            ("blocked_square", "4x8", "1 dim"),
+            ("square", "3x4x5", "1 or 2 dims"),
+        ],
+    )
+    def test_extra_dims_exit_code(self, tmp_path, capsys, geometry, dims, takes):
+        """A --dims entry the geometry has no use for is refused, not
+        dropped: each of these once wrote a smaller graph with exit 0."""
+        out = tmp_path / "x.graph"
+        argv = ["gen", "--geometry", geometry, "--dims", dims, "--out", str(out)]
+        if geometry == "blocked_square":
+            argv += ["--blocks", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: parse:" in err
+        assert f"{geometry} takes {takes} in --dims, got {len(dims.split('x'))}" in err
+        assert not out.exists()
 
     def test_resource_error_exit_code(self, tmp_path, capsys):
         """complete/300 (45,000 qubits) is over the encoding's table

@@ -5,6 +5,8 @@ its one-shot form.  The path tests here pin its behavior on plain
 geometries and compare it with the per-pair Dijkstra it replaced
 (``conftest.reference_route``)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from conftest import random_connected_graph, reference_route
 from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.encoding import Router, build_encoding
 from fermigraph.errors import ParseError, RoutingError
+from fermigraph.fermion import syk2_monomials
 from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
+from fermigraph.transform import _Realizer
 
 
 class TestSystemGraph:
@@ -139,6 +143,19 @@ class TestCycleBasis:
         assert cb.cycles == [] and cb.spanning_tree == (0, 1)
 
 
+def reentry_encoding():
+    """The graph of ``test_walks_that_reenter_the_destination_are_excluded``
+    under ``jw``: from source 1, the search settles a walk through 0 before
+    the route to 0, which takes the re-search."""
+    ports = {0: (2, 3, 4, 5, 6, 7, 0, 1), 1: (8,), 2: (0, 8), 3: (1, 2)}
+    ports.update({v: (v - 1,) for v in range(4, 9)})
+    g = SystemGraph(
+        [Vertex(v, "physical", p) for v, p in sorted(ports.items())],
+        [(0, 2), (0, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2)],
+    )
+    return build_encoding(g, "jw")
+
+
 class TestShortestPath:
     """Minimum-cost routes from the encoding's router, as edge index
     sequences."""
@@ -180,13 +197,7 @@ class TestShortestPath:
         parallel (0,3) edges weighs 5.  The single-source search pops that
         walk first, so this pair takes the re-search with 0 absorbing,
         also when other destinations of source 1 were routed before."""
-        ports = {0: (2, 3, 4, 5, 6, 7, 0, 1), 1: (8,), 2: (0, 8), 3: (1, 2)}
-        ports.update({v: (v - 1,) for v in range(4, 9)})
-        g = SystemGraph(
-            [Vertex(v, "physical", p) for v, p in sorted(ports.items())],
-            [(0, 2), (0, 3), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2)],
-        )
-        enc = build_encoding(g, "jw")
+        enc = reentry_encoding()
         assert enc.path_edge_operator(1, 0, path=[1, 2, 0, 3, 0]).weight() == 5
         assert enc.route_min_weight(1, 0) == [8, 0]
         assert enc.path_edge_operator(1, 0).weight() == 6
@@ -267,3 +278,95 @@ class TestPredictedCost:
                         if j < k and not g.edges_between(j, k):
                             op = enc.walk_operator(j, router.route(j, k), raw=True)
                             assert router.cost(j, k) == op.weight(), (kind, n, j, k)
+
+
+class TestRouterCounters:
+    def test_one_search_per_source_of_a_compile(self):
+        """SYK2 on hyperbolic46/32 routes each source's couplings one after
+        another, so the compile starts one search per routed source and
+        searches no pair again."""
+        enc = build_encoding(gen_syk_geometry("hyperbolic46", 32), "fenwick")
+        realizer = _Realizer(enc)
+        for mono in syk2_monomials(32, seed=1):
+            realizer.term(mono)
+        g, phys = enc.graph, enc.graph.physical_ids()
+        sources = {
+            phys[p]
+            for p in range(32)
+            for q in range(p + 1, 32)
+            if not g.edges_between(phys[p], phys[q])
+        }
+        assert len(sources) > 1
+        assert realizer.router.searches == len(sources)
+        assert realizer.router.re_searches == 0
+
+    def test_a_compile_that_routes_nothing_builds_no_tables(self):
+        enc = build_encoding(gen_syk_geometry("complete", 12), "fenwick")
+        realizer = _Realizer(enc)
+        for mono in syk2_monomials(12, seed=1):
+            realizer.term(mono)
+        router = realizer.router
+        assert router.searches == 0
+        assert not router._starts and router._rows == [None] * len(router._rows)
+
+    def test_reentry_counts_one_re_search(self):
+        router = Router(reentry_encoding())
+        assert (router.searches, router.re_searches) == (0, 0)
+        router.route(1, 4)
+        router.route(1, 0)
+        assert (router.searches, router.re_searches) == (1, 1)
+        router.route(1, 0)
+        assert (router.searches, router.re_searches) == (1, 1)
+
+
+class TestRouterOperator:
+    """``Router.operator`` builds each routed string from the prefix
+    products of its source's search; it must be the string
+    ``walk_operator`` multiplies out along the same route."""
+
+    @staticmethod
+    def assert_walk_strings(enc, router, pairs):
+        for j, k in pairs:
+            want = enc.walk_operator(j, router.route(j, k))
+            assert router.operator(j, k) == want, (j, k)
+
+    @pytest.mark.parametrize("basis", ["fenwick", "jw", "jw_yx", "ternary"])
+    def test_sweep_geometries(self, basis):
+        """Every ordered pair, each source's destinations in a shuffled
+        order, so the memo is filled out of route order."""
+        rng = np.random.default_rng(7)
+        for kind in SWEEP_GEOMETRIES:
+            for n in (8, 16, 32):
+                g = gen_syk_geometry(kind, n)
+                enc = build_encoding(g, basis)
+                router = Router(enc)
+                phys = g.physical_ids()
+                for j in phys:
+                    dests = [k for k in phys if k != j]
+                    rng.shuffle(dests)
+                    self.assert_walk_strings(enc, router, [(j, k) for k in dests])
+
+    def test_sources_interleaved(self):
+        """Switching source on every call drops the memo with the search."""
+        g = gen_syk_geometry("hyperbolic46", 16)
+        enc = build_encoding(g, "fenwick")
+        router = Router(enc)
+        phys = g.physical_ids()
+        pairs = [(j, k) for k in phys for j in phys if j != k]
+        self.assert_walk_strings(enc, router, pairs)
+        assert router.searches == len(pairs)
+
+    def test_reentry_in_every_destination_order(self):
+        """The route to 0 from 1 comes from the re-search, whose states
+        are labels of another search: it must neither read nor fill the
+        memo, whichever destinations came before or after it.  The leaves
+        5 to 8 all route 1-2-0-x over the same prefix, so 5 stands for
+        them: every order of 0, 2, 3, 4 and 5, then 6, 7 and 8."""
+        enc = reentry_encoding()
+        router = Router(enc)
+        want = {k: enc.walk_operator(1, router.route(1, k)) for k in range(9) if k != 1}
+        for order in itertools.permutations([0, 2, 3, 4, 5]):
+            order += (6, 7, 8)
+            router = Router(enc)
+            assert [router.operator(1, k) for k in order] == [want[k] for k in order]
+            assert (router.searches, router.re_searches) == (1, 1)

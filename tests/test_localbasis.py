@@ -6,6 +6,7 @@ import pytest
 
 from fermigraph.errors import ParseError
 from fermigraph.localbasis import (
+    BASIS_BUILDERS,
     basis_fenwick,
     basis_from_labels,
     basis_jw,
@@ -74,6 +75,32 @@ class TestWeightBounds:
 
     def test_ternary_d26(self):
         assert max(op.weight() for op in basis_ternary_tree(26).ops) == 3
+
+
+class TestRoutingWeights:
+    """``Router`` settles its search a cost bucket at a time, which needs
+    every step to cost at least 1: every single-operator weight and every
+    pair weight of two different ports."""
+
+    @staticmethod
+    def assert_steps_cost_at_least_one(b):
+        assert min(b.op_weights) >= 1, b.name
+        assert all(
+            w >= 1
+            for p, row in enumerate(b.pair_weights)
+            for q, w in enumerate(row)
+            if p != q
+        ), b.name
+
+    @pytest.mark.parametrize("name", sorted(BASIS_BUILDERS))
+    def test_registered_bases(self, name):
+        for d in range(1, 17):
+            self.assert_steps_cost_at_least_one(get_basis(name, d))
+
+    def test_custom_label_basis(self):
+        b = basis_from_labels(4, ["X1 Z2", "Y1 Z2", "X2", "Y2"])
+        assert basis_verify(b).ok
+        self.assert_steps_cost_at_least_one(b)
 
 
 class TestVerify:

@@ -10,7 +10,7 @@ from fermigraph.dense import (
     pauli_sum_to_matrix,
 )
 from fermigraph.encoding import build_encoding
-from fermigraph.errors import ParityError, ParseError, RoutingError
+from fermigraph.errors import DimensionError, ParityError, ParseError, RoutingError
 from fermigraph.fermion import (
     FermionOperator,
     MajoranaMonomial,
@@ -21,7 +21,7 @@ from fermigraph.fermion import (
     syk2_monomials,
 )
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
-from fermigraph.pauli import PauliString, PauliSumBuilder
+from fermigraph.pauli import ZERO_THRESHOLD, PauliString, PauliSumBuilder
 from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
 
 
@@ -120,8 +120,75 @@ class TestQuadraticPath:
                 want = want * realizer.coupling(p, q)
             for p in sorted(ev.vertex_factors):
                 want = want * realizer.parity(p)
-            assert realizer.ev(ev) == want
-            assert realizer.term(mono) == (ev.coefficient, want)
+            coeff, x, z, phase = realizer.term(mono)
+            assert coeff == ev.coefficient
+            assert PauliString(enc.total_qubits, x, z, phase) == want
+
+
+class TestRawAccumulation:
+    """``transform_monomials`` folds each string on raw ints and adds it
+    unchecked; the sum must be the one that strings multiplied out from
+    ``monomial_to_ev`` give through ``PauliSumBuilder.add``, with the same
+    coefficients in the same key insertion order."""
+
+    @pytest.mark.parametrize(
+        "g,basis",
+        [
+            (gen_syk_geometry("complete", 6), "fenwick"),
+            (gen_lattice("linear", 5, "open"), "jw"),
+            # X-type vertex operators, so parities pick up signs in the fold
+            (gen_lattice("linear", 5, "open"), {v: ["Z1", "Y1"] for v in range(5)}),
+        ],
+        ids=["complete6", "linear5", "linear5-zy"],
+    )
+    def test_equals_the_checked_accumulation(self, g, basis, rng):
+        enc = build_encoding(g, basis)
+        dim = 2 * len(g.physical_ids())
+
+        def coefficient():
+            return complex(rng.normal(), rng.normal())
+
+        # every pair: the four substitution cases across modes, and parities
+        monos = [
+            MajoranaMonomial(coefficient(), (a, b))
+            for a in range(dim)
+            for b in range(a + 1, dim)
+        ]
+        # two strings that cancel below the threshold, then the key again,
+        # which goes back in at the end
+        c = monos[2].coefficient
+        monos.append(MajoranaMonomial(-c * (1 + 1e-15), monos[2].indices))
+        assert 0 < abs(c - c * (1 + 1e-15)) < ZERO_THRESHOLD
+        monos.append(MajoranaMonomial(coefficient(), monos[2].indices))
+        # longer monomials take the same fold through their EVTerm; the
+        # last two multiply couplings that share a mode
+        for idx in [(0, 1, 2, 3), (0, 2, 5, 7), (0, 3, 4, 6, 8, 9), (0, 2, 3, 4),
+                    (0, 4, 5, 8)]:
+            monos.append(MajoranaMonomial(coefficient(), idx))
+
+        phys = g.physical_ids()
+        want = PauliSumBuilder(enc.total_qubits)
+        for mono in monos:
+            ev = monomial_to_ev(mono)
+            op = PauliString.identity(enc.total_qubits)
+            for p, q in ev.edge_factors:
+                if g.edges_between(phys[p], phys[q]):
+                    op = op * enc.edge_operator(phys[p], phys[q])
+                else:
+                    op = op * enc.path_edge_operator(phys[p], phys[q])
+            for p in sorted(ev.vertex_factors):
+                op = op * enc.vertex_operator(phys[p])
+            want.add(ev.coefficient, op)
+        want = want.build()
+        got = transform_monomials(monos, enc)
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert len(got) == len(monos) - 2
+
+    def test_add_checks_the_width(self):
+        builder = PauliSumBuilder(3)
+        with pytest.raises(DimensionError):
+            builder.add(1.0, PauliString.identity(4))
+        assert len(builder.build()) == 0
 
 
 class TestHoppingIdentity:
