@@ -43,17 +43,17 @@ _LATTICES = ("linear", "square", "triangular", "square_diag")
 _SYK = ("complete", "star", "ternary_tree", "ternary_mera", "hyperbolic46")
 
 
-def _parse_dims(text: str) -> List[int]:
+def _ints(tokens: List[str], what: str) -> List[int]:
     try:
-        return [int(tok) for tok in text.split("x")]
+        return [int(tok) for tok in tokens]
     except ValueError:
-        raise ParseError(f"bad dims {text!r}; use e.g. 4 or 4x6") from None
+        raise ParseError(f"bad {what}") from None
 
 
 def _geometry_dims(kind: str, text: str) -> List[int]:
     """The --dims entries of a geometry that takes one (``linear``,
     ``blocked_square``) or one or two (the other lattices)."""
-    dims = _parse_dims(text)
+    dims = _ints(text.split("x"), f"dims {text!r}; use e.g. 4 or 4x6")
     most = 1 if kind in ("linear", "blocked_square") else 2
     if len(dims) > most:
         takes = "1 dim" if most == 1 else "1 or 2 dims"
@@ -132,10 +132,10 @@ def _route_policy(policy: str, enc):
                 toks = line.split()
                 if toks[0] != "path" or len(toks) < 5:
                     raise ParseError(f"bad path line {line!r}")
-                j, k = int(toks[1]) - 1, int(toks[2]) - 1
-                if j < 0 or k < 0:
+                j, k, *path = _ints(toks[1:], f"path line {line!r}")
+                if j < 1 or k < 1:
                     raise ParseError("path modes are 1-based")
-                paths[(min(j, k), max(j, k))] = [int(t) for t in toks[3:]]
+                paths[(min(j, k) - 1, max(j, k) - 1)] = path
         return paths
     raise ParseError(f"unknown routing policy {policy!r}")
 
@@ -160,7 +160,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     geometries = args.geometries.split(",")
-    n_list = [int(tok) for tok in args.n.split(",")]
+    n_list = _ints(args.n.split(","), f"--n {args.n!r}")
     records = analytics.sweep_syk_geometries(geometries, n_list, seed=args.seed)
     csv = analytics.records_to_csv(records)
     with open(args.out, "w") as fh:
@@ -170,6 +170,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.hamiltonian is not None and not args.dense:
+        raise ParseError("--hamiltonian is read only with --dense")
+    if args.seed is not None and (args.hamiltonian is not None or not args.dense):
+        raise ParseError("--seed seeds the Hamiltonian --dense draws without --hamiltonian")
     g = fileio.read_graph(args.graph)
     enc = build_encoding(g, args.basis)
     rep = verify_encoding_algebra(enc)
@@ -179,10 +183,11 @@ def _cmd_verify(args) -> int:
         raise VerifyError("operator algebra check failed")
     print(f"algebra ok: {len(enc.edge_ops)} edge ops, {len(enc.stabilizers)} stabilizers")
     if args.dense:
-        if args.hamiltonian:
+        if args.hamiltonian is not None:
             f = fileio.read_fermion(args.hamiltonian)
         else:
-            f = build_syk2(len(g.physical_ids()), seed=args.seed)
+            seed = 1 if args.seed is None else args.seed
+            f = build_syk2(len(g.physical_ids()), seed=seed)
         report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "
@@ -240,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--basis", default="jw")
     p.add_argument("--dense", action="store_true")
-    p.add_argument("--hamiltonian", help="defaults to a seeded quadratic Hamiltonian")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--hamiltonian",
+                   help="with --dense; defaults to a seeded quadratic Hamiltonian")
+    p.add_argument("--seed", type=int, help="with --dense; default 1")
     p.set_defaults(func=_cmd_verify)
     return ap
 

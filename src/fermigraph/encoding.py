@@ -30,15 +30,19 @@ the raw product of directed edge operators along an n-edge path, times
 i^(n-1) for the canonical Hermitian form.  Default routing (``Router``)
 minimizes an additive cost built from the per-port operator weights,
 which is not always the Pauli weight of the string; see ``Router``.
-``Router.operator`` builds the routed strings of one source from shared
-prefix products along its search tree; ``Encoding.walk_operator``
-multiplies out an explicit edge sequence.
+
+Every table string is built on raw ints from local operators.  An edge
+operator ORs its two port operators shifted to their disjoint blocks, so
+their phases add with no cross term; a vertex operator is multiplied out
+on its block and embedded once; a loop stabilizer, like a routed string,
+folds the directed edge operators along its walk (``_walk_product``, which
+``Router.operator`` runs state by state to share one source's prefixes).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul, xor
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -60,9 +64,9 @@ BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]], None]
 #: Most total qubits x table strings (edges + vertices + cycles, the cycles
 #: counted at their bound of one per edge) an encoding may hold.  A table
 #: string keeps two masks of one bit per qubit, a quarter byte per unit;
-#: with the embedded port operators ``build_encoding`` peaks near 0.4 byte
-#: per unit (complete/150, just under the budget: 91 MB traced), while
-#: complete/96 needs 16 % of it and complete/300 is refused.
+#: ``build_encoding`` peaks at the tables it returns, near 0.2 byte per unit
+#: (complete/150, just under the budget: 52 MB traced), while complete/96
+#: needs 16 % of it and complete/300 is refused.
 TABLE_BUDGET = 1 << 28
 
 
@@ -125,87 +129,36 @@ class Encoding:
     # routed strings
 
     def path_edge_operator(
-        self,
-        j: int,
-        k: int,
-        path: Optional[Sequence[int]] = None,
-        raw: bool = False,
+        self, j: int, k: int, path: Optional[Sequence[int]] = None
     ) -> PauliString:
-        """Coupling operator between j and k along a path of system edges.
-
-        ``path`` may be a vertex sequence or None for automatic routing
-        (``route_min_weight``).  See ``walk_operator`` for ``raw``.
-        """
+        """Canonical coupling operator between j and k along ``path``, a
+        vertex sequence, or along ``Router``'s route when ``path`` is None;
+        a caller routing many pairs keeps one ``Router`` instead."""
         if path is None:
-            return self.walk_operator(j, self.route_min_weight(j, k), raw)
+            return Router(self).operator(j, k)
         if list(path)[0] != j or list(path)[-1] != k:
             raise RoutingError(f"explicit path does not join {j} to {k}")
-        return self.walk_operator(j, _walk_edges(self.graph, list(path)), raw)
+        return self.walk_operator(j, _walk_edges(self.graph, list(path)))
 
-    def walk_operator(
-        self, j: int, edges: Sequence[int], raw: bool = False
-    ) -> PauliString:
-        """Product of the directed edge operators along the edge sequence
-        ``edges`` walked from j.  The raw product of the n operators is
-        returned when ``raw`` is set; the default multiplies by i^(n-1),
-        which is the Hermitian canonical form (equal to the direct edge
-        operator whenever the walk is a single edge)."""
+    def walk_operator(self, j: int, edges: Sequence[int]) -> PauliString:
+        """i^(n-1) times the product of the directed edge operators along
+        the n edges ``edges`` walked from j: the Hermitian canonical form,
+        equal to the direct edge operator whenever the walk is one edge."""
         if not edges:
             raise RoutingError("a walk needs at least one edge")
-        factors, src = [], j
-        for eidx in edges:
-            factors.append(self.directed_edge_operator(eidx, src))
-            a, b = self.graph.edges[eidx]
-            src = b if src == a else a
-        op = reduce(mul, factors)
-        if raw:
-            return op
-        op = op.with_phase(len(edges) - 1)
-        if not op.is_hermitian():
-            raise VerifyError("canonical path operator failed the Hermiticity check")
-        return op
-
-    def route_min_weight(self, j: int, k: int) -> List[int]:
-        """The edge sequence ``Router.route`` gives from j to k, from one
-        search with k absorbing; a caller routing many pairs keeps one
-        ``Router`` instead."""
-        return list(Router(self)._absorbing(j, k)[1])
+        x, z, phase = _walk_product(self.graph, self.edge_ops, j, edges)
+        return _hermitian(
+            PauliString._raw(self.total_qubits, x, z, phase + len(edges) - 1),
+            "canonical path operator",
+        )
 
     # ------------------------------------------------------------------
     # stabilizers
 
-    def loop_stabilizer(self, cycle: Union[Cycle, Sequence[int]]) -> PauliString:
+    def loop_stabilizer(self, cycle: Cycle) -> PauliString:
         """i^{|cycle|} times the product of directed edge operators around
         the closed walk; Hermitian and squaring to +I."""
-        if isinstance(cycle, Cycle):
-            verts, edges = list(cycle.vertices), list(cycle.edges)
-        else:
-            verts = list(cycle)
-            if len(verts) > 1 and verts[0] == verts[-1]:
-                verts = verts[:-1]
-            edges = _walk_edges(self.graph, verts + [verts[0]])
-        if len(edges) < 2:
-            raise ParseError("a closed walk needs at least 2 edges")
-        op = self.walk_operator(verts[0], edges, raw=True).with_phase(len(edges))
-        if not op.is_hermitian():
-            raise VerifyError("cycle stabilizer failed the Hermiticity check")
-        return op
-
-    def reduce_mod_stabilizers(self, p: PauliString) -> PauliString:
-        """Greedily multiply by stabilizer generators while the Pauli
-        weight strictly decreases (steepest descent, ties to the earliest
-        generator); the result acts identically on the codespace."""
-        while True:
-            best = None
-            for s in self.stabilizers:
-                cand = p * s
-                if cand.weight() < p.weight() and (
-                    best is None or cand.weight() < best.weight()
-                ):
-                    best = cand
-            if best is None:
-                return p
-            p = best
+        return _loop_stabilizer(self.graph, self.edge_ops, self.total_qubits, cycle)
 
     def stabilizer_group_member(self, p: PauliString) -> Optional[PauliString]:
         """The product of stabilizer generators with the same (x, z)
@@ -273,10 +226,12 @@ class Router:
     destinations one after another runs one search for all of them;
     returning to an earlier source starts its search again.  When the
     route passes through its destination before its end, that one pair
-    is searched again with the destination absorbing.  ``operator`` keeps
-    one raw string product per state on a returned route of the live
-    search, so every route from one source multiplies out only the states
-    no earlier route reached.
+    is searched again with the destination absorbing.  ``operator`` runs
+    ``_walk_product``'s fold state by state and keeps the raw product at
+    each state on a returned route of the live search, so every route from
+    one source multiplies out only the states no earlier route reached.
+    ``Encoding.path_edge_operator`` with no path is the one-shot form: a
+    fresh router's ``operator``.
 
     ``searches`` counts the single-source searches started and
     ``re_searches`` the pairs searched again.
@@ -330,10 +285,10 @@ class Router:
             phase += op.phase + 2 * (s & 1) + 2 * (z & op.x).bit_count()
             x, z = x ^ op.x, z ^ op.z
             prefix[s] = x, z, phase
-        op = PauliString._raw(self._enc.total_qubits, x, z, phase + len(edges) - 1)
-        if not op.is_hermitian():
-            raise VerifyError("canonical path operator failed the Hermiticity check")
-        return op
+        return _hermitian(
+            PauliString._raw(self._enc.total_qubits, x, z, phase + len(edges) - 1),
+            "canonical path operator",
+        )
 
     def _check(self, j: int, k: int) -> None:
         g = self._graph
@@ -497,6 +452,35 @@ def _walk_edges(g: SystemGraph, verts: Sequence[int]) -> List[int]:
     return out
 
 
+def _walk_product(
+    g: SystemGraph, edge_ops: Sequence[PauliString], j: int, edges: Sequence[int]
+) -> Tuple[int, int, int]:
+    """(x, z, phase) of the product of the directed edge operators along
+    ``edges`` walked from j, an edge walked from its second end negated:
+    the fold ``Router.operator`` runs state by state."""
+    x = z = phase = 0
+    for e in edges:
+        op, (a, b) = edge_ops[e], g.edges[e]
+        phase += op.phase + 2 * (z & op.x).bit_count() + 2 * (j != a)
+        x, z, j = x ^ op.x, z ^ op.z, b if j == a else a
+    return x, z, phase
+
+
+def _loop_stabilizer(
+    g: SystemGraph, edge_ops: Sequence[PauliString], n: int, cycle: Cycle
+) -> PauliString:
+    if len(cycle) < 2:
+        raise ParseError("a closed walk needs at least 2 edges")
+    x, z, phase = _walk_product(g, edge_ops, cycle.vertices[0], cycle.edges)
+    return _hermitian(PauliString._raw(n, x, z, phase + len(cycle)), "cycle stabilizer")
+
+
+def _hermitian(op: PauliString, what: str) -> PauliString:
+    if not op.is_hermitian():
+        raise VerifyError(f"{what} is not Hermitian")
+    return op
+
+
 def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, MajoranaBasis]:
     """Per-vertex basis resolution: a single name, or a map from vertex id
     to a name or an explicit operator label list.  Vertices with the same
@@ -553,42 +537,33 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
             f"{total * strings}, above the budget of {TABLE_BUDGET}"
         )
 
-    port_ops: Dict[int, Tuple[PauliString, ...]] = {}  # embedded, 2n per vertex
-    for v in g.vertex_ids():
-        off, _ = layout[v]
-        port_ops[v] = tuple(op.embed(total, off) for op in bases[v].ops)
-
+    # c_a^p c_b^q on disjoint blocks: an OR of shifts, no cross term in the phase
     edge_ops: List[PauliString] = []
     for eidx, (a, b) in enumerate(g.edges):
-        p = g.port_of_edge(a, eidx)
-        q = g.port_of_edge(b, eidx)
-        op = port_ops[a][p] * port_ops[b][q]
-        if not op.is_hermitian():
-            raise VerifyError(f"edge operator {eidx} is not Hermitian")
-        edge_ops.append(op)
+        ca = bases[a].ops[g.port_of_edge(a, eidx)]
+        cb = bases[b].ops[g.port_of_edge(b, eidx)]
+        (oa, _), (ob, _) = layout[a], layout[b]
+        op = PauliString._raw(
+            total, ca.x << oa | cb.x << ob, ca.z << oa | cb.z << ob, ca.phase + cb.phase
+        )
+        edge_ops.append(_hermitian(op, f"edge operator {eidx}"))
 
     vertex_ops: Dict[int, PauliString] = {}
     for v in g.vertex_ids():
-        op = PauliString.identity(total)
-        for c in port_ops[v]:
-            op = op * c
-        op = op.with_phase(bases[v].n_qubits)
-        if not op.is_hermitian():
-            raise VerifyError(f"vertex operator {v} is not Hermitian")
-        vertex_ops[v] = op
+        (off, nv), ops = layout[v], bases[v].ops
+        op = reduce(mul, ops, PauliString.identity(nv)).with_phase(nv)
+        vertex_ops[v] = _hermitian(op.embed(total, off), f"vertex operator {v}")
 
-    enc = Encoding(
+    cycles = cycle_basis(g)
+    return Encoding(
         graph=g,
         total_qubits=total,
         layout=layout,
         local_bases=bases,
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
-        stabilizers=[],
-        cycles=cycle_basis(g),
-    )
-    return replace(
-        enc, stabilizers=[enc.loop_stabilizer(c) for c in enc.cycles.cycles]
+        stabilizers=[_loop_stabilizer(g, edge_ops, total, c) for c in cycles.cycles],
+        cycles=cycles,
     )
 
 
@@ -611,9 +586,8 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
     Edge operators anticommute exactly when they share one endpoint;
     vertex operators commute among themselves and anticommute with the
     edge operators at their vertex; stabilizers commute with everything;
-    every operator is Hermitian and squares to +I; reversed edge queries
-    negate; the stabilizers are exactly the loop stabilizers of the cycle
-    basis, in order.  The report keeps the first 20 findings.
+    every operator is Hermitian and squares to +I; the stabilizers are
+    exactly the loop stabilizers of the cycle basis, in order.  The report keeps the first 20 findings.
     """
     rep = AlgebraReport()
     g = enc.graph
@@ -670,9 +644,6 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
         for k in set_bits(anti[ne + nv + si]):
             kind, tag, _ = everything[k]
             note(f"stabilizer {si} fails to commute with {kind} {tag}")
-    for i, (a, b) in enumerate(g.edges):
-        if enc.directed_edge_operator(i, b) != -enc.directed_edge_operator(i, a):
-            note(f"edge {i} is not antisymmetric")
     try:
         loops_ok = enc.stabilizers == [
             enc.loop_stabilizer(c) for c in enc.cycles.cycles

@@ -66,11 +66,12 @@ def graph_from_json(text: str) -> SystemGraph:
         verts = [
             Vertex(v["id"], v["kind"], tuple(v["ports"])) for v in doc["vertices"]
         ]
+        if any(type(v.id) is not int for v in verts):
+            raise TypeError("vertex ids must be integers")
         edges = [tuple(e) for e in doc["edges"]]
-        meta = doc.get("meta", {})
+        return SystemGraph(verts, edges, doc.get("meta", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph file: {exc}") from exc
-    return SystemGraph(verts, edges, meta)
 
 
 def write_graph(path: str, g: SystemGraph) -> None:

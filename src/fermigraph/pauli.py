@@ -30,11 +30,13 @@ pure functions, so instances may be shared freely across workers.  Sums
 are assembled with ``PauliSumBuilder``.
 
 Strings made from outside input (``PauliString(...)``, ``identity``,
-``from_ops``, ``from_label``) are checked: ``n >= 0``, masks within n bits.
-The algebra (``*``, ``with_phase``, ``-``, ``adjoint``, ``embed``) and
-``PauliSum.terms`` skip that check through ``PauliString._raw``; their masks
-are XORs or range-checked shifts of checked masks, or keys a builder took
-from checked strings, so they always fit.
+``from_ops``, ``from_label``) are checked: ``n >= 0``, masks within n bits,
+no qubit named twice in a label.  The algebra (``*``, ``with_phase``, ``-``,
+``adjoint``, ``embed``), ``PauliSum.terms``, the encoding's table building
+and its walk folds (``_walk_product``, ``Router.operator``) skip that check
+through ``PauliString._raw``.  Their masks always fit: XORs or range-checked
+shifts of checked masks, keys a builder took from checked strings, basis
+masks shifted within the layout, or XORs of edge operator masks.
 """
 
 from __future__ import annotations
@@ -106,8 +108,6 @@ class PauliString:
             if not 0 <= q < n:
                 raise DimensionError(f"qubit {q} out of range for n={n}")
             xb, zb = _LETTER_BITS[letter.upper()]
-            if (x >> q) & 1 or (z >> q) & 1:
-                raise ParseError(f"duplicate qubit {q} in operator map")
             x |= xb << q
             z |= zb << q
             if letter.upper() == "Y":
@@ -128,8 +128,8 @@ class PauliString:
             letter, idx = m.group(1).upper(), int(m.group(2))
             if idx < 1:
                 raise ParseError(f"qubit index {idx} must be 1-based")
-            if letter == "I":
-                continue
+            if idx - 1 in ops:
+                raise ParseError(f"qubit {idx} named twice in {label!r}")
             ops[idx - 1] = letter
         return cls.from_ops(n, ops)
 

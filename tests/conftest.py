@@ -1,16 +1,27 @@
 """Shared test helpers: tiny dense matrices, the kron-chain fermionic
-reference matrices, random graph generation, the per-pair reference router
-and the pairwise reference algebra check."""
+reference matrices, random graph generation, the per-pair reference router,
+the whole-register reference tables and the pairwise reference algebra
+check."""
 
 import heapq
+from functools import reduce
+from operator import mul
 from typing import List, Tuple
 
 import numpy as np
 import pytest
 
+from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.errors import RoutingError, VerifyError
-
+from fermigraph.geometries import (
+    gen_blocked_square,
+    gen_heavy_hex,
+    gen_lattice,
+    gen_square_with_diagonals,
+    gen_syk_geometry,
+)
 from fermigraph.graph import SystemGraph
+from fermigraph.pauli import PauliString
 
 I2 = np.eye(2, dtype=complex)
 XM = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -209,9 +220,6 @@ def reference_algebra_violations(enc) -> List[str]:
         for kind, tag, op in everything:
             if not s.commutes(op):
                 note(f"stabilizer {si} fails to commute with {kind} {tag}")
-    for i, (a, b) in enumerate(g.edges):
-        if enc.directed_edge_operator(i, b) != -enc.directed_edge_operator(i, a):
-            note(f"edge {i} is not antisymmetric")
     try:
         loops_ok = enc.stabilizers == [
             enc.loop_stabilizer(c) for c in enc.cycles.cycles
@@ -221,3 +229,56 @@ def reference_algebra_violations(enc) -> List[str]:
     if not loops_ok:
         note("stabilizers are not the loop stabilizers of the cycle basis")
     return violations
+
+
+def reference_tables(enc):
+    """(edge, vertex, stabilizer) tables built as ``build_encoding`` once
+    built them, kept as the reference for its shifted local operators and
+    walk folds: every port operator embedded in the full register, an edge
+    operator as the product of its two, a vertex operator as the product of
+    all of its vertex's, and a loop stabilizer as i^|c| times the product
+    of the directed edge operators around the cycle."""
+    g, n = enc.graph, enc.total_qubits
+    ports = {
+        v: [op.embed(n, enc.layout[v][0]) for op in enc.local_bases[v].ops]
+        for v in g.vertex_ids()
+    }
+    edges = [
+        ports[a][g.port_of_edge(a, e)] * ports[b][g.port_of_edge(b, e)]
+        for e, (a, b) in enumerate(g.edges)
+    ]
+    vertices = {
+        v: reduce(mul, ports[v], PauliString.identity(n)).with_phase(enc.layout[v][1])
+        for v in g.vertex_ids()
+    }
+    stabilizers = []
+    for c in enc.cycles.cycles:
+        factors, src = [], c.vertices[0]
+        for e in c.edges:
+            factors.append(enc.directed_edge_operator(e, src))
+            a, b = g.edges[e]
+            src = b if src == a else a
+        stabilizers.append(reduce(mul, factors).with_phase(len(c)))
+    return edges, vertices, stabilizers
+
+
+def table_graphs() -> List[SystemGraph]:
+    """The six sweep geometries at N = 5, 8, 16, 27; square and triangular
+    3x4 lattices, open and periodic; periodic 4x4 and open 16x16 square
+    lattices with diagonals; blocked_square 8/4; the heavy hexagon; a 2-site
+    periodic chain (two parallel edges); a triangle beside an isolated
+    vertex."""
+    graphs = [gen_syk_geometry(k, n) for k in SWEEP_GEOMETRIES for n in (5, 8, 16, 27)]
+    graphs += [
+        gen_lattice(kind, (3, 4), bc)
+        for kind in ("square", "triangular")
+        for bc in ("open", "periodic")
+    ]
+    return graphs + [
+        gen_square_with_diagonals(4, 4, "periodic"),
+        gen_square_with_diagonals(16, 16, "open"),
+        gen_blocked_square(8, 4),
+        gen_heavy_hex(),
+        gen_lattice("linear", 2, "periodic"),
+        SystemGraph.from_edges([(0, 1), (1, 2), (0, 2)], n_vertices=4),
+    ]

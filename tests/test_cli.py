@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import argparse
+import json
 import re
 import time
 from pathlib import Path
@@ -235,6 +236,84 @@ class TestErrors:
         assert main(["transform", "--graph", g, "--hamiltonian", str(h),
                      "--out", str(tmp_path / "o.pauli")]) == 2
         assert "error: parse:" in capsys.readouterr().err
+
+    def test_repeated_pauli_qubit_exit_code(self, tmp_path, capsys):
+        """A label naming one qubit twice once merged into its last letter."""
+        for label in ("X1 X1", "X1 Z1"):
+            path = tmp_path / "dup.pauli"
+            path.write_text(f"qubits 2\n(1,0) {label}\n")
+            assert main(["stats", "--in", str(path)]) == 2, label
+            assert "named twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hamiltonian", "missing.fham"],
+            ["--seed", "5"],
+            ["--dense", "--hamiltonian", "missing.fham"],
+            ["--dense", "--hamiltonian", "h.fham", "--seed", "5"],
+        ],
+    )
+    def test_verify_flags_are_read(self, tmp_path, capsys, flags):
+        """``--hamiltonian`` and ``--seed`` without ``--dense``, and
+        ``--seed`` beside ``--hamiltonian``, once passed unread with exit
+        0; under ``--dense`` a missing Hamiltonian file is opened and
+        refused."""
+        g = str(tmp_path / "c4.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--bc", "periodic",
+              "--out", g])
+        fileio.write_fermion(str(tmp_path / "h.fham"),
+                             build_lattice_model("chain", 4, t=1.0, u=0.5, bc="periodic"))
+        capsys.readouterr()
+        flags = [str(tmp_path / f) if f.endswith(".fham") else f for f in flags]
+        assert main(["verify", "--graph", g, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error: parse:" in captured.err
+        assert "verify pass" not in captured.out
+
+    def test_verify_dense_seed(self, tmp_path, capsys):
+        g = str(tmp_path / "c4.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--bc", "periodic",
+              "--out", g])
+        assert main(["verify", "--graph", g, "--dense", "--seed", "5"]) == 0
+        assert "verify pass" in capsys.readouterr().out
+
+    def test_explicit_path_with_a_non_integer_exit_code(self, tmp_path, capsys):
+        g = str(tmp_path / "sq.graph")
+        main(["gen", "--geometry", "square", "--dims", "3x3", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 9\n(1,0) a+1 a-5\n(1,0) a+5 a-1\n")
+        routes = tmp_path / "routes.txt"
+        routes.write_text("path 1 x 2 3\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--route", f"explicit:{routes}",
+                     "--out", str(tmp_path / "o.pauli")]) == 2
+        assert "error: parse: bad path line" in capsys.readouterr().err
+
+    def test_bench_n_with_a_non_integer_exit_code(self, tmp_path, capsys):
+        assert main(["bench", "--geometries", "linear", "--n", "4,x",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "error: parse: bad --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["unknown_port", "string_id", "string_ids"])
+    def test_malformed_graph_exit_code(self, tmp_path, capsys, defect):
+        """A port naming no edge, or vertex ids that are not integers, once
+        raised a traceback (the first two) or loaded (all ids strings)."""
+        doc = json.loads(fileio.graph_to_json(gen_syk_geometry("star", 4)))
+        if defect == "unknown_port":
+            doc["vertices"][0]["ports"][0] = 99
+        elif defect == "string_id":
+            doc["vertices"][1]["id"] = "1"
+        else:
+            for v in doc["vertices"]:
+                v["id"] = str(v["id"])
+            doc["edges"] = [[str(a), str(b)] for a, b in doc["edges"]]
+        g = tmp_path / "bad.graph"
+        g.write_text(json.dumps(doc))
+        assert main(["encode", "--graph", str(g),
+                     "--out", str(tmp_path / "x.enc")]) == 2
+        assert "error: parse: bad graph file" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["encode", "--graph", str(tmp_path / "none.graph"),

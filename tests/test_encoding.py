@@ -6,7 +6,12 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_connected_graph, reference_algebra_violations
+from conftest import (
+    random_connected_graph,
+    reference_algebra_violations,
+    reference_tables,
+    table_graphs,
+)
 from fermigraph import encoding
 from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
 from fermigraph.errors import DimensionError, ResourceError, RoutingError, VerifyError
@@ -52,6 +57,17 @@ class TestBuild:
         assert op.label_coefficient() == -1
         enc_yx = build_encoding(g, "jw_yx")
         assert enc_yx.vertex_operator(0).label_coefficient() == 1
+
+    @pytest.mark.parametrize("basis", ["jw", "jw_yx", "fenwick", "ternary"])
+    def test_tables_equal_the_whole_register_reference(self, basis):
+        """Shifted local operators and walk folds give exactly the tables
+        that whole-register products of embedded port operators give."""
+        for g in table_graphs():
+            enc = build_encoding(g, basis)
+            edges, vertices, stabilizers = reference_tables(enc)
+            assert enc.edge_ops == edges
+            assert enc.vertex_ops == vertices
+            assert enc.stabilizers == stabilizers
 
     def test_edge_antisymmetry(self):
         enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw")
@@ -194,10 +210,10 @@ class TestPaths:
     def test_chain_distance_two(self):
         n = 6
         enc = build_encoding(gen_lattice("linear", n, "periodic"), "jw_yx")
-        raw = enc.path_edge_operator(0, 2, path=[0, 1, 2], raw=True)
+        raw = enc.edge_operator(0, 1) * enc.edge_operator(1, 2)
         assert raw == L("X1 Z2 Y3", n).with_phase(-1)
         can = enc.path_edge_operator(0, 2, path=[0, 1, 2])
-        assert can == L("X1 Z2 Y3", n)
+        assert can == L("X1 Z2 Y3", n) == raw.with_phase(1)
 
     def test_routed_weight_not_above_simple_paths(self, rng):
         """Auto routing never does worse than any simple path."""
@@ -261,29 +277,7 @@ class TestStabilizers:
     def test_open_walk_rejected(self):
         enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw")
         with pytest.raises(RoutingError):
-            enc.loop_stabilizer([0, 1, 3])  # (1,3) is not an edge
-
-    def test_reduce_stabilizer_to_identity(self):
-        enc = build_encoding(gen_lattice("square", (2, 3), "periodic"), "jw")
-        for s in enc.stabilizers:
-            assert enc.reduce_mod_stabilizers(s).weight() == 0
-
-    def test_reduce_is_idempotent(self):
-        enc = build_encoding(gen_lattice("square", (2, 3), "periodic"), "jw")
-        p = enc.path_edge_operator(0, 4)
-        r1 = enc.reduce_mod_stabilizers(p)
-        assert enc.reduce_mod_stabilizers(r1) == r1
-
-    def test_two_route_reduction_meets(self):
-        """Both ways around a plaquette reduce to representatives that
-        agree on the codespace."""
-        enc = build_encoding(gen_lattice("square", (3, 3), "open"), "jw")
-        p1 = enc.path_edge_operator(0, 4, path=[0, 1, 4])
-        p2 = enc.path_edge_operator(0, 4, path=[0, 3, 4])
-        r1 = enc.reduce_mod_stabilizers(p1)
-        r2 = enc.reduce_mod_stabilizers(p2)
-        member = enc.stabilizer_group_member(r1 * r2)
-        assert member is not None and member == r1 * r2
+            enc.path_edge_operator(0, 3, path=[0, 1, 3])  # (1,3) is not an edge
 
 
 class TestAlgebraSuite:

@@ -1,8 +1,8 @@
 """Tests for the graph model: ports, cycles, routing, qubit counts.
 
-Routing lives in ``encoding.Router``, and ``Encoding.route_min_weight`` is
-its one-shot form.  The path tests here pin its behavior on plain
-geometries and compare it with the per-pair Dijkstra it replaced
+Routing lives in ``encoding.Router``, and ``Encoding.path_edge_operator``
+with no path is its one-shot form.  The path tests here pin its behavior on
+plain geometries and compare it with the per-pair Dijkstra it replaced
 (``conftest.reference_route``)."""
 
 import itertools
@@ -162,7 +162,7 @@ class TestShortestPath:
 
     def test_adjacent(self):
         g = gen_lattice("square", (3, 3), "open")
-        route = build_encoding(g, "jw").route_min_weight(0, 1)
+        route = Router(build_encoding(g, "jw")).route(0, 1)
         assert [g.edges[e] for e in route] == [(0, 1)]
 
     def test_diagonal_goes_through_one_neighbor(self):
@@ -172,20 +172,23 @@ class TestShortestPath:
         enc = build_encoding(g, "jw")
         for path in ([0, 1, 4], [0, 3, 4]):
             assert enc.path_edge_operator(0, 4, path=path).weight() == 4
-        route = enc.route_min_weight(0, 4)
+        route = Router(enc).route(0, 4)
         assert [g.edges[e] for e in route] == [(0, 1), (1, 4)]
 
     def test_no_path(self):
         g = SystemGraph.from_edges([(0, 1), (2, 3)])
+        enc = build_encoding(g, "jw")
         with pytest.raises(RoutingError):
-            build_encoding(g, "jw").route_min_weight(0, 3)
+            Router(enc).route(0, 3)
+        with pytest.raises(RoutingError):
+            enc.path_edge_operator(0, 3)
 
     def test_mera_boundary_path_is_logarithmic(self):
         """Opposite boundary points route through the hierarchy in a
         number of hops bounded by the depth, far below the lateral
         distance along the bottom rows."""
         g = gen_syk_geometry("ternary_mera", 81)  # depth 4
-        hops = len(build_encoding(g, "fenwick").route_min_weight(0, 40))
+        hops = len(Router(build_encoding(g, "fenwick")).route(0, 40))
         assert hops <= 3 * 4 + 2
         lateral = 2 * 40 // 3  # bottom-row routing costs ~2 hops per 3 sites
         assert hops < lateral
@@ -199,7 +202,7 @@ class TestShortestPath:
         also when other destinations of source 1 were routed before."""
         enc = reentry_encoding()
         assert enc.path_edge_operator(1, 0, path=[1, 2, 0, 3, 0]).weight() == 5
-        assert enc.route_min_weight(1, 0) == [8, 0]
+        assert Router(enc).route(1, 0) == [8, 0]
         assert enc.path_edge_operator(1, 0).weight() == 6
         router = Router(enc)
         assert router.route(1, 4) == [8, 0, 1, 2, 3] == reference_route(enc, 1, 4)
@@ -245,7 +248,7 @@ class TestRouterMatchesReference:
     def test_random_graphs(self):
         """The 50 seeded random graphs of acceptance criterion 5, all
         vertex pairs, under its three bases; the one-shot
-        ``route_min_weight`` too."""
+        ``path_edge_operator`` gives the string along the reference route."""
         rng = np.random.default_rng(505)
         for _ in range(50):
             g = random_connected_graph(rng)
@@ -256,17 +259,17 @@ class TestRouterMatchesReference:
                 for j in ids:
                     for k in ids:
                         if j != k:
-                            want = reference_route(enc, j, k)
-                            assert enc.route_min_weight(j, k) == want
+                            want = enc.walk_operator(j, reference_route(enc, j, k))
+                            assert enc.path_edge_operator(j, k) == want
 
 
 class TestPredictedCost:
     @pytest.mark.parametrize("basis", ["fenwick", "jw", "jw_yx", "ternary"])
     def test_cost_is_the_string_weight(self, basis):
         """On the sweep geometries the cost the router minimized for a
-        non-adjacent pair is the Pauli weight of the raw string multiplied
-        out along its route, the string ``path_edge_operator(j, k,
-        raw=True)`` returns."""
+        non-adjacent pair is the Pauli weight of the string multiplied out
+        along its route; the phase ``walk_operator`` adds for the canonical
+        form leaves the weight alone."""
         for kind in SWEEP_GEOMETRIES:
             for n in (8, 16, 32):
                 g = gen_syk_geometry(kind, n)
@@ -276,7 +279,7 @@ class TestPredictedCost:
                 for j in phys:
                     for k in phys:
                         if j < k and not g.edges_between(j, k):
-                            op = enc.walk_operator(j, router.route(j, k), raw=True)
+                            op = enc.walk_operator(j, router.route(j, k))
                             assert router.cost(j, k) == op.weight(), (kind, n, j, k)
 
 
