@@ -41,6 +41,7 @@ EXIT_CODES = {"parse": 2, "route": 3, "parity": 4, "resource": 5, "verify-fail":
 
 _LATTICES = ("linear", "square", "triangular", "square_diag")
 _SYK = ("complete", "star", "ternary_tree", "ternary_mera", "hyperbolic46")
+_GEOMETRIES = _LATTICES + _SYK + ("blocked_square", "heavy_hex")
 
 
 def _ints(tokens: List[str], what: str) -> List[int]:
@@ -63,15 +64,22 @@ def _geometry_dims(kind: str, text: str) -> List[int]:
 
 def _cmd_gen(args) -> int:
     kind = args.geometry
+    if kind not in _GEOMETRIES:
+        raise ParseError(f"unknown geometry {kind!r}")
+    for flag, takers in (("n", _SYK), ("dims", _LATTICES + ("blocked_square",)),
+                         ("blocks", ("blocked_square",)), ("bc", _LATTICES)):
+        if getattr(args, flag) is not None and kind not in takers:
+            raise ParseError(f"{kind} does not take --{flag}")
     if kind in _LATTICES:
         if not args.dims:
             raise ParseError("--dims is required for lattice geometries")
         dims = _geometry_dims(kind, args.dims)
+        bc = args.bc or "open"
         if kind == "square_diag":
             rows, cols = dims if len(dims) == 2 else (dims[0], dims[0])
-            g = gen_square_with_diagonals(rows, cols, args.bc)
+            g = gen_square_with_diagonals(rows, cols, bc)
         else:
-            g = gen_lattice(kind, dims if len(dims) > 1 else dims[0], args.bc)
+            g = gen_lattice(kind, dims if len(dims) > 1 else dims[0], bc)
     elif kind in _SYK:
         if args.n is None:
             raise ParseError("--n is required for all-to-all geometries")
@@ -80,10 +88,8 @@ def _cmd_gen(args) -> int:
         if not args.dims or args.blocks is None:
             raise ParseError("blocked_square needs --dims L and --blocks b")
         g = gen_blocked_square(_geometry_dims(kind, args.dims)[0], args.blocks)
-    elif kind == "heavy_hex":
-        g = gen_heavy_hex()
     else:
-        raise ParseError(f"unknown geometry {kind!r}")
+        g = gen_heavy_hex()
     fileio.write_graph(args.out, g)
     print(f"wrote {args.out}: {len(g.vertex_ids())} vertices, "
           f"{len(g.edges)} edges, {qubit_count(g)} qubits")
@@ -105,7 +111,7 @@ def _cmd_transform(args) -> int:
     g = fileio.read_graph(args.graph)
     enc = build_encoding(g, args.basis)
     f = fileio.read_fermion(args.hamiltonian)
-    route = _route_policy(args.route, enc)
+    route = _route_policy(args.route)
     compiled = transform_hamiltonian(f, enc, route)
     fileio.write_pauli_sum(args.out, compiled)
     stats = analytics.weight_stats(compiled)
@@ -116,13 +122,13 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _route_policy(policy: str, enc):
+def _route_policy(policy: str):
     if policy == "auto":
-        return "auto"
+        return None
     if policy.startswith("explicit:"):
         # one line per coupling: ``path <mode j> <mode k> <vertex ids...>``
         # with 1-based modes (as in .fham files) and vertex ids as written
-        # in the .graph file
+        # in the .graph file; a path the compile does not apply is refused
         paths = {}
         with open(policy.split(":", 1)[1]) as fh:
             for line in fh:
@@ -135,7 +141,10 @@ def _route_policy(policy: str, enc):
                 j, k, *path = _ints(toks[1:], f"path line {line!r}")
                 if j < 1 or k < 1:
                     raise ParseError("path modes are 1-based")
-                paths[(min(j, k) - 1, max(j, k) - 1)] = path
+                key = (min(j, k) - 1, max(j, k) - 1)
+                if key in paths:
+                    raise ParseError(f"second path for modes {j} and {k}: {line!r}")
+                paths[key] = path
         return paths
     raise ParseError(f"unknown routing policy {policy!r}")
 
@@ -207,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a system graph")
     p.add_argument("--geometry", required=True,
-                   help=f"one of {', '.join(_LATTICES + _SYK + ('blocked_square', 'heavy_hex'))}")
+                   help=f"one of {', '.join(_GEOMETRIES)}")
     p.add_argument("--dims", help="lattice dims, e.g. 4 or 4x6")
     p.add_argument("--n", type=int, help="mode count for all-to-all geometries")
     p.add_argument("--blocks", type=int, help="block count for blocked_square")
-    p.add_argument("--bc", default="open", choices=("open", "periodic"))
+    p.add_argument("--bc", choices=("open", "periodic"), help="lattices; default open")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

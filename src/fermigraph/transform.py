@@ -2,46 +2,45 @@
 
 Each Hamiltonian term runs through the pipeline
 
-    second-quantized -> Majorana normal form -> edge/vertex term -> Paulis
+    second-quantized -> Majorana normal form -> pair images -> Paulis
 
-with every edge factor realized either by the stored edge operator (when
-the two modes share a system-graph edge) or by a canonical routed string
-(``Router.operator``), and every vertex factor by the encoded vertex
-operator.  A quadratic monomial (every SYK2 and hopping term) skips the
-edge/vertex term and goes straight to its substitution identity.  Each
-term's string is multiplied out on raw (x, z, phase) ints and added
-through ``PauliSumBuilder._add_raw``, the unchecked step of
-``PauliSumBuilder.add``; no ``PauliString`` is built per term.
+An even monomial g_{i1} g_{i2} ... is read two indices at a time, and each
+pair's substitution identity (``fermion.pair_substitution``) gives a
+coefficient factor, at most one coupling and its parities; an odd monomial
+is a parity error.  The term's string is the product of the pair images in
+order, multiplied out on raw (x, z, phase) ints and added through
+``PauliSumBuilder._add_raw``, the unchecked step of ``PauliSumBuilder.add``.
+A coupling is the stored edge operator when an edge joins its two modes.
+Otherwise it is ``Router``'s min-weight routed string, or, given a path
+map, the string along the map's vertex path; a path no coupling took is a
+parse error.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
 from .fermion import (
     FermionOperator,
     MajoranaMonomial,
-    monomial_to_ev,
     pair_substitution,
     to_majorana_normal_form,
 )
 from .pauli import PauliString, PauliSum, PauliSumBuilder
 
-#: route="auto" uses min-weight routing; an explicit dict maps (j, k) mode
-#: pairs to vertex paths.
-Routing = Union[str, Dict[Tuple[int, int], Sequence[int]]]
-
 
 class _Realizer:
-    """Caches the Pauli image of each coupling generator and parity; one
-    ``Router`` serves every routed coupling of the compile, building each
-    source's strings from shared prefix products."""
+    """Folds each monomial's pair images into one raw string, caching the
+    image of each coupling and parity.  One ``Router`` serves every routed
+    coupling, building each source's strings from shared prefix products.
+    Given a path map, ``paths`` holds its paths not yet applied, and
+    ``coupling`` pops each one as it applies it."""
 
-    def __init__(self, enc: Encoding, route: Routing = "auto"):
+    def __init__(self, enc: Encoding, route: Optional[Mapping] = None):
         self.enc = enc
-        self.route = route
+        self.paths = None if route is None else dict(route)
         self.router = Router(enc)
         self.physical = enc.graph.physical_ids()
         self._coupling: Dict[Tuple[int, int], PauliString] = {}
@@ -63,27 +62,24 @@ class _Realizer:
             vp, vq = self.vertex(p), self.vertex(q)
             if enc.graph.edges_between(vp, vq):
                 op = enc.edge_operator(vp, vq)
-            elif isinstance(self.route, dict):
-                if key not in self.route:
-                    raise RoutingError(f"no explicit path given for modes {key}")
-                path = list(self.route[key])
+            elif self.paths is None:
+                op = self.router.operator(vp, vq)
+            elif key not in self.paths:
+                raise RoutingError(
+                    f"no explicit path for 1-based mode pair ({p + 1}, {q + 1})")
+            else:
+                path = list(self.paths.pop(key))
                 if path and path[0] == vq and path[-1] == vp:
                     # reversed orientation; the coupling is antisymmetric
                     op = -enc.path_edge_operator(vq, vp, path=path)
                 else:
                     op = enc.path_edge_operator(vp, vq, path=path)
-            elif self.route == "auto":
-                op = self.router.operator(vp, vq)
-            else:
-                raise ParseError(f"unknown routing policy {self.route!r}")
             self._coupling[key] = op
         return self._coupling[key]
 
     def parity(self, p: int) -> PauliString:
         if p not in self._parity:
-            enc = self.enc
-            v = self.vertex(p)
-            op = enc.vertex_operator(v)
+            op = self.enc.vertex_operator(self.vertex(p))
             if op.weight() == 0:
                 raise RoutingError(
                     f"mode {p} sits on a degree-0 vertex and has no parity operator"
@@ -92,56 +88,59 @@ class _Realizer:
         return self._parity[p]
 
     def term(self, mono: MajoranaMonomial) -> Tuple[complex, int, int, int]:
-        """(coefficient, x, z, phase) of the string realizing ``mono``: its
-        couplings, then its parities, multiplied on raw ints in that order.
-        A quadratic monomial goes straight to its substitution identity,
-        with no ``EVTerm``."""
-        if len(mono.indices) == 2:
-            factor, edges, verts = pair_substitution(*mono.indices)
-            coeff = mono.coefficient * factor
-        else:
-            ev = monomial_to_ev(mono)
-            coeff, edges = ev.coefficient, ev.edge_factors
-            verts = sorted(ev.vertex_factors)
+        """(coefficient, x, z, phase) of the string realizing ``mono``: for
+        each index pair in order, its coupling, then its parities, all
+        multiplied on raw ints."""
+        idx = mono.indices
+        if len(idx) % 2:
+            raise ParityError(f"odd Majorana monomial with indices {idx}")
         couplings, parities = self._coupling, self._parity
-        x = z = phase = 0
-        # the fold is written out per factor kind, so no factor list is built;
-        # a zero mask takes the factor's own int, where XOR would copy it
-        for e in edges:
-            op = couplings[e] if e in couplings else self.coupling(*e)
-            phase += op.phase + 2 * (z & op.x).bit_count()
-            x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
-        for v in verts:
-            op = parities[v] if v in parities else self.parity(v)
-            phase += op.phase + 2 * (z & op.x).bit_count()
-            x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
+        coeff, x, z, phase = mono.coefficient, 0, 0, 0
+        pairs = iter(idx)  # zip(pairs, pairs) takes two at a time
+        for a, b in zip(pairs, pairs):
+            factor, edges, verts = pair_substitution(a, b)
+            coeff *= factor
+            # the fold is written out per factor kind, so no factor list is built;
+            # a zero mask takes the factor's own int, where XOR would copy it
+            for e in edges:
+                op = couplings[e] if e in couplings else self.coupling(*e)
+                phase += op.phase + 2 * (z & op.x).bit_count()
+                x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
+            for v in verts:
+                op = parities[v] if v in parities else self.parity(v)
+                phase += op.phase + 2 * (z & op.x).bit_count()
+                x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
         return coeff, x, z, phase
 
 
 def transform_monomials(
     monomials: Iterable[MajoranaMonomial],
     enc: Encoding,
-    route: Routing = "auto",
+    route: Optional[Mapping[Tuple[int, int], Sequence[int]]] = None,
 ) -> PauliSum:
-    """Compile a list of Majorana monomials (must all be even)."""
+    """Compile a list of even Majorana monomials.  ``route`` maps (p, q)
+    mode pairs, p < q, to vertex paths; None routes by min weight."""
     realizer = _Realizer(enc, route)
     builder = PauliSumBuilder(enc.total_qubits)
     add, term = builder._add_raw, realizer.term
     for mono in monomials:
         add(*term(mono))
+    if realizer.paths:
+        pairs = ", ".join(f"({p + 1}, {q + 1})" for p, q in sorted(realizer.paths))
+        raise ParseError(f"explicit paths for 1-based mode pairs {pairs} never "
+                         "applied: no term couples them through a routed string")
     return builder.build()
 
 
 def transform_hamiltonian(
     f: FermionOperator,
     enc: Encoding,
-    route: Routing = "auto",
+    route: Optional[Mapping[Tuple[int, int], Sequence[int]]] = None,
 ) -> PauliSum:
     """Compile a parity-preserving fermionic operator into a Pauli sum.
 
-    Raises a parity error on odd terms and a routing error when a
-    required coupling cannot be realized on the encoding's graph.
-    """
+    Raises a parity error on odd terms, a routing error on a coupling the
+    graph cannot realize and a parse error on a path no coupling took."""
     if not f.is_parity_preserving():
         raise ParityError("Hamiltonian contains odd-parity terms")
     if f.n_modes != enc.n_modes:

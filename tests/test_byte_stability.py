@@ -1,5 +1,5 @@
 """Byte-stability pins: the sha256 of the .graph, .enc and .pauli files for
-four fixed compile cases, and of the SYK sweep CSV with the wall-time
+five fixed compile cases, and of the SYK sweep CSV with the wall-time
 column removed.  Refactors must leave every value unchanged; a change in
 output format or routing order shows up here first."""
 
@@ -10,9 +10,19 @@ import pytest
 from fermigraph import fileio
 from fermigraph.analytics import SWEEP_GEOMETRIES, records_to_csv, sweep_syk_geometries
 from fermigraph.encoding import build_encoding
-from fermigraph.fermion import build_lattice_model, build_syk2
+from fermigraph.fermion import FermionOperator, build_lattice_model, build_syk2
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.transform import transform_hamiltonian
+
+
+def _square3_quartic() -> FermionOperator:
+    """Hopping with diagonals plus 0.7 n_a n_b on every edge of the open
+    3x3 square: 49 quadratic, 12 quartic and 1 constant monomials."""
+    edges = gen_lattice("square", (3, 3), "open").edges
+    density = [(0.7, ((a, True), (a, False), (b, True), (b, False))) for a, b in edges]
+    hopping = build_lattice_model("square_nn_diag", 3, t=1.0, t_diag=0.5, u=0.3)
+    return hopping + FermionOperator.from_terms(9, density)
+
 
 CASES = {
     # open 4x4 square graph; the diagonal hops are routed strings
@@ -30,6 +40,10 @@ CASES = {
         lambda: build_syk2(12, seed=5),
     ),
     "heavyhex_jw": (gen_heavy_hex, "jw", lambda: build_syk2(49, seed=7)),
+    # quartic density terms; the diagonal hops are routed strings
+    "square3_quartic_fenwick": (
+        lambda: gen_lattice("square", (3, 3), "open"), "fenwick", _square3_quartic
+    ),
 }
 
 FILE_SHA256 = {
@@ -45,6 +59,9 @@ FILE_SHA256 = {
     ("heavyhex_jw", "graph"): "d502d827190dff25e8dbe1c8915eb852dc33be0c071d71e0b738456fb5d3d85b",
     ("heavyhex_jw", "enc"): "1fcd728305f8f39a5811589f8940c045cc52a3669b23f027a0e34a104085e588",
     ("heavyhex_jw", "pauli"): "a22323cac7c48befddbe7017dd6c54c771b82ba260592da00915ce36aeca28f7",
+    ("square3_quartic_fenwick", "graph"): "53d1577c91a0af5221b3e528fab8a99a50cd50cde903dd32032dd80da1e833e4",
+    ("square3_quartic_fenwick", "enc"): "a5927e181aed51419f10c5965b75b6406c16eabd9e5b97c05e154cd4d2604668",
+    ("square3_quartic_fenwick", "pauli"): "3a9f209658269d8652e3842b065f8a8c52f83f952303fba5609078ed5abe6d38",
 }
 
 #: sweep_syk_geometries(SWEEP_GEOMETRIES, [8, 16], seed=1) as CSV, each

@@ -291,6 +291,90 @@ class TestErrors:
                      "--out", str(tmp_path / "o.pauli")]) == 2
         assert "error: parse: bad path line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,pairs",
+        [
+            ("path 1 99 0 1 2", "(1, 99)"),  # mode 99 of 9
+            ("path 5 5 4 1 4", "(5, 5)"),  # the same mode twice
+            ("path 1 2 0 1", "(1, 2)"),  # modes 1 and 2 share an edge
+            ("path 3 7 2 1 0 3 6", "(3, 7)"),  # a pair no term couples
+        ],
+    )
+    def test_explicit_path_never_applied_exit_code(self, tmp_path, capsys, line, pairs):
+        """Beside the applied path for modes 1 and 5, a path the compile
+        cannot apply once passed unread with exit 0."""
+        g = str(tmp_path / "sq.graph")
+        main(["gen", "--geometry", "square", "--dims", "3x3", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 9\n(1,0) a+1 a-5\n(1,0) a+5 a-1\n"
+                     "(1,0) a+1 a-2\n(1,0) a+2 a-1\n")
+        routes = tmp_path / "routes.txt"
+        routes.write_text(f"path 1 5 0 1 4\n{line}\n")
+        out = tmp_path / "o.pauli"
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--route", f"explicit:{routes}", "--out", str(out)]) == 2
+        assert f"error: parse: explicit paths for 1-based mode pairs {pairs} never" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_explicit_path_exit_code(self, tmp_path, capsys):
+        """The refusal names the pair as the route file does, 1-based."""
+        g = str(tmp_path / "sq.graph")
+        main(["gen", "--geometry", "square", "--dims", "3x3", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 9\n(1,0) a+1 a-5\n(1,0) a+5 a-1\n")
+        routes = tmp_path / "routes.txt"
+        routes.write_text("path 3 7 2 1 0 3 6\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--route", f"explicit:{routes}",
+                     "--out", str(tmp_path / "o.pauli")]) == 3
+        assert "error: route: no explicit path for 1-based mode pair (1, 5)" \
+            in capsys.readouterr().err
+
+    def test_second_explicit_path_for_a_pair_exit_code(self, tmp_path, capsys):
+        """Two paths for modes 1 and 5 once compiled along the last one."""
+        g = str(tmp_path / "sq.graph")
+        main(["gen", "--geometry", "square", "--dims", "3x3", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 9\n(1,0) a+1 a-5\n(1,0) a+5 a-1\n")
+        routes = tmp_path / "routes.txt"
+        routes.write_text("path 1 5 0 1 4\npath 1 5 0 3 4\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--route", f"explicit:{routes}",
+                     "--out", str(tmp_path / "o.pauli")]) == 2
+        assert "error: parse: second path for modes 1 and 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--geometry", "complete", "--n", "4", "--dims", "3x3"],
+            ["--geometry", "complete", "--n", "4", "--bc", "periodic"],
+            ["--geometry", "complete", "--n", "4", "--blocks", "7"],
+            ["--geometry", "heavy_hex", "--n", "9"],
+            ["--geometry", "heavy_hex", "--dims", "2"],
+            ["--geometry", "heavy_hex", "--bc", "open"],
+            ["--geometry", "square", "--dims", "3", "--n", "4"],
+            ["--geometry", "square", "--dims", "3", "--blocks", "2"],
+            ["--geometry", "blocked_square", "--dims", "4", "--blocks", "4",
+             "--bc", "open"],
+            ["--geometry", "blocked_square", "--dims", "4", "--blocks", "4",
+             "--n", "4"],
+        ],
+    )
+    def test_gen_flags_are_read(self, tmp_path, capsys, flags):
+        """The last flag of each once passed unread with exit 0: ``--n`` is
+        for the SYK geometries, ``--dims`` for the lattices and
+        blocked_square, ``--blocks`` for blocked_square, ``--bc`` for the
+        lattices."""
+        out = tmp_path / "x.graph"
+        assert main(["gen", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: parse: {flags[1]} does not take {flags[-2]}" in err
+        assert not out.exists()
+
     def test_bench_n_with_a_non_integer_exit_code(self, tmp_path, capsys):
         assert main(["bench", "--geometries", "linear", "--n", "4,x",
                      "--out", str(tmp_path / "b.csv")]) == 2

@@ -75,6 +75,23 @@ class TestChainCompile:
         with pytest.raises(ParseError):
             transform_monomials([MajoranaMonomial(1.0, (0, 6))], enc)
 
+    def test_explicit_path_never_applied(self):
+        """A 4-chain hopping model couples adjacent modes only, so the path
+        for modes 7 and 9 is never taken; it once compiled to 11 terms."""
+        enc = build_encoding(gen_lattice("linear", 4, "open"), "jw")
+        h = build_lattice_model("chain", 4, t=1.0, u=0.5)
+        with pytest.raises(ParseError, match=r"mode pairs \(8, 10\) never applied"):
+            transform_hamiltonian(h, enc, route={(7, 9): [1]})
+
+    def test_explicit_paths_are_not_consumed(self):
+        """The compile pops the paths it applies from its own copy."""
+        enc = build_encoding(gen_lattice("linear", 4, "open"), "jw")
+        route = {(0, 2): [0, 1, 2]}
+        monos = [MajoranaMonomial(1.0, (0, 4))]
+        assert transform_monomials(monos, enc, route) == transform_monomials(
+            monos, enc, route)
+        assert route == {(0, 2): [0, 1, 2]}
+
     def test_unroutable(self):
         from fermigraph.graph import SystemGraph
 
@@ -87,33 +104,39 @@ class TestChainCompile:
             transform_hamiltonian(f, enc)
 
 
-class TestQuadraticPath:
-    """A quadratic monomial skips the EVTerm; its coefficient and string
-    must be those of the general edge/vertex path."""
+class TestPairFold:
+    """``_Realizer.term`` folds each index pair's coupling and parities in
+    order; its string and coefficient must be those of the EVTerm product
+    (every coupling, then the parities left over)."""
 
     @pytest.mark.parametrize(
-        "kind,n,basis,route",
+        "g,basis,route",
         [
-            ("star", 6, "jw", "auto"),
-            ("ternary_mera", 9, "fenwick", "auto"),
+            (gen_syk_geometry("star", 6), "jw", None),
+            (gen_syk_geometry("ternary_mera", 9), "fenwick", None),
             # open chain 0-1-2-3: (0, 2) runs 0-1-2, (0, 3) is given from 3
             # back to 0, (1, 3) runs 1-2-3
-            ("linear", 4, "jw",
+            (gen_lattice("linear", 4, "open"), "jw",
              {(0, 2): [0, 1, 2], (0, 3): [3, 2, 1, 0], (1, 3): [1, 2, 3]}),
+            # X-type vertex operators, so parities pick up signs in the fold
+            (gen_lattice("linear", 5, "open"), {v: ["Z1", "Y1"] for v in range(5)},
+             None),
         ],
+        ids=["star6", "ternary_mera9", "linear4-explicit", "linear5-zy"],
     )
-    def test_equals_the_edge_vertex_path(self, kind, n, basis, route, rng):
-        if kind == "linear":
-            enc = build_encoding(gen_lattice("linear", n, "open"), basis)
-        else:
-            enc = build_encoding(gen_syk_geometry(kind, n), basis)
+    def test_equals_the_edge_vertex_product(self, g, basis, route, rng):
+        enc = build_encoding(g, basis)
         realizer = _Realizer(enc, route)
-        pairs = [(a, b) for a in range(2 * n) for b in range(a + 1, 2 * n)]
+        dim = 2 * len(g.physical_ids())
+        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
         assert {(a % 2, b % 2, a // 2 == b // 2) for a, b in pairs} == {
             (0, 0, False), (0, 1, False), (1, 0, False), (1, 1, False), (0, 1, True)
         }
-        for pair in pairs:
-            mono = MajoranaMonomial(complex(rng.normal(), rng.normal()), pair)
+        longer = [tuple(sorted(rng.choice(dim, size, replace=False).tolist()))
+                  for size in (4, 6) for _ in range(50)]
+        unit = (1, 1j, -1, -1j)
+        for idx in [(), *pairs, *longer]:
+            mono = MajoranaMonomial(complex(rng.normal(), rng.normal()), idx)
             ev = monomial_to_ev(mono)
             want = PauliString.identity(enc.total_qubits)
             for p, q in ev.edge_factors:
@@ -121,8 +144,19 @@ class TestQuadraticPath:
             for p in sorted(ev.vertex_factors):
                 want = want * realizer.parity(p)
             coeff, x, z, phase = realizer.term(mono)
-            assert coeff == ev.coefficient
-            assert PauliString(enc.total_qubits, x, z, phase) == want
+            assert (x, z) == (want.x, want.z)
+            # a sign the EVTerm puts in its coefficient, the fold keeps in its phase
+            assert coeff * unit[phase & 3] == ev.coefficient * unit[want.phase & 3]
+            if len(idx) == 2:
+                assert coeff == ev.coefficient
+                assert PauliString(enc.total_qubits, x, z, phase) == want
+
+    @pytest.mark.parametrize("idx", [(3,), (0, 2, 5)])
+    def test_odd_monomial_is_a_parity_error(self, idx):
+        """``zip`` alone would take the pairs and drop the last index."""
+        enc = build_encoding(gen_lattice("linear", 4, "open"), "jw")
+        with pytest.raises(ParityError):
+            transform_monomials([MajoranaMonomial(1.0, idx)], enc)
 
 
 class TestRawAccumulation:
@@ -160,8 +194,8 @@ class TestRawAccumulation:
         monos.append(MajoranaMonomial(-c * (1 + 1e-15), monos[2].indices))
         assert 0 < abs(c - c * (1 + 1e-15)) < ZERO_THRESHOLD
         monos.append(MajoranaMonomial(coefficient(), monos[2].indices))
-        # longer monomials take the same fold through their EVTerm; the
-        # last two multiply couplings that share a mode
+        # longer monomials fold their pair images in order; the last two
+        # multiply couplings that share a mode
         for idx in [(0, 1, 2, 3), (0, 2, 5, 7), (0, 3, 4, 6, 8, 9), (0, 2, 3, 4),
                     (0, 4, 5, 8)]:
             monos.append(MajoranaMonomial(coefficient(), idx))
