@@ -13,7 +13,8 @@ a size option: resource=5 comes from the bounds on what is allocated.
 Every verb that builds an encoding refuses one whose tables exceed
 ``encoding.TABLE_BUDGET`` (qubits x table strings, about 100 MB at the
 budget), and ``verify --dense`` also refuses an oracle over
-``dense.ENTRY_BUDGET`` entries (64 MiB per side) or ``dense.MAX_COMPONENT``.
+``dense.ENTRY_BUDGET`` values (64 MiB of entries per side) or
+``dense.MAX_COMPONENT``, and refuses a non-Hermitian Hamiltonian (parse=2).
 """
 
 from __future__ import annotations

@@ -8,8 +8,11 @@ permutation,
 and a product of creation and annihilation operators in the chain
 representation acts the same way, except that it also kills the states
 it annihilates.  So both sides of the oracle are built as entry arrays
-(rows, cols, vals): every term contributes one entry per basis state it
-keeps, and a batch of terms is one (terms x states) array operation.
+(rows, cols, vals): every term has one value per basis state, zero where
+it kills the state, and a batch of terms is one (terms x states) array
+operation.  Terms with one X part (flip mask) move every state to the
+same row, so their values are summed before any entry is emitted: each
+side emits one entry per (row, col), and no duplicate is sorted.
 
 The codespace (the joint +1 eigenspace of commuting Hermitian
 constraints) has a basis indexed by stabilizer orbits.  Reducing the
@@ -20,21 +23,26 @@ pivot bit zero; the orbit carries a codespace vector, the normalized
 P_code |r>, exactly when every pure-Z element acts as +1 on r.  The
 oracle builds the entries of the compiled Hamiltonian's d x d codespace
 block on these vectors directly; no projector and no 2^n x 2^n matrix
-is formed.
+is formed.  Each commuting term is reduced by the pivots once, on its
+Pauli string, so that its X part maps representatives to
+representatives.
 
 Each entry list is split into the connected components of its nonzero
-pattern, after duplicate entries are summed, so that a cancelled entry
-links nothing; each component is scattered into a dense k x k matrix for
-``eigvalsh``, in real arithmetic when its imaginary part is exactly zero.
+pattern, exact zeros (cancelled sums) dropped so that they link nothing;
+each component is scattered into a dense k x k matrix for ``eigvalsh``,
+in real arithmetic when its imaginary part is exactly zero.
 Conserved quantities keep the components small: fermion parity splits
 the codespace block, particle number splits a number-conserving
 Hamiltonian on both sides, and surplus unpaired Majoranas give identical
-copies.  Memory is O(terms x d) entries plus O(k^2) per component.  The
-work is bounded by what is allocated, not by the qubit count:
-``ENTRY_BUDGET`` caps kept terms x basis states on either side and is
-checked before any entry is allocated (an entry is an int64 row, an
-int64 column and a complex value, 32 bytes, so 64 MiB per side at the
-budget), and ``MAX_COMPONENT`` caps the dimension of a dense component.
+copies.  Memory is O(kept terms x d) transient values plus O(distinct X
+parts x d) entries, and O(k^2) per component.  The work is bounded by
+what is allocated, not by the qubit count: ``ENTRY_BUDGET`` caps kept
+terms x basis states on either side and is checked before any value is
+allocated (a value is 16 bytes, and an entry, an int64 row, an int64
+column and a value, 32 bytes, so at most 64 MiB of entries per side at
+the budget), and ``MAX_COMPONENT`` caps the dimension of a dense
+component.  A non-Hermitian operator is refused before the compile:
+``eigvalsh`` reads one triangle and would answer on it.
 Basis states are int64 bit masks, so registers wider than 62 qubits are
 refused before any work.  Exceeding a bound raises ``ResourceError``.
 The budget refuses some inputs a dense 2^m x 2^m reference would take:
@@ -53,15 +61,15 @@ the most significant bit of a basis-state index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encoding import Encoding, verify_encoding_algebra
-from .errors import ResourceError
-from .fermion import FermionOperator
+from .errors import ParseError, ResourceError
+from .fermion import FermionOperator, MajoranaMonomial
 from .pauli import PauliString, PauliSum, PauliSumBuilder
-from .transform import transform_hamiltonian
+from .transform import hamiltonian_monomials, transform_monomials
 
 #: i^k for k = 0..3, indexed by an integer phase exponent mod 4.
 _IPOW = np.array([1, 1j, -1, -1j])
@@ -73,7 +81,7 @@ MAX_COMPONENT = 4096
 #: Basis-state indices are int64 bit masks.
 _MAX_INDEX_BITS = 62
 
-#: (dim, rows, cols, vals) of a dim x dim matrix; duplicates add up.
+#: (dim, rows, cols, vals) of a dim x dim matrix, one entry per (row, col).
 Entries = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -123,8 +131,32 @@ def _check_budget(states: int, terms: int, what: str) -> None:
 def _scatter(entries: Entries) -> np.ndarray:
     dim, rows, cols, vals = entries
     out = np.zeros((dim, dim), dtype=complex)
-    np.add.at(out, (rows, cols), vals)
+    out[rows, cols] = vals
     return out
+
+
+def _sum_by_key(
+    keys: np.ndarray, vals: np.ndarray, image: Callable[[np.ndarray], np.ndarray]
+) -> Entries:
+    """Entries of a (terms x dim) value array whose term t takes column c
+    to row ``image(keys)[t, c]``, one per (row, col).
+
+    Terms that share a key share their rows, so their value rows are summed
+    in term order (a stable sort by key, then one row reduction per key)
+    before ``image`` maps the distinct keys; terms with different keys take
+    a column to different rows.  Exact zeros, such as cancelled sums, are
+    dropped: they must not link two components."""
+    dim = vals.shape[1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are masks, >= 0
+    summed = np.empty((len(starts), dim), dtype=complex)
+    for out, group in zip(summed, np.split(order, starts[1:])):
+        np.add.reduce(vals[group], axis=0, out=out)
+    nonzero = summed != 0
+    rows = image(keys[starts])[nonzero]
+    cols = np.broadcast_to(np.arange(dim), summed.shape)[nonzero]
+    return dim, rows, cols, summed[nonzero]
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +168,15 @@ def _reference_entries(f: FermionOperator, even: bool) -> Entries:
     or, with ``even``, on the even-occupation ones in ascending order.
 
     There a_m = Z..Z |0><1|_m and a_m^dag = Z..Z |1><0|_m, so each term is
-    a signed partial permutation of the basis states.  Terms are batched by
-    their factor count: factor i of every term in a batch is applied, right
-    to left, to a (terms x states) array at once, killing the states it
-    annihilates.  The even states are the ones of 2j, 2j + 1 with even
-    parity, so state s sits at position s >> 1 among them; a term with an
-    odd factor count leaves the even sector and has no entries there."""
+    a signed partial permutation of the basis states: it takes a state it
+    keeps to the state with its flip mask (the XOR of its modes' bits)
+    applied.  Terms are batched by their factor count: factor i of every
+    term in a batch is applied, right to left, to a (terms x states) array
+    at once, and a state it annihilates gets the value 0.  The value rows
+    of terms with one flip mask are then summed across batches.  The even
+    states are the ones of 2j, 2j + 1 with even parity, so state s sits at
+    position s >> 1 among them; a term with an odd factor count leaves the
+    even sector and has no entries there."""
     n = f.n_modes
     dim = 2**n >> 1 if even and n else 2**n
     kept = [(c, fs) for c, fs in f.terms if not (even and len(fs) % 2)]
@@ -150,25 +185,27 @@ def _reference_entries(f: FermionOperator, even: bool) -> Entries:
     by_length: Dict[int, List[Tuple[complex, Sequence]]] = {}
     for coeff, factors in kept:
         by_length.setdefault(len(factors), []).append((coeff, factors))
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
+    masks = [np.zeros(0, np.int64)]
+    values = [np.zeros((0, dim), complex)]
     for length, group in sorted(by_length.items()):
         coeff = np.array([c for c, _ in group], dtype=complex)
         modes = np.array([[m for m, _ in fs] for _, fs in group], np.int64)
         dagger = np.array([[d for _, d in fs] for _, fs in group], bool)
+        bits = 1 << (n - 1 - modes)
         state = np.tile(states, (len(group), 1))
         alive = np.ones(state.shape, dtype=bool)
         flips = np.zeros(state.shape, dtype=np.int64)
         for i in reversed(range(length)):
-            bit = (1 << (n - 1 - modes[:, i]))[:, None]
+            bit = bits[:, i, None]
             alive &= ((state & bit) == 0) == dagger[:, i, None]
             # the Z string on modes before ``mode``: the bits above ``bit``
             flips += np.bitwise_count(state & -(bit << 1))
             state ^= bit
-        vals = coeff[:, None] * (1 - 2 * (flips & 1))
-        rows = state >> 1 if even else state
-        parts.append((rows[alive], np.broadcast_to(np.arange(dim), state.shape)[alive],
-                      vals[alive]))
-    return (dim, *(np.concatenate(a) for a in zip(*parts)))
+        masks.append(np.bitwise_xor.reduce(bits, axis=1))
+        values.append(coeff[:, None] * np.where(alive, 1 - 2 * (flips & 1), 0))
+    shift = 1 if even else 0
+    return _sum_by_key(np.concatenate(masks), np.concatenate(values),
+                       lambda m: (states ^ m[:, None]) >> shift)
 
 
 def fermion_operator_matrix(f: FermionOperator) -> np.ndarray:
@@ -269,18 +306,29 @@ def joint_plus_one_basis(
     return basis
 
 
+def _reduce(q: PauliString, pivots: Sequence[PauliString]) -> PauliString:
+    """``q`` times each pivot element whose top bit its X part holds,
+    highest first, with exact phases: no pivot bit is left in its X part.
+    For ``q`` commuting with the pivots, which act as +1 on the codespace,
+    this is the same operator there."""
+    for g in pivots:
+        if q.x >> (g.x.bit_length() - 1) & 1:
+            q = q * g
+    return q
+
+
 def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
     """Entries of B^dag S B for B = ``joint_plus_one_basis(s.n,
     constraints)`` and ``orbits = _orbits(s.n, constraints)``, built
     without B or the 2^n x 2^n matrix of ``s``.
 
-    A term that commutes with every constraint maps the vector of orbit r
-    to a phase times the vector of the orbit of its image r ^ x; the image
-    is walked back to its representative with the pivot elements, which
-    act as +1 on the codespace, collecting their phases.  All commuting
-    terms go through the walk together as one (terms x d) array, one step
-    per pivot.  A term that anticommutes with a constraint has a zero
-    block."""
+    A term that commutes with every constraint is first reduced by the
+    pivots (``_reduce``).  The reduced term q maps the vector of orbit r to
+    i^phase (-1)^{|r & q.z|} times the vector of orbit r ^ q.x, which is
+    already a representative since neither holds a pivot bit.  Terms with
+    one reduced X part share their rows, so their value rows, one (terms x
+    d) array, are summed per X part.  A term that anticommutes with a
+    constraint has a zero block."""
     empty = np.zeros(0, dtype=np.int64)
     if orbits is None:
         return 0, empty, empty, np.zeros(0, dtype=complex)
@@ -294,18 +342,12 @@ def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
     keep = np.flatnonzero(~(anti & 1).any(axis=1))
     _check_budget(orbits.count(), len(keep), "orbits")
     reps = orbits.representatives()
-    d = len(reps)
-    state = reps ^ tx[keep, None]
-    k = 2 * _parity(reps & tz[keep, None])  # ``terms()`` strings have phase 0
-    for g in orbits.pivots:
-        hit = (state >> (g.x.bit_length() - 1)) & 1
-        k += hit * _phase_exponents(g, state)
-        state ^= hit * g.x
-    coeff = np.array([c for _, c in terms], dtype=complex)[keep]
-    vals = coeff[:, None] * _IPOW[k & 3]
-    rows = np.searchsorted(reps, state)
-    cols = np.broadcast_to(np.arange(d), state.shape)
-    return d, rows.ravel(), cols.ravel(), vals.ravel()
+    reduced = [(_reduce(terms[t][0], orbits.pivots), terms[t][1]) for t in keep]
+    x = np.array([q.x for q, _ in reduced], dtype=np.int64)
+    z = np.array([q.z for q, _ in reduced], dtype=np.int64)
+    coeff = np.array([c * _IPOW[q.phase] for q, c in reduced], dtype=complex)
+    vals = np.where(_parity(reps & z[:, None]), -coeff[:, None], coeff[:, None])
+    return _sum_by_key(x, vals, lambda x: np.searchsorted(reps, reps ^ x[:, None]))
 
 
 def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarray:
@@ -316,19 +358,6 @@ def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarr
 
 # ----------------------------------------------------------------------
 # components of an entry list
-
-
-def _sum_duplicates(entries: Entries) -> Entries:
-    """One entry per (row, col), in row-major order, exact zeros dropped:
-    entries that cancel must not link two components."""
-    dim, rows, cols, vals = entries
-    key, slot = np.unique(rows * dim + cols, return_inverse=True)
-    summed = np.bincount(slot, vals.real, len(key)) + 1j * np.bincount(
-        slot, vals.imag, len(key)
-    )
-    nonzero = summed != 0
-    key = key[nonzero]
-    return dim, key // max(dim, 1), key % max(dim, 1), summed[nonzero]
 
 
 def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -357,10 +386,13 @@ def _component_labels(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
 def _eigvalsh_by_components(entries: Entries) -> np.ndarray:
     """Sorted eigenvalues of the Hermitian matrix with these entries, one
     dense ``eigvalsh`` per connected component of its nonzero pattern: a
-    symmetric permutation makes the matrix block diagonal over them.  A
-    component whose imaginary part is exactly zero is diagonalized in real
-    arithmetic."""
-    dim, rows, cols, vals = _sum_duplicates(entries)
+    symmetric permutation makes the matrix block diagonal over them.
+    Exact zeros are dropped first, so that a cancelled entry links
+    nothing.  A component whose imaginary part is exactly zero is
+    diagonalized in real arithmetic."""
+    dim, rows, cols, vals = entries
+    nonzero = vals != 0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
     comp = _component_labels(dim, rows, cols)
     sizes = np.bincount(comp)
     if dim and sizes.max() > MAX_COMPONENT:
@@ -390,6 +422,21 @@ def _eigvalsh_by_components(entries: Entries) -> np.ndarray:
 # the check itself
 
 
+def _check_hermitian(monomials: Sequence[MajoranaMonomial], tol: float) -> None:
+    """Refuse a non-Hermitian operator, which ``eigvalsh`` would answer on
+    whichever triangle of each side it reads.  The adjoint of c g_I with
+    |I| = k is (-1)^{k(k-1)/2} conj(c) g_I, so each monomial must equal
+    that within ``tol``."""
+    for m in monomials:
+        k, c = len(m.indices), complex(m.coefficient)
+        if abs(c - (-1) ** (k * (k - 1) // 2) * c.conjugate()) > tol:
+            word = " ".join(f"g{i + 1}" for i in m.indices) or "1"
+            raise ParseError(
+                f"Hamiltonian is not Hermitian: Majorana monomial ({c:.6g}) {word} "
+                "(1-based, as in .fham files) is not its own adjoint"
+            )
+
+
 @dataclass
 class OracleReport:
     passed: bool
@@ -414,8 +461,9 @@ def dense_oracle_check(
     of the vertex operators of virtual modes.  The compiled Hamiltonian's
     d x d block on it is built as entry arrays orbit by orbit, the
     reference in the chain representation the same way, and each is
-    diagonalized one connected component at a time; memory is O(terms x d)
-    entries plus O(k^2) per k-dimensional component.  With no odd-degree
+    diagonalized one connected component at a time; memory is O(kept
+    terms x d) transient values plus O(distinct X parts x d) entries, and
+    O(k^2) per k-dimensional component.  With no odd-degree
     physical vertex the codespace hosts the even-parity sector; unpaired
     Majoranas on odd-degree physical vertices open up the odd sector as
     well, and each surplus pair of unpaired Majoranas doubles every level,
@@ -424,21 +472,26 @@ def dense_oracle_check(
     a failed check.  The encoding's operator algebra is validated along
     the way.
 
-    ``ResourceError`` is raised before the algebra check and the compile
-    when the register is wider than 62 qubits, the int64 basis-state
-    index; before the entries are allocated when commuting terms x
-    orbits or kept terms x sector states exceed ``ENTRY_BUDGET``; and
-    when a component is larger than ``MAX_COMPONENT``.
+    ``ParseError`` is raised before the algebra check and the compile
+    when a Majorana monomial of ``f`` differs from its adjoint by more
+    than ``tol``: a non-Hermitian operator has no spectrum to compare.
+    ``ResourceError`` is raised before that when the register is wider
+    than 62 qubits, the int64 basis-state index; before the entries are
+    allocated when commuting terms x orbits or kept terms x sector
+    states exceed ``ENTRY_BUDGET``; and when a component is larger than
+    ``MAX_COMPONENT``.
     """
     orbits = _orbits(
         enc.total_qubits, list(enc.stabilizers) + enc.virtual_parity_ops()
     )
+    monomials = hamiltonian_monomials(f, enc)
+    _check_hermitian(monomials, tol)
     messages: List[str] = []
     algebra = verify_encoding_algebra(enc)
     if not algebra.ok:
         messages.extend("algebra: " + v for v in algebra.violations)
 
-    block = _block_entries(transform_hamiltonian(f, enc), orbits)
+    block = _block_entries(transform_monomials(monomials, enc), orbits)
     code_dim = block[0]
 
     odd_physical = [

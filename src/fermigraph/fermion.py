@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DimensionError, ParityError, ParseError
 from .graph import InteractionGraph
-from .pauli import ZERO_THRESHOLD
+from .pauli import ZERO_THRESHOLD, set_bits
 
 Factor = Tuple[int, bool]  # (mode, dagger)
 Word = Tuple[complex, Tuple[Factor, ...]]  # coefficient * product of factors
@@ -109,50 +109,33 @@ class EVTerm:
 # Majorana normal form
 
 
-def _normal_order(indices: Sequence[int]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Sort a Majorana index word into strictly increasing order.
-
-    Returns (sign, indices) using g_a g_b = -g_b g_a for a != b and
-    g_a g_a = 1."""
-    sign = 1
-    out: List[int] = []
-    for g in indices:
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > g:
-            pos -= 1
-        swaps = len(out) - pos
-        if swaps % 2:
-            sign = -sign
-        if pos > 0 and out[pos - 1] == g:
-            del out[pos - 1]
-        else:
-            out.insert(pos, g)
-    return sign, tuple(out)
-
-
 def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
     """Expand into Majorana monomials with strictly increasing indices.
 
-    Like monomials are combined; coefficients of magnitude at most
-    ``ZERO_THRESHOLD`` are dropped.
-    The result is sorted by (length, indices) for determinism.
+    Each word is kept ordered, as a bit mask of its indices: appending g_j
+    moves it past the set indices above j (g_a g_b = -g_b g_a for a != b)
+    and then cancels or sets bit j (g_j g_j = 1).  Like monomials are
+    combined; coefficients of magnitude at most ``ZERO_THRESHOLD`` are
+    dropped.  The result is sorted by (length, indices) for determinism.
     """
-    acc: Dict[Tuple[int, ...], complex] = {}
+    acc: Dict[int, complex] = {}
     for coeff, factors in f.terms:
-        words: List[Tuple[complex, List[int]]] = [(coeff, [])]
+        words: List[Tuple[complex, int, int]] = [(coeff, 0, 1)]  # (c, mask, sign)
         for mode, dagger in factors:
-            nxt: List[Tuple[complex, List[int]]] = []
-            sign = -0.5j if dagger else 0.5j
-            for c, idx in words:
-                nxt.append((c * 0.5, idx + [2 * mode]))
-                nxt.append((c * sign, idx + [2 * mode + 1]))
+            nxt: List[Tuple[complex, int, int]] = []
+            half = -0.5j if dagger else 0.5j
+            j = 2 * mode
+            for c, m, sign in words:
+                s0 = -sign if (m >> j + 1).bit_count() & 1 else sign
+                s1 = -sign if (m >> j + 2).bit_count() & 1 else sign
+                nxt.append((c * 0.5, m ^ 1 << j, s0))
+                nxt.append((c * half, m ^ 2 << j, s1))
             words = nxt
-        for c, idx in words:
-            sign, ordered = _normal_order(idx)
-            acc[ordered] = acc.get(ordered, 0.0) + sign * c
+        for c, m, sign in words:
+            acc[m] = acc.get(m, 0.0) + sign * c
     out = [
-        MajoranaMonomial(c, idx)
-        for idx, c in acc.items()
+        MajoranaMonomial(c, tuple(set_bits(m)))
+        for m, c in acc.items()
         if abs(c) > ZERO_THRESHOLD
     ]
     out.sort(key=lambda m: (len(m.indices), m.indices))

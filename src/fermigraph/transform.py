@@ -18,7 +18,7 @@ parse error.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
@@ -132,6 +132,19 @@ def transform_monomials(
     return builder.build()
 
 
+def hamiltonian_monomials(f: FermionOperator, enc: Encoding) -> List[MajoranaMonomial]:
+    """The Majorana normal form of a fermionic operator that ``enc`` can
+    compile: a parity error on odd terms, a parse error on a mode count
+    other than the encoding's."""
+    if not f.is_parity_preserving():
+        raise ParityError("Hamiltonian contains odd-parity terms")
+    if f.n_modes != enc.n_modes:
+        raise ParseError(
+            f"operator has {f.n_modes} modes but the encoding hosts {enc.n_modes}"
+        )
+    return to_majorana_normal_form(f)
+
+
 def transform_hamiltonian(
     f: FermionOperator,
     enc: Encoding,
@@ -141,10 +154,4 @@ def transform_hamiltonian(
 
     Raises a parity error on odd terms, a routing error on a coupling the
     graph cannot realize and a parse error on a path no coupling took."""
-    if not f.is_parity_preserving():
-        raise ParityError("Hamiltonian contains odd-parity terms")
-    if f.n_modes != enc.n_modes:
-        raise ParseError(
-            f"operator has {f.n_modes} modes but the encoding hosts {enc.n_modes}"
-        )
-    return transform_monomials(to_majorana_normal_form(f), enc, route)
+    return transform_monomials(hamiltonian_monomials(f, enc), enc, route)

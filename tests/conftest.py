@@ -1,7 +1,7 @@
 """Shared test helpers: tiny dense matrices, the kron-chain fermionic
 reference matrices, random graph generation, the per-pair reference router,
-the whole-register reference tables and the pairwise reference algebra
-check."""
+the whole-register reference tables, the pairwise reference algebra check
+and the unsummed reference oracle entries."""
 
 import heapq
 from functools import reduce
@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 from fermigraph.analytics import SWEEP_GEOMETRIES
+from fermigraph.dense import (
+    _IPOW,
+    _index_order,
+    _parity,
+    _phase_exponents,
+    even_sector_states,
+)
 from fermigraph.errors import RoutingError, VerifyError
 from fermigraph.geometries import (
     gen_blocked_square,
@@ -282,3 +289,73 @@ def table_graphs() -> List[SystemGraph]:
         gen_lattice("linear", 2, "periodic"),
         SystemGraph.from_edges([(0, 1), (1, 2), (0, 2)], n_vertices=4),
     ]
+
+
+def reference_sum_duplicates(entries):
+    """One entry per (row, col) of an entry list with duplicates, in
+    row-major order, exact zeros dropped: the ``np.unique`` summing the
+    oracle once applied to its entry lists."""
+    dim, rows, cols, vals = entries
+    key, slot = np.unique(rows * dim + cols, return_inverse=True)
+    summed = np.bincount(slot, vals.real, len(key)) + 1j * np.bincount(
+        slot, vals.imag, len(key)
+    )
+    nonzero = summed != 0
+    key = key[nonzero]
+    return dim, key // max(dim, 1), key % max(dim, 1), summed[nonzero]
+
+
+def reference_block_entries(s, orbits):
+    """The codespace block entries as ``dense._block_entries`` once built
+    them, kept as the reference for its pivot reduction and X-part sums:
+    one entry per (commuting term, orbit), each image walked back to its
+    representative one pivot element at a time, then summed by
+    ``reference_sum_duplicates``."""
+    terms = [(_index_order(p), c) for p, c in s.terms()]
+    cons = orbits.pivots + orbits.z_type
+    terms = [(q, c) for q, c in terms if all(q.commutes(t) for t in cons)]
+    reps = orbits.representatives()
+    tx = np.array([q.x for q, _ in terms], dtype=np.int64)
+    tz = np.array([q.z for q, _ in terms], dtype=np.int64)
+    state = reps ^ tx[:, None]
+    k = 2 * _parity(reps & tz[:, None])
+    for g in orbits.pivots:
+        hit = (state >> (g.x.bit_length() - 1)) & 1
+        k += hit * _phase_exponents(g, state)
+        state ^= hit * g.x
+    vals = np.array([c for _, c in terms], dtype=complex)[:, None] * _IPOW[k & 3]
+    rows = np.searchsorted(reps, state)
+    cols = np.broadcast_to(np.arange(len(reps)), state.shape)
+    return reference_sum_duplicates(
+        (len(reps), rows.ravel(), cols.ravel(), vals.ravel())
+    )
+
+
+def reference_fermion_entries(f, even):
+    """The chain-representation entries as ``dense._reference_entries``
+    once built them: one entry per (term, state it keeps), then summed by
+    ``reference_sum_duplicates``."""
+    n = f.n_modes
+    dim = 2**n >> 1 if even and n else 2**n
+    states = even_sector_states(n) if even else np.arange(dim)
+    rows, cols, vals = [], [], []
+    for coeff, factors in f.terms:
+        if even and len(factors) % 2:
+            continue
+        state = states.copy()
+        alive = np.ones(dim, dtype=bool)
+        flips = np.zeros(dim, dtype=np.int64)
+        for mode, dagger in reversed(factors):
+            bit = 1 << (n - 1 - mode)
+            alive &= ((state & bit) == 0) == dagger
+            flips += np.bitwise_count(state & -(bit << 1))
+            state ^= bit
+        rows.append((state >> 1 if even else state)[alive])
+        cols.append(np.arange(dim)[alive])
+        vals.append((coeff * (1 - 2 * (flips & 1)))[alive])
+    return reference_sum_duplicates((
+        dim,
+        np.concatenate([np.zeros(0, np.int64)] + rows),
+        np.concatenate([np.zeros(0, np.int64)] + cols),
+        np.concatenate([np.zeros(0, complex)] + vals),
+    ))

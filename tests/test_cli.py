@@ -237,6 +237,20 @@ class TestErrors:
                      "--out", str(tmp_path / "o.pauli")]) == 2
         assert "error: parse:" in capsys.readouterr().err
 
+    def test_non_hermitian_dense_hamiltonian_exit_code(self, tmp_path, capsys):
+        """``verify --dense`` once passed i n_1 on the open 4-chain with
+        max_diff=0; it is refused as a parse error naming the monomial."""
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--bc", "open",
+              "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 4\n(0,1) a+1 a-1\n")
+        capsys.readouterr()
+        assert main(["verify", "--graph", g, "--basis", "jw", "--dense",
+                     "--hamiltonian", str(h)]) == 2
+        err = capsys.readouterr().err
+        assert "error: parse:" in err and "Majorana monomial (0+0.5j) 1 " in err
+
     def test_repeated_pauli_qubit_exit_code(self, tmp_path, capsys):
         """A label naming one qubit twice once merged into its last letter."""
         for label in ("X1 X1", "X1 Z1"):

@@ -9,7 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import I2, XM, ZM, fermion_kron_matrix
+from conftest import (
+    I2,
+    XM,
+    ZM,
+    fermion_kron_matrix,
+    reference_block_entries,
+    reference_fermion_entries,
+    reference_sum_duplicates,
+)
 from fermigraph import dense
 from fermigraph.dense import (
     _block_entries,
@@ -18,7 +26,6 @@ from fermigraph.dense import (
     _orbits,
     _reference_entries,
     _scatter,
-    _sum_duplicates,
     codespace_block,
     dense_oracle_check,
     even_sector_states,
@@ -27,7 +34,7 @@ from fermigraph.dense import (
     pauli_to_matrix,
 )
 from fermigraph.encoding import build_encoding
-from fermigraph.errors import ResourceError
+from fermigraph.errors import ParseError, ResourceError
 from fermigraph.fermion import FermionOperator, build_lattice_model, build_syk2
 from fermigraph.geometries import (
     gen_heavy_hex,
@@ -213,17 +220,66 @@ class TestCodespaceBlock:
         assert any("not a multiple" in m for m in rep.messages), rep.messages
 
 
+class TestHermitianInput:
+    """``eigvalsh`` reads one triangle, so a non-Hermitian Hamiltonian is
+    refused before the compile rather than answered on that triangle."""
+
+    @pytest.mark.parametrize(
+        "bc, basis, terms, monomial",
+        [
+            # both once reported passed=True, max_diff=0
+            ("open", "jw", [(1j, ((0, True), (0, False)))], "(0+0.5j) 1 "),
+            ("periodic", "jw_yx", [(1.0, ((1, True), (0, False)))], "(-0.25+0j) g1 g3 "),
+            # once a "spectrum mismatch" that blamed the encoder
+            ("open", "jw", [(1.0, ((0, True), (1, False)))], "(0.25+0j) g1 g3 "),
+        ],
+        ids=["i_n1", "lone_a2dag_a1", "lone_a1dag_a2"],
+    )
+    def test_refused_before_the_compile(self, monkeypatch, bc, basis, terms, monomial):
+        def unreachable(*args):
+            raise AssertionError("compiled a non-Hermitian operator")
+
+        monkeypatch.setattr(dense, "transform_monomials", unreachable)
+        enc = build_encoding(gen_lattice("linear", 4, bc), basis)
+        f = FermionOperator.from_terms(4, terms)
+        with pytest.raises(ParseError, match="not Hermitian") as err:
+            dense_oracle_check(f, enc)
+        assert f"Majorana monomial {monomial}" in str(err.value)
+
+    def test_tolerance_is_the_oracles(self):
+        """Each monomial is compared with its adjoint within ``tol``: a
+        hopping whose two directions differ by 1e-10 passes at 1e-9 and is
+        refused at 1e-11."""
+        enc = build_encoding(gen_lattice("linear", 4, "open"), "jw")
+        f = build_lattice_model("chain", 4, t=1.0, u=0.5) + FermionOperator.from_terms(
+            4, [(1e-10, ((0, True), (1, False)))])
+        assert dense_oracle_check(f, enc, tol=1e-9).passed
+        with pytest.raises(ParseError, match="not Hermitian"):
+            dense_oracle_check(f, enc, tol=1e-11)
+
+    def test_complex_hermitian_hopping_passes(self):
+        """t a_1^dag a_2 + conj(t) a_2^dag a_1 with complex t is Hermitian."""
+        enc = build_encoding(gen_lattice("linear", 3, "periodic"), "jw")
+        t = 0.6 + 0.8j
+        f = FermionOperator.from_terms(3, [
+            (t, ((0, True), (1, False))), (t.conjugate(), ((1, True), (0, False))),
+            (0.3, ((2, True), (2, False))),
+        ])
+        assert dense_oracle_check(f, enc).passed
+
+
 def entries_of(m):
-    """The nonzero entries of a dense matrix, each split into two halves
-    so that the duplicates have to be summed."""
+    """The nonzero entries of a dense matrix, one per (row, col)."""
     rows, cols = np.nonzero(m)
-    vals = m[rows, cols] / 2
-    return (len(m), np.tile(rows, 2), np.tile(cols, 2), np.tile(vals, 2))
+    return len(m), rows, cols, m[rows, cols]
 
 
 def component_sizes(entries):
-    dim, rows, cols, _ = _sum_duplicates(entries)
-    return sorted(np.bincount(_component_labels(dim, rows, cols)).tolist())
+    """Sizes of the components that the nonzero entries link."""
+    dim, rows, cols, vals = entries
+    nonzero = vals != 0
+    labels = _component_labels(dim, rows[nonzero], cols[nonzero])
+    return sorted(np.bincount(labels).tolist())
 
 
 class TestEigvalshByComponents:
@@ -275,20 +331,44 @@ class TestEigvalshByComponents:
         assert component_sizes((5, rows, cols, vals)) == [1, 1, 1, 2]
         assert np.allclose(_eigvalsh_by_components((5, rows, cols, vals)), [-1, 0, 0, 0, 3])
 
+    def test_exact_zero_entries_link_nothing(self, monkeypatch):
+        """An entry whose value is exactly zero joins no two components:
+        the two 2 x 2 blocks stay within a cap of 2."""
+        monkeypatch.setattr(dense, "MAX_COMPONENT", 2)
+        rows = np.array([0, 1, 2, 3, 0, 2])
+        cols = np.array([1, 0, 3, 2, 2, 0])
+        vals = np.array([1, 1, 2j, -2j, 0, 0], dtype=complex)
+        assert np.allclose(_eigvalsh_by_components((4, rows, cols, vals)), [-2, -1, 1, 2])
+
     def test_cancelled_entries_link_nothing(self):
-        """+a and -a at one (row, col) sum to nothing, so the two 2 x 2
-        blocks they would join stay two components."""
-        a = 0.37 + 0.2j
-        rows = np.array([0, 1, 0, 1, 2, 3, 2, 3, 0, 0, 2, 2])
-        cols = np.array([0, 1, 1, 0, 2, 3, 3, 2, 2, 2, 0, 0])
-        vals = np.array([1, -1, 0.5, 0.5, 2, 0, 1j, -1j, a, -a,
-                         a.conjugate(), -a.conjugate()])
-        entries = (4, rows, cols, vals)
-        assert component_sizes(entries) == [2, 2]
-        assert len(_sum_duplicates(entries)[1]) == 7  # the zero diagonal went too
-        assert np.allclose(
-            _eigvalsh_by_components(entries), np.linalg.eigvalsh(_scatter(entries))
-        )
+        """X1 and -X2 Z3 share the reduced X part X1 under the constraint
+        X1 X2, so their block is that of X1 (1 - Z3): the two terms cancel
+        on the orbits with qubit 3 at 0, no entry is emitted there, and
+        those orbits stay apart."""
+        b = PauliSumBuilder(3)
+        b.add(1.0, S("X1", 3))
+        b.add(-1.0, S("X2 Z3", 3))
+        s = b.build()
+        cs = [S("X1 X2", 3)]
+        entries = _block_entries(s, _orbits(3, cs))
+        dim, rows, cols, vals = entries
+        assert dim == 4 and len(rows) == 2 and vals.all()
+        assert component_sizes(entries) == [1, 1, 2]
+        assert np.allclose(_eigvalsh_by_components(entries), [-2, 0, 0, 2])
+        basis = joint_plus_one_basis(3, cs)
+        expected = basis.conj().T @ pauli_sum_to_matrix(s) @ basis
+        assert np.allclose(_scatter(entries), expected, atol=1e-12)
+
+    def test_cancelled_reference_terms_link_nothing(self):
+        """n_1 - n_1 n_2 on two modes is n_1 (1 - n_2): the two terms share
+        flip mask 0 and cancel on |11>, which then links nothing."""
+        f = FermionOperator.from_terms(2, [
+            (1.0, ((0, True), (0, False))),
+            (-1.0, ((0, True), (0, False), (1, True), (1, False))),
+        ])
+        entries = _reference_entries(f, even=False)
+        assert entries[0] == 4 and entries[1].tolist() == [2]
+        assert np.allclose(_scatter(entries), fermion_kron_matrix(f), atol=1e-12)
 
     def test_cancellation_keeps_the_chain_block_split(self):
         """The periodic jw_yx chain's codespace block has cancelling
@@ -375,36 +455,40 @@ def heavy_hex_hopping():
     return FermionOperator.from_terms(n, terms)
 
 
+#: (graph, basis, Hamiltonian, qubits) of oracle cases whose 2^n x 2^n
+#: matrices the kron-based oracle could not afford.
+BEYOND_KRON = {
+    "star8_jw": (lambda: gen_syk_geometry("star", 8), "jw",
+                 lambda: build_syk2(8, seed=81), 12),
+    "square3x3_open_fenwick": (
+        lambda: gen_lattice("square", (3, 3), "open"), "fenwick",
+        lambda: build_lattice_model("square_nn", (3, 3), t=1.0, u=0.5), 14),
+    "star6_fenwick": (lambda: gen_syk_geometry("star", 6), "fenwick",
+                      lambda: build_syk2(6, seed=61), 9),
+    "square3x4_open_jw": (
+        lambda: gen_lattice("square", (3, 4), "open"), "jw",
+        lambda: build_lattice_model("square_nn", (3, 4), t=1.0, u=0.5), 20),
+    "square3x4_periodic_jw": (
+        lambda: gen_lattice("square", (3, 4), "periodic"), "jw",
+        lambda: build_lattice_model("square_nn", (3, 4), t=1.0, u=0.5,
+                                    bc="periodic"), 24),
+    "heavy_hex_patch_jw": (heavy_hex_patch, "jw", heavy_hex_hopping, 13),
+    "square_diag3x3_periodic_jw": (
+        lambda: gen_square_with_diagonals(3, 3, "periodic"), "jw",
+        lambda: build_lattice_model("square_nn_diag", 3, t=1.0, t_diag=0.5,
+                                    u=0.3, bc="periodic"), 36),
+    "complete6_jw": (lambda: gen_syk_geometry("complete", 6), "jw",
+                     lambda: build_syk2(6, seed=1), 18),
+}
+
+
 class TestOracleBeyondKronReach:
     """Cases whose 2^n x 2^n matrices and projector eigh the kron-based
     oracle could not afford, several of them wider than 24 qubits; each
     must pass at 1e-9 within 5 s and 200 MB of numpy buffers."""
 
-    @pytest.mark.parametrize(
-        "make_graph, basis, ham, qubits",
-        [
-            (lambda: gen_syk_geometry("star", 8), "jw",
-             lambda: build_syk2(8, seed=81), 12),
-            (lambda: gen_lattice("square", (3, 3), "open"), "fenwick",
-             lambda: build_lattice_model("square_nn", (3, 3), t=1.0, u=0.5), 14),
-            (lambda: gen_syk_geometry("star", 6), "fenwick",
-             lambda: build_syk2(6, seed=61), 9),
-            (lambda: gen_lattice("square", (3, 4), "open"), "jw",
-             lambda: build_lattice_model("square_nn", (3, 4), t=1.0, u=0.5), 20),
-            (lambda: gen_lattice("square", (3, 4), "periodic"), "jw",
-             lambda: build_lattice_model("square_nn", (3, 4), t=1.0, u=0.5,
-                                         bc="periodic"), 24),
-            (heavy_hex_patch, "jw", heavy_hex_hopping, 13),
-            (lambda: gen_square_with_diagonals(3, 3, "periodic"), "jw",
-             lambda: build_lattice_model("square_nn_diag", 3, t=1.0, t_diag=0.5,
-                                         u=0.3, bc="periodic"), 36),
-            (lambda: gen_syk_geometry("complete", 6), "jw",
-             lambda: build_syk2(6, seed=1), 18),
-        ],
-        ids=["star8_jw", "square3x3_open_fenwick", "star6_fenwick",
-             "square3x4_open_jw", "square3x4_periodic_jw", "heavy_hex_patch_jw",
-             "square_diag3x3_periodic_jw", "complete6_jw"],
-    )
+    @pytest.mark.parametrize("make_graph, basis, ham, qubits",
+                             list(BEYOND_KRON.values()), ids=list(BEYOND_KRON))
     def test_passes_quickly(self, make_graph, basis, ham, qubits):
         tracemalloc.start()
         try:
@@ -446,7 +530,9 @@ class TestOracleBeyondKronReach:
         terms += [(0.5, ((j, True), (j, False))) for j in range(4)]
         f = FermionOperator.from_terms(12, terms)
         dim, rows, _, _ = _reference_entries(f, even=True)
-        assert dim == 2048 and len(rows) == 4 * 1024
+        # the four n_j share flip mask 0; their sum vanishes on the 128
+        # even states with modes 0-3 empty
+        assert dim == 2048 and len(rows) == 1920
         with pytest.raises(ResourceError, match="budget"):
             _reference_entries(f, even=False)
 
@@ -456,3 +542,90 @@ class TestOracleBeyondKronReach:
         h = build_lattice_model("chain", 10, t=1.3, u=0.8, bc="periodic")
         with pytest.raises(ResourceError, match="component"):
             dense_oracle_check(h, enc)
+
+
+def periodic_chain(n, basis):
+    return (build_encoding(gen_lattice("linear", n, "periodic"), basis),
+            build_lattice_model("chain", n, t=1.0, u=0.4, bc="periodic"))
+
+
+#: () -> (encoding, Hamiltonian) for the oracle cases of the tests, open
+#: ``jw_yx`` chains and periodic ``jw``, ``jw_yx`` and ``fenwick`` chains.
+SUMMED_CASES = {
+    **{f"criterion6_{i}": (lambda case=case: case) for i, case in enumerate(CRITERION_6)},
+    **{f"open_chain{n}_jw_yx": (lambda n=n: (
+        build_encoding(gen_lattice("linear", n, "open"), "jw_yx"),
+        build_lattice_model("chain", n, t=1.1, u=0.6))) for n in (2, 3, 4)},
+    **{name: (lambda g=g, basis=basis, h=h: (build_encoding(g(), basis), h()))
+       for name, (g, basis, h, _) in BEYOND_KRON.items()},
+    "chain4_periodic_jw": lambda: periodic_chain(4, "jw"),
+    "chain6_periodic_jw_yx": lambda: periodic_chain(6, "jw_yx"),
+    "chain5_periodic_fenwick": lambda: periodic_chain(5, "fenwick"),
+}
+
+
+def entry_difference(new, ref) -> float:
+    """Largest |new - ref| over the (row, col) pairs of either entry
+    list: the sparse form of comparing their scatters.  ``new`` must hold
+    one entry per (row, col)."""
+    dim, rows, cols, vals = new
+    assert len(np.unique(rows * dim + cols)) == len(rows)
+    assert ref[0] == dim
+    both = (dim, np.concatenate([rows, ref[1]]), np.concatenate([cols, ref[2]]),
+            np.concatenate([vals, -ref[3]]))
+    return float(np.abs(reference_sum_duplicates(both)[3]).max(initial=0))
+
+
+class TestSummedEntries:
+    """Both oracle sides emit one entry per (row, col), equal within 1e-12
+    to the unsummed construction they replaced, summed afterwards."""
+
+    @pytest.mark.parametrize("case", list(SUMMED_CASES))
+    def test_block_entries_equal_the_reference(self, case):
+        enc, h = SUMMED_CASES[case]()
+        orbits = _orbits(enc.total_qubits, constraints_of(enc))
+        compiled = transform_hamiltonian(h, enc)
+        new = _block_entries(compiled, orbits)
+        assert entry_difference(new, reference_block_entries(compiled, orbits)) <= 1e-12
+
+    @pytest.mark.parametrize("case", list(SUMMED_CASES))
+    def test_reference_entries_equal_the_reference(self, case):
+        _, h = SUMMED_CASES[case]()
+        for even in (True, False):
+            new = _reference_entries(h, even)
+            assert entry_difference(new, reference_fermion_entries(h, even)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["square_diag3x3_periodic_jw", "complete6_jw"])
+    def test_terms_meet_several_pivots(self, case):
+        """Some commuting terms of these cases hold two or more pivot bits
+        in their X parts, so the comparison above covers phases that
+        several pivot elements multiply in.  (The periodic chains' one
+        stabilizer is pure Z: they have no pivots.)"""
+        enc, h = SUMMED_CASES[case]()
+        orbits = _orbits(enc.total_qubits, constraints_of(enc))
+        tops = [g.x.bit_length() - 1 for g in orbits.pivots]
+        compiled = transform_hamiltonian(h, enc)
+        hits = [sum(q.x >> t & 1 for t in tops)
+                for q in (dense._index_order(p) for p, _ in compiled.terms())
+                if all(q.commutes(g) for g in orbits.pivots + orbits.z_type)]
+        assert max(hits) >= 2
+
+    def test_a_wrong_reduced_phase_fails(self, monkeypatch):
+        """One reduced term with its phase off by i no longer matches (the
+        2x2 torus of criterion 6: 3 pivots)."""
+        enc, h = SUMMED_CASES["criterion6_12"]()
+        orbits = _orbits(enc.total_qubits, constraints_of(enc))
+        compiled = transform_hamiltonian(h, enc)
+        reduce, mutated = dense._reduce, []
+
+        def wrong(q, pivots):
+            r = reduce(q, pivots)
+            if r.x != q.x and not mutated:
+                mutated.append(q)
+                return r.with_phase(1)
+            return r
+
+        monkeypatch.setattr(dense, "_reduce", wrong)
+        new = _block_entries(compiled, orbits)
+        assert mutated
+        assert entry_difference(new, reference_block_entries(compiled, orbits)) > 0.1

@@ -339,7 +339,8 @@ class TestDenseOracle:
             raise AssertionError("ran before the index check")
 
         monkeypatch.setattr(dense, "verify_encoding_algebra", unreachable)
-        monkeypatch.setattr(dense, "transform_hamiltonian", unreachable)
+        monkeypatch.setattr(dense, "hamiltonian_monomials", unreachable)
+        monkeypatch.setattr(dense, "transform_monomials", unreachable)
         enc = build_encoding(gen_syk_geometry("complete", 12), "jw")
         assert enc.total_qubits == 72
         with pytest.raises(ResourceError, match="at most 62 qubits"):
