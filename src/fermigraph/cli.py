@@ -201,7 +201,8 @@ def _cmd_verify(args) -> int:
         report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "
-            f"multiplicity={report.multiplicity} max_diff={report.max_spectrum_diff:.3e}"
+            f"multiplicity={report.multiplicity} gauge_pairs={report.gauge_pairs} "
+            f"max_diff={report.max_spectrum_diff:.3e}"
         )
         if not report.passed:
             for m in report.messages:

@@ -29,15 +29,30 @@ representatives.
 
 Each entry list is split into the connected components of its nonzero
 pattern, exact zeros (cancelled sums) dropped so that they link nothing;
-each component is scattered into a dense k x k matrix for ``eigvalsh``,
+each component is scattered into a dense m x m matrix for ``eigvalsh``,
 in real arithmetic when its imaginary part is exactly zero.
 Conserved quantities keep the components small: fermion parity splits
-the codespace block, particle number splits a number-conserving
-Hamiltonian on both sides, and surplus unpaired Majoranas give identical
-copies.  Memory is O(kept terms x d) transient values plus O(distinct X
-parts x d) entries, and O(k^2) per component.  The work is bounded by
-what is allocated, not by the qubit count: ``ENTRY_BUDGET`` caps kept
-terms x basis states on either side and is checked before any value is
+the codespace block, and particle number splits a number-conserving
+Hamiltonian on both sides.  Memory is O(kept terms x d) transient values
+plus O(distinct X parts x d) entries, and O(m^2) per component.
+
+Isospectral copies are not built at all.  Extra local Majoranas (odd-degree
+vertices, virtual vertices) and logical Pauli symmetries of the
+Hamiltonian make the codespace block a direct sum of 2^k exactly
+isospectral gauge sectors.  The Paulis that commute with every compiled
+term and every constraint form the commutant, the GF(2) null space of the
+symplectic form on their ``x | z << n`` vectors; symplectic Gram-Schmidt
+splits it, up to its center, into pairs (G_i, U_i).  U_i commutes with
+the Hamiltonian and the constraints and flips only G_i, so it maps the
+G_i = +1 sector onto the -1 sector.  The oracle fixes every G_i to +1 as
+one more constraint and builds and diagonalizes that sector alone; its
+spectrum repeated 2^k times is the block's spectrum exactly, with no
+floats involved, so the comparison against the reference is the one the
+whole block would give.  The pairs are checked exactly before use.
+
+The work is bounded by what is allocated, not by the qubit count:
+``ENTRY_BUDGET`` caps kept terms x basis states (the sector's orbits on
+the codespace side) on either side and is checked before any value is
 allocated (a value is 16 bytes, and an entry, an int64 row, an int64
 column and a value, 32 bytes, so at most 64 MiB of entries per side at
 the budget), and ``MAX_COMPONENT`` caps the dimension of a dense
@@ -61,13 +76,14 @@ the most significant bit of a basis-state index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encoding import Encoding, verify_encoding_algebra
 from .errors import ParseError, ResourceError
 from .fermion import FermionOperator, MajoranaMonomial
+from .localbasis import gf2_pivots, gf2_reduce
 from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .transform import hamiltonian_monomials, transform_monomials
 
@@ -252,6 +268,23 @@ class _Orbits:
             reps = reps[_phase_exponents(g, reps) % 4 == 0]
         return reps
 
+    def fixing(self, more: Iterable[PauliString]) -> "_Orbits":
+        """These orbits with the Hermitian strings ``more``, which commute
+        with the constraints and with one another, also fixed to +1: each
+        is reduced by the pivots and becomes a pivot or a pure-Z element."""
+        pivot_of = {g.x.bit_length() - 1: g for g in self.pivots}
+        z_type = list(self.z_type)
+        for s in more:
+            g = _index_order(s)
+            while g.x and g.x.bit_length() - 1 in pivot_of:
+                g = g * pivot_of[g.x.bit_length() - 1]
+            if g.x:
+                pivot_of[g.x.bit_length() - 1] = g
+            else:
+                z_type.append(g)
+        pivots = [pivot_of[b] for b in sorted(pivot_of, reverse=True)]
+        return _Orbits(self.n, pivots, z_type)
+
 
 def _orbits(n_qubits: int, constraints: Sequence[PauliString]) -> Optional[_Orbits]:
     """The orbit structure, or None when the constraints visibly share no
@@ -267,18 +300,7 @@ def _orbits(n_qubits: int, constraints: Sequence[PauliString]) -> Optional[_Orbi
     if not all(s.commutes(t) for i, s in enumerate(constraints)
                for t in constraints[:i]):
         return None
-    pivot_of = {}
-    z_type = []
-    for s in constraints:
-        g = _index_order(s)
-        while g.x and g.x.bit_length() - 1 in pivot_of:
-            g = g * pivot_of[g.x.bit_length() - 1]
-        if g.x:
-            pivot_of[g.x.bit_length() - 1] = g
-        else:
-            z_type.append(g)
-    pivots = [pivot_of[b] for b in sorted(pivot_of, reverse=True)]
-    return _Orbits(n_qubits, pivots, z_type)
+    return _Orbits(n_qubits, [], []).fixing(constraints)
 
 
 def joint_plus_one_basis(
@@ -317,10 +339,12 @@ def _reduce(q: PauliString, pivots: Sequence[PauliString]) -> PauliString:
     return q
 
 
-def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
-    """Entries of B^dag S B for B = ``joint_plus_one_basis(s.n,
-    constraints)`` and ``orbits = _orbits(s.n, constraints)``, built
-    without B or the 2^n x 2^n matrix of ``s``.
+def _block_entries(
+    terms: Iterable[Tuple[PauliString, complex]], orbits: Optional[_Orbits]
+) -> Entries:
+    """Entries of B^dag S B for the sum S of the (string, coefficient)
+    ``terms``, B = ``joint_plus_one_basis(n, constraints)`` and ``orbits =
+    _orbits(n, constraints)``, built without B or the 2^n x 2^n matrix of S.
 
     A term that commutes with every constraint is first reduced by the
     pivots (``_reduce``).  The reduced term q maps the vector of orbit r to
@@ -332,7 +356,7 @@ def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
     empty = np.zeros(0, dtype=np.int64)
     if orbits is None:
         return 0, empty, empty, np.zeros(0, dtype=complex)
-    terms = [(_index_order(p), c) for p, c in s.terms()]
+    terms = [(_index_order(p), c) for p, c in terms]
     tx = np.array([q.x for q, _ in terms], dtype=np.int64)
     tz = np.array([q.z for q, _ in terms], dtype=np.int64)
     cons = orbits.pivots + orbits.z_type
@@ -353,7 +377,7 @@ def _block_entries(s: PauliSum, orbits: Optional[_Orbits]) -> Entries:
 def codespace_block(s: PauliSum, constraints: Sequence[PauliString]) -> np.ndarray:
     """B^dag S B for B = ``joint_plus_one_basis(s.n, constraints)``: the
     scatter of the block entries (see ``_block_entries``)."""
-    return _scatter(_block_entries(s, _orbits(s.n, constraints)))
+    return _scatter(_block_entries(s.terms(), _orbits(s.n, constraints)))
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +443,79 @@ def _eigvalsh_by_components(entries: Entries) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# the commutant gauge
+
+
+def _symplectic_row(v: int, n: int) -> int:
+    """The row r with |w & r| = <w, v> (mod 2), the symplectic form, for
+    every ``x | z << n`` vector w: ``v`` with its X and Z halves swapped.
+    So w commutes with v exactly when |w & r| is even."""
+    return v >> n | (v & ((1 << n) - 1)) << n
+
+
+def _gauge_pairs(rows: Sequence[int], n: int) -> List[Tuple[int, int]]:
+    """Symplectic pairs (G_i, U_i), as ``x | z << n`` vectors, that span
+    the commutant of the operators with symplectic rows ``rows`` up to its
+    center: every G_i and U_i commutes with every operator, G_i
+    anticommutes with U_j exactly when i = j, and the G_i commute with one
+    another, as do the U_i.
+
+    The commutant is the GF(2) null space of the rows: from their reduced
+    echelon form it has one basis vector per free column.  Symplectic
+    Gram-Schmidt then takes a vector G, pairs it with a remaining U that it
+    anticommutes with, and clears both from the rest (w gains G when it
+    anticommutes with U, and U when with G); a vector that anticommutes
+    with none of the rest is central and pairs with nothing.  The number
+    of pairs is half the rank of the symplectic form on the commutant, so
+    it does not depend on the basis."""
+    pivots = gf2_pivots(rows)
+    leads = {row.bit_length() - 1: gf2_reduce(row, pivots[i + 1:])[0]
+             for i, (row, _) in enumerate(pivots)}
+    rest = [sum((1 << lead for lead, row in leads.items() if row >> free & 1),
+                1 << free)
+            for free in range(2 * n) if free not in leads]
+    pairs = []
+    while rest:
+        g = rest.pop()
+        g_row = _symplectic_row(g, n)
+        u = next((w for w in rest if (w & g_row).bit_count() & 1), None)
+        if u is None:
+            continue
+        rest.remove(u)
+        u_row = _symplectic_row(u, n)
+        rest = [w ^ (g if (w & u_row).bit_count() & 1 else 0)
+                ^ (u if (w & g_row).bit_count() & 1 else 0) for w in rest]
+        pairs.append((g, u))
+    return pairs
+
+
+def _gauge_violations(
+    pairs: Sequence[Tuple[int, int]], rows: Sequence[int], n: int
+) -> List[str]:
+    """What keeps ``pairs`` from splitting the codespace into 2^k
+    isospectral sectors, checked exactly: an element that anticommutes
+    with an operator of ``rows``, two G's that anticommute, or a G_i that
+    anticommutes with U_j for i != j or commutes with U_i."""
+    out = []
+    for i, (g, u) in enumerate(pairs):
+        for name, v in (("G", g), ("U", u)):
+            if any((v & r).bit_count() & 1 for r in rows):
+                out.append(f"gauge: {name}{i} anticommutes with a term or constraint")
+        g_row = _symplectic_row(g, n)
+        for j, (h, w) in enumerate(pairs):
+            if (h & g_row).bit_count() & 1 or ((w & g_row).bit_count() & 1) != (i == j):
+                out.append(f"gauge: G{i} and pair {j} are not symplectic")
+    return out
+
+
+def _hermitian_string(v: int, n: int) -> PauliString:
+    """X^x Z^z times i^|x & z| for the ``x | z << n`` vector ``v``: the
+    Hermitian string, with eigenvalues +1 and -1."""
+    x, z = v & ((1 << n) - 1), v >> n
+    return PauliString._raw(n, x, z, (x & z).bit_count())
+
+
+# ----------------------------------------------------------------------
 # the check itself
 
 
@@ -447,6 +544,9 @@ class OracleReport:
     max_spectrum_diff: float
     algebra_ok: bool
     messages: List[str] = field(default_factory=list)
+    #: k, the symplectic pairs of the commutant: the block was diagonalized
+    #: on one of its 2^k isospectral gauge sectors.
+    gauge_pairs: int = 0
 
 
 def dense_oracle_check(
@@ -458,32 +558,43 @@ def dense_oracle_check(
     against the exact fermionic spectrum in the matching sector.
 
     The codespace is the joint +1 eigenspace of the cycle stabilizers and
-    of the vertex operators of virtual modes.  The compiled Hamiltonian's
-    d x d block on it is built as entry arrays orbit by orbit, the
-    reference in the chain representation the same way, and each is
-    diagonalized one connected component at a time; memory is O(kept
-    terms x d) transient values plus O(distinct X parts x d) entries, and
-    O(k^2) per k-dimensional component.  With no odd-degree
+    of the vertex operators of virtual modes.  With no odd-degree
     physical vertex the codespace hosts the even-parity sector; unpaired
     Majoranas on odd-degree physical vertices open up the odd sector as
     well, and each surplus pair of unpaired Majoranas doubles every level,
     so the expected spectrum is the appropriate sector multiset repeated
-    codespace_dim / sector_dim times.  An empty codespace is reported as
-    a failed check.  The encoding's operator algebra is validated along
-    the way.
+    ``multiplicity`` = codespace_dim / sector_dim times.  An empty
+    codespace is reported as a failed check.  The encoding's operator
+    algebra is validated along the way.
+
+    Only one copy is built.  The commutant of the compiled terms and the
+    constraints splits into k symplectic pairs (G_i, U_i)
+    (``_gauge_pairs``), checked exactly (``_gauge_violations``; a
+    violation fails the report).  U_i flips G_i alone and commutes with
+    the Hamiltonian, so the 2^k joint sectors of the G's are isospectral.
+    The sector where every G_i is +1 is built as entry arrays orbit by
+    orbit, the reference in the chain representation the same way, and
+    each is diagonalized one connected component at a time.  The check is
+    unchanged: the sector spectrum repeated 2^k times, which is the whole
+    block's spectrum by construction, is compared with the reference
+    repeated ``multiplicity`` times, on the full codespace dimension
+    (sector dim x 2^k).  2^k may exceed ``multiplicity``: logical Pauli
+    symmetries of the Hamiltonian are gauge pairs too.  Memory is O(kept
+    terms x d) transient values plus O(distinct X parts x d) entries, for
+    d the sector dimension, and O(m^2) per m-dimensional component.
 
     ``ParseError`` is raised before the algebra check and the compile
     when a Majorana monomial of ``f`` differs from its adjoint by more
     than ``tol``: a non-Hermitian operator has no spectrum to compare.
     ``ResourceError`` is raised before that when the register is wider
     than 62 qubits, the int64 basis-state index; before the entries are
-    allocated when commuting terms x orbits or kept terms x sector
+    allocated when commuting terms x sector orbits or kept terms x sector
     states exceed ``ENTRY_BUDGET``; and when a component is larger than
     ``MAX_COMPONENT``.
     """
-    orbits = _orbits(
-        enc.total_qubits, list(enc.stabilizers) + enc.virtual_parity_ops()
-    )
+    n = enc.total_qubits
+    constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
+    orbits = _orbits(n, constraints)
     monomials = hamiltonian_monomials(f, enc)
     _check_hermitian(monomials, tol)
     messages: List[str] = []
@@ -491,8 +602,20 @@ def dense_oracle_check(
     if not algebra.ok:
         messages.extend("algebra: " + v for v in algebra.violations)
 
-    block = _block_entries(transform_monomials(monomials, enc), orbits)
-    code_dim = block[0]
+    terms = list(transform_monomials(monomials, enc).terms())
+    pairs: List[Tuple[int, int]] = []
+    broken: List[str] = []
+    if orbits is not None:
+        rows = [p.z | p.x << n for p in [q for q, _ in terms] + constraints]
+        pairs = _gauge_pairs(rows, n)
+        broken = _gauge_violations(pairs, rows, n)
+        if broken:  # fall back to the whole codespace; the report fails
+            messages.extend(broken)
+            pairs = []
+        orbits = orbits.fixing(_hermitian_string(g, n) for g, _ in pairs)
+    k = len(pairs)
+    block = _block_entries(terms, orbits)
+    code_dim = block[0] << k
 
     odd_physical = [
         v for v in enc.graph.physical_ids() if enc.graph.degree(v) % 2 == 1
@@ -506,15 +629,12 @@ def dense_oracle_check(
             f"codespace dim {code_dim} is not a multiple of the {sector}-sector dim {len(spec_ref)}"
         )
         return OracleReport(
-            False, enc.total_qubits, code_dim, sector, 0, float("inf"),
-            algebra.ok, messages,
+            False, n, code_dim, sector, 0, float("inf"), algebra.ok, messages, k
         )
-    spec_enc = _eigvalsh_by_components(block)
-    expected = np.sort(np.repeat(spec_ref, mult))
-    diff = float(np.max(np.abs(expected - spec_enc)))
-    ok = algebra.ok and diff <= tol
+    # repeats of sorted spectra are sorted
+    spec_enc = np.repeat(_eigvalsh_by_components(block), 1 << k)
+    diff = float(np.max(np.abs(np.repeat(spec_ref, mult) - spec_enc)))
     if diff > tol:
         messages.append(f"spectrum mismatch: max deviation {diff:.3e} > {tol:.1e}")
-    return OracleReport(
-        ok, enc.total_qubits, code_dim, sector, mult, diff, algebra.ok, messages
-    )
+    ok = algebra.ok and diff <= tol and not broken
+    return OracleReport(ok, n, code_dim, sector, mult, diff, algebra.ok, messages, k)

@@ -87,6 +87,17 @@ class MajoranaMonomial:
         if any(map(ge, self.indices, self.indices[1:])):
             raise ParseError("Majorana indices must be strictly increasing")
 
+    @classmethod
+    def _raw(cls, coefficient: complex, indices: Tuple[int, ...]) -> "MajoranaMonomial":
+        """Unchecked constructor for indices increasing by construction, as
+        ``syk2_monomials`` and ``to_majorana_normal_form`` make them."""
+        m = object.__new__(cls)
+        # not through ``m.__dict__``, which would give each instance a
+        # full dict of its own
+        object.__setattr__(m, "coefficient", coefficient)
+        object.__setattr__(m, "indices", indices)
+        return m
+
 
 @dataclass(frozen=True)
 class EVTerm:
@@ -134,7 +145,7 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
         for c, m, sign in words:
             acc[m] = acc.get(m, 0.0) + sign * c
     out = [
-        MajoranaMonomial(c, tuple(set_bits(m)))
+        MajoranaMonomial._raw(c, tuple(set_bits(m)))
         for m, c in acc.items()
         if abs(c) > ZERO_THRESHOLD
     ]
@@ -229,7 +240,7 @@ def syk2_monomials(
     for j, row in enumerate(couplings.tolist()):
         for k in range(j + 1, dim):
             if row[k] != 0.0:
-                out.append(MajoranaMonomial(-1j * row[k], (j, k)))
+                out.append(MajoranaMonomial._raw(-1j * row[k], (j, k)))
     return out
 
 

@@ -48,8 +48,9 @@ _JSON_KW = dict(indent=1, sort_keys=True, separators=(",", ": "))
 # graphs
 
 
-def graph_to_json(g: SystemGraph) -> str:
-    doc = {
+def _graph_doc(g: SystemGraph) -> dict:
+    """The ``.graph`` document of ``g``, also the ``graph`` of an ``.enc``."""
+    return {
         "vertices": [
             {"id": v.id, "kind": v.kind, "ports": list(v.ports)}
             for v in (g.vertices[i] for i in g.vertex_ids())
@@ -57,12 +58,11 @@ def graph_to_json(g: SystemGraph) -> str:
         "edges": [list(e) for e in g.edges],
         "meta": g.meta,
     }
-    return json.dumps(doc, **_JSON_KW) + "\n"
 
 
-def graph_from_json(text: str) -> SystemGraph:
+def _graph_from_doc(doc) -> SystemGraph:
+    """The graph of a parsed ``.graph`` document, or ParseError."""
     try:
-        doc = json.loads(text)
         verts = [
             Vertex(v["id"], v["kind"], tuple(v["ports"])) for v in doc["vertices"]
         ]
@@ -72,6 +72,18 @@ def graph_from_json(text: str) -> SystemGraph:
         return SystemGraph(verts, edges, doc.get("meta", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph file: {exc}") from exc
+
+
+def graph_to_json(g: SystemGraph) -> str:
+    return json.dumps(_graph_doc(g), **_JSON_KW) + "\n"
+
+
+def graph_from_json(text: str) -> SystemGraph:
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad graph file: {exc}") from exc
+    return _graph_from_doc(doc)
 
 
 def write_graph(path: str, g: SystemGraph) -> None:
@@ -89,16 +101,18 @@ def read_graph(path: str) -> SystemGraph:
 
 
 def _encoding_doc(enc: Encoding) -> dict:
+    # vertices of one degree share a named basis: format its ops once
+    shared = {id(b): b for b in enc.local_bases.values()}
+    ops = {key: [str(op) for op in b.ops] for key, b in shared.items()}
     return {
-        "graph": json.loads(graph_to_json(enc.graph)),
+        "graph": _graph_doc(enc.graph),
         "total_qubits": enc.total_qubits,
         "layout": [
             [v, enc.layout[v][0], enc.layout[v][1]] for v in enc.graph.vertex_ids()
         ],
         "bases": {str(v): enc.local_bases[v].name for v in enc.graph.vertex_ids()},
         "basis_ops": {
-            str(v): [str(op) for op in enc.local_bases[v].ops]
-            for v in enc.graph.vertex_ids()
+            str(v): ops[id(enc.local_bases[v])] for v in enc.graph.vertex_ids()
         },
         "edge_ops": [str(op) for op in enc.edge_ops],
         "vertex_ops": {
@@ -120,7 +134,7 @@ def encoding_from_json(text: str) -> Encoding:
     the rebuilt encoding."""
     try:
         doc = json.loads(text)
-        g = graph_from_json(json.dumps(doc["graph"]))
+        g = _graph_from_doc(doc["graph"])
         choice = {}
         for v in g.vertex_ids():
             name = doc["bases"][str(v)]

@@ -23,6 +23,7 @@ Three constructions are provided:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -235,9 +236,8 @@ def gf2_pivots(rows: Sequence[int]) -> List[Tuple[int, int]]:
     pivots: List[Tuple[int, int]] = []
     for i, row in enumerate(rows):
         row, mask = gf2_reduce(row, pivots, 1 << i)
-        if row:
-            pivots.append((row, mask))
-            pivots.sort(reverse=True)
+        if row:  # a new leading bit: insert it in place, high to low
+            insort(pivots, (row, mask), key=lambda pivot: -pivot[0])
     return pivots
 
 

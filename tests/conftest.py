@@ -1,7 +1,7 @@
 """Shared test helpers: tiny dense matrices, the kron-chain fermionic
 reference matrices, random graph generation, the per-pair reference router,
-the whole-register reference tables, the pairwise reference algebra check
-and the unsummed reference oracle entries."""
+the whole-register reference tables, the pairwise reference algebra check,
+the unsummed reference oracle entries and the ungauged reference oracle."""
 
 import heapq
 from functools import reduce
@@ -14,11 +14,16 @@ import pytest
 from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.dense import (
     _IPOW,
+    _block_entries,
+    _eigvalsh_by_components,
     _index_order,
+    _orbits,
     _parity,
     _phase_exponents,
+    _reference_entries,
     even_sector_states,
 )
+from fermigraph.encoding import verify_encoding_algebra
 from fermigraph.errors import RoutingError, VerifyError
 from fermigraph.geometries import (
     gen_blocked_square,
@@ -359,3 +364,20 @@ def reference_fermion_entries(f, even):
         np.concatenate([np.zeros(0, np.int64)] + cols),
         np.concatenate([np.zeros(0, complex)] + vals),
     ))
+
+
+def reference_oracle(f, enc, compiled, tol=1e-9):
+    """The oracle as ``dense.dense_oracle_check`` ran it before the
+    commutant gauge, on the compiled sum ``compiled`` of ``f``: the whole
+    codespace block, every isospectral copy of a gauge sector included, is
+    diagonalized.  Returns (passed, codespace_dim, multiplicity,
+    max_spectrum_diff)."""
+    orbits = _orbits(enc.total_qubits, list(enc.stabilizers) + enc.virtual_parity_ops())
+    block = _block_entries(compiled.terms(), orbits)
+    odd = any(enc.graph.degree(v) % 2 for v in enc.graph.physical_ids())
+    spec_ref = _eigvalsh_by_components(_reference_entries(f, even=not odd))
+    mult, rem = divmod(block[0], len(spec_ref))
+    if rem or mult < 1:
+        return False, block[0], 0, float("inf")
+    diff = float(np.max(np.abs(np.repeat(spec_ref, mult) - _eigvalsh_by_components(block))))
+    return verify_encoding_algebra(enc).ok and diff <= tol, block[0], mult, diff

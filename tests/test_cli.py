@@ -141,6 +141,18 @@ class TestVerify:
         main(["gen", "--geometry", "star", "--n", "4", "--out", g])
         assert main(["verify", "--graph", g, "--basis", "jw", "--dense"]) == 0
 
+    def test_dense_reports_gauge_pairs(self, tmp_path, capsys):
+        """The oracle line names the commutant's gauge pairs: the 6-star
+        in ``fenwick`` has 2, so one of its 4 isospectral sectors is
+        diagonalized."""
+        g = str(tmp_path / "star6.graph")
+        main(["gen", "--geometry", "star", "--n", "6", "--out", g])
+        capsys.readouterr()
+        assert main(["verify", "--graph", g, "--basis", "fenwick", "--dense"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("dense oracle:"))
+        assert "codespace_dim=256 multiplicity=4 gauge_pairs=2 " in line
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 codespace of the dense oracle, pinned against kron-product references."""
 
 import dataclasses
+import functools
 import inspect
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from conftest import (
     fermion_kron_matrix,
     reference_block_entries,
     reference_fermion_entries,
+    reference_oracle,
     reference_sum_duplicates,
 )
 from fermigraph import dense
@@ -23,6 +25,7 @@ from fermigraph.dense import (
     _block_entries,
     _component_labels,
     _eigvalsh_by_components,
+    _gauge_pairs,
     _orbits,
     _reference_entries,
     _scatter,
@@ -350,7 +353,7 @@ class TestEigvalshByComponents:
         b.add(-1.0, S("X2 Z3", 3))
         s = b.build()
         cs = [S("X1 X2", 3)]
-        entries = _block_entries(s, _orbits(3, cs))
+        entries = _block_entries(s.terms(), _orbits(3, cs))
         dim, rows, cols, vals = entries
         assert dim == 4 and len(rows) == 2 and vals.all()
         assert component_sizes(entries) == [1, 1, 2]
@@ -377,7 +380,7 @@ class TestEigvalshByComponents:
         enc = build_encoding(gen_lattice("linear", 10, "periodic"), "jw_yx")
         h = build_lattice_model("chain", 10, t=1.3, u=0.8, bc="periodic")
         orbits = _orbits(enc.total_qubits, constraints_of(enc))
-        block = _block_entries(transform_hamiltonian(h, enc), orbits)
+        block = _block_entries(transform_hamiltonian(h, enc).terms(), orbits)
         assert block[0] == 512
         assert component_sizes(block) == [1, 1, 45, 45, 210, 210]
 
@@ -585,7 +588,7 @@ class TestSummedEntries:
         enc, h = SUMMED_CASES[case]()
         orbits = _orbits(enc.total_qubits, constraints_of(enc))
         compiled = transform_hamiltonian(h, enc)
-        new = _block_entries(compiled, orbits)
+        new = _block_entries(compiled.terms(), orbits)
         assert entry_difference(new, reference_block_entries(compiled, orbits)) <= 1e-12
 
     @pytest.mark.parametrize("case", list(SUMMED_CASES))
@@ -626,6 +629,131 @@ class TestSummedEntries:
             return r
 
         monkeypatch.setattr(dense, "_reduce", wrong)
-        new = _block_entries(compiled, orbits)
+        new = _block_entries(compiled.terms(), orbits)
         assert mutated
         assert entry_difference(new, reference_block_entries(compiled, orbits)) > 0.1
+
+
+N1 = FermionOperator.from_terms(4, [(1.0, ((0, True), (0, False)))])
+
+#: Hamiltonians with logical Pauli symmetries: their commutant holds more
+#: gauge pairs than the codespace has copies of the sector, 2^k > mult.
+LOGICAL_SYMMETRY = {
+    "n1_open_chain4_jw": lambda: (
+        build_encoding(gen_lattice("linear", 4, "open"), "jw"), N1),
+    "n1_star4_jw": lambda: (
+        build_encoding(gen_syk_geometry("star", 4), "jw"), N1),
+    "hopping_periodic_chain4_jw_yx": lambda: (
+        build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx"),
+        FermionOperator.from_terms(
+            4, [(1.0, ((0, True), (1, False))), (1.0, ((1, True), (0, False)))])),
+}
+
+GAUGE_CASES = {**SUMMED_CASES, **LOGICAL_SYMMETRY}
+
+#: k, the gauge pairs of each ``BEYOND_KRON`` case's commutant.
+GAUGE_PAIRS = {
+    "star8_jw": 3, "square3x3_open_fenwick": 1, "star6_fenwick": 2,
+    "square3x4_open_jw": 2, "square3x4_periodic_jw": 0, "heavy_hex_patch_jw": 1,
+    "square_diag3x3_periodic_jw": 0, "complete6_jw": 2,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def gauge_case(case):
+    """(encoding, Hamiltonian, compiled sum, oracle report) of a case."""
+    enc, h = GAUGE_CASES[case]()
+    return enc, h, transform_hamiltonian(h, enc), dense_oracle_check(h, enc)
+
+
+def symplectic_rows(enc, compiled):
+    """The rows the oracle hands ``_gauge_pairs``: the compiled terms and
+    the constraints, X and Z halves swapped."""
+    n = enc.total_qubits
+    ops = [p for p, _ in compiled.terms()] + constraints_of(enc)
+    return [p.z | p.x << n for p in ops]
+
+
+def pauli_of(v, n):
+    return PauliString(n, v & ((1 << n) - 1), v >> n)
+
+
+def flip_one_sign(s, which=1):
+    """``s`` with the sign of its ``which``-th term (sorted) flipped."""
+    b = PauliSumBuilder(s.n)
+    for i, (p, c) in enumerate(s.terms()):
+        b.add(-c if i == which else c, p)
+    return b.build()
+
+
+class TestCommutantGauge:
+    """The oracle diagonalizes one gauge sector of the codespace block;
+    its report equals the one that diagonalized the whole block."""
+
+    @pytest.mark.parametrize("case", list(GAUGE_CASES))
+    def test_report_equals_the_ungauged_reference(self, case):
+        enc, h, compiled, rep = gauge_case(case)
+        passed, dim, mult, diff = reference_oracle(h, enc, compiled)
+        assert rep.passed and passed, rep.messages
+        assert (rep.codespace_dim, rep.multiplicity) == (dim, mult)
+        assert abs(rep.max_spectrum_diff - diff) <= 1e-12
+
+    @pytest.mark.parametrize("case", list(GAUGE_PAIRS))
+    def test_pair_count(self, case):
+        assert gauge_case(case)[3].gauge_pairs == GAUGE_PAIRS[case]
+
+    @pytest.mark.parametrize("case", list(GAUGE_CASES))
+    def test_pairs_are_symplectic_and_commute_with_everything(self, case):
+        """Checked with ``PauliString.commutes``; the count does not depend
+        on the order of the rows, which changes the basis."""
+        enc, _, compiled, rep = gauge_case(case)
+        n = enc.total_qubits
+        rows = symplectic_rows(enc, compiled)
+        pairs = _gauge_pairs(rows, n)
+        assert len(pairs) == rep.gauge_pairs == len(_gauge_pairs(rows[::-1], n))
+        ops = [p for p, _ in compiled.terms()] + constraints_of(enc)
+        gs = [pauli_of(g, n) for g, _ in pairs]
+        us = [pauli_of(u, n) for _, u in pairs]
+        for v in gs + us:
+            assert v.x | v.z and all(v.commutes(p) for p in ops)
+        for i, g in enumerate(gs):
+            assert all(g.commutes(h) for h in gs)
+            assert [not g.commutes(u) for u in us] == [j == i for j in range(len(us))]
+
+    def test_symmetries_can_outnumber_the_copies(self):
+        """Logical symmetries of the Hamiltonian are gauge pairs too: on
+        these inputs 2^k exceeds the multiplicity, so the sector holds
+        less than one copy of the reference spectrum."""
+        for case in LOGICAL_SYMMETRY:
+            rep = gauge_case(case)[3]
+            assert 1 << rep.gauge_pairs > rep.multiplicity, case
+
+    @pytest.mark.parametrize(
+        "case", ["star8_jw", "square3x4_open_jw", "star6_fenwick", "complete6_jw"])
+    def test_a_flipped_term_sign_fails(self, monkeypatch, case):
+        """One compiled term with its sign flipped fails, by the max
+        deviation the whole block gives."""
+        enc, h, compiled, _ = gauge_case(case)
+        mutant = flip_one_sign(compiled)
+        monkeypatch.setattr(dense, "transform_monomials", lambda *args: mutant)
+        rep = dense_oracle_check(h, enc)
+        passed, _, _, diff = reference_oracle(h, enc, mutant)
+        assert not rep.passed and not passed
+        assert any("spectrum mismatch" in m for m in rep.messages), rep.messages
+        assert diff > 1e-3 and abs(rep.max_spectrum_diff - diff) <= 1e-9
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda pairs: [(pairs[0][0], pairs[1][1]), (pairs[1][0], pairs[0][1])]
+         + pairs[2:], "G0 and pair 0 are not symplectic"),
+        (lambda pairs: [(pairs[0][0] ^ 1, pairs[0][1])] + pairs[1:],
+         "G0 anticommutes with a term or constraint"),
+    ], ids=["swapped_partners", "g_times_x1"])
+    def test_broken_pairs_fail_the_report(self, monkeypatch, corrupt, message):
+        """The pairs are checked exactly before they are used: a failed
+        check fails the report, which falls back to the whole codespace."""
+        enc, h, _, good = gauge_case("star8_jw")
+        monkeypatch.setattr(dense, "_gauge_pairs", lambda rows, n: corrupt(_gauge_pairs(rows, n)))
+        rep = dense_oracle_check(h, enc)
+        assert not rep.passed and f"gauge: {message}" in rep.messages, rep.messages
+        assert rep.gauge_pairs == 0 and rep.codespace_dim == good.codespace_dim
+        assert rep.max_spectrum_diff <= 1e-9

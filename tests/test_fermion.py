@@ -181,6 +181,28 @@ class TestInteractionGraph:
             interaction_graph_from_hamiltonian(f)
 
 
+class TestUncheckedMonomials:
+    """``MajoranaMonomial._raw`` skips the index check for the monomials
+    the program generates; they equal and hash like checked ones."""
+
+    @pytest.mark.parametrize("monos", [
+        lambda: syk2_monomials(6, seed=3),
+        lambda: to_majorana_normal_form(
+            build_lattice_model("chain", 4, t=1.0, u=0.5, bc="periodic")),
+    ], ids=["syk2", "normal_form"])
+    def test_equal_and_hash_like_checked(self, monos):
+        raw = monos()
+        checked = [MajoranaMonomial(m.coefficient, m.indices) for m in raw]
+        assert raw and raw == checked
+        assert [hash(m) for m in raw] == [hash(m) for m in checked]
+        assert set(raw) == set(checked)
+
+    def test_public_constructor_still_checks(self):
+        for indices in ((2, 1), (1, 1), (0, 3, 3)):
+            with pytest.raises(ParseError, match="strictly increasing"):
+                MajoranaMonomial(1.0, indices)
+
+
 class TestBuilders:
     def test_syk2_single_coupling(self):
         """-i J g0 g1 with J = 1 is the parity 1 - 2n, fixed by the

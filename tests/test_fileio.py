@@ -134,6 +134,28 @@ class TestEncodingTampering:
         fileio.write_encoding(path, enc)
         assert fileio.encodings_equal(enc, fileio.read_encoding(path))
 
+    @pytest.mark.parametrize("tamper", [
+        lambda g: [g],
+        lambda g: {k: v for k, v in g.items() if k != "edges"},
+        lambda g: {**g, "vertices": [{**g["vertices"][0], "id": "0"}] + g["vertices"][1:]},
+        lambda g: {**g, "vertices": [{**g["vertices"][0], "ports": [99]}] + g["vertices"][1:]},
+        lambda g: {**g, "edges": [[0, 0]] + g["edges"][1:]},
+    ], ids=["not_a_dict", "no_edges", "string_id", "port_naming_no_edge", "self_loop"])
+    def test_bad_graph_refused_as_in_a_graph_file(self, tmp_path, tamper):
+        """The graph inside an ``.enc`` goes through the ``.graph`` parser:
+        each malformed graph is refused with the same message."""
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
+        doc = json.loads(fileio.encoding_to_json(enc))
+        doc["graph"] = tamper(doc["graph"])
+        with pytest.raises(ParseError) as as_graph:
+            fileio.graph_from_json(json.dumps(doc["graph"]))
+        path = str(tmp_path / "g.enc")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ParseError) as in_enc:
+            fileio.read_encoding(path)
+        assert str(in_enc.value) == str(as_graph.value)
+
     def test_invalid_custom_basis_is_a_parse_error(self, tmp_path):
         g = gen_syk_geometry("star", 4)
         doc = json.loads(fileio.encoding_to_json(
