@@ -5,7 +5,6 @@ cycle stabilizers, and resource analytics."""
 from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .graph import (
     CycleBasis,
-    InteractionGraph,
     SystemGraph,
     Vertex,
     cycle_basis,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliString", "PauliSum", "PauliSumBuilder",
-    "SystemGraph", "Vertex", "InteractionGraph", "CycleBasis",
+    "SystemGraph", "Vertex", "CycleBasis",
     "cycle_basis", "qubit_count",
     "gen_lattice", "gen_square_with_diagonals", "gen_syk_geometry",
     "gen_blocked_square", "gen_heavy_hex", "heavy_hex_device",

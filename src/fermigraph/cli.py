@@ -32,8 +32,8 @@ from .geometries import (
     gen_blocked_square,
     gen_heavy_hex,
     gen_lattice,
-    gen_square_with_diagonals,
     gen_syk_geometry,
+    lattice_dims,
 )
 from .graph import qubit_count
 from .transform import transform_hamiltonian
@@ -52,15 +52,8 @@ def _ints(tokens: List[str], what: str) -> List[int]:
         raise ParseError(f"bad {what}") from None
 
 
-def _geometry_dims(kind: str, text: str) -> List[int]:
-    """The --dims entries of a geometry that takes one (``linear``,
-    ``blocked_square``) or one or two (the other lattices)."""
-    dims = _ints(text.split("x"), f"dims {text!r}; use e.g. 4 or 4x6")
-    most = 1 if kind in ("linear", "blocked_square") else 2
-    if len(dims) > most:
-        takes = "1 dim" if most == 1 else "1 or 2 dims"
-        raise ParseError(f"{kind} takes {takes} in --dims, got {len(dims)}: {text!r}")
-    return dims
+def _dims(text: str) -> List[int]:
+    return _ints(text.split("x"), f"dims {text!r}; use e.g. 4 or 4x6")
 
 
 def _cmd_gen(args) -> int:
@@ -74,13 +67,7 @@ def _cmd_gen(args) -> int:
     if kind in _LATTICES:
         if not args.dims:
             raise ParseError("--dims is required for lattice geometries")
-        dims = _geometry_dims(kind, args.dims)
-        bc = args.bc or "open"
-        if kind == "square_diag":
-            rows, cols = dims if len(dims) == 2 else (dims[0], dims[0])
-            g = gen_square_with_diagonals(rows, cols, bc)
-        else:
-            g = gen_lattice(kind, dims if len(dims) > 1 else dims[0], bc)
+        g = gen_lattice(kind, _dims(args.dims), args.bc or "open")
     elif kind in _SYK:
         if args.n is None:
             raise ParseError("--n is required for all-to-all geometries")
@@ -88,7 +75,7 @@ def _cmd_gen(args) -> int:
     elif kind == "blocked_square":
         if not args.dims or args.blocks is None:
             raise ParseError("blocked_square needs --dims L and --blocks b")
-        g = gen_blocked_square(_geometry_dims(kind, args.dims)[0], args.blocks)
+        g = gen_blocked_square(lattice_dims(kind, _dims(args.dims))[0], args.blocks)
     else:
         g = gen_heavy_hex()
     fileio.write_graph(args.out, g)

@@ -42,7 +42,7 @@ folds the directed edge operators along its walk (``_walk_product``, which
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import mul, xor
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -50,6 +50,7 @@ from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple,
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
 from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, cycle_basis
 from .localbasis import (
+    CheckReport,
     MajoranaBasis,
     basis_from_labels,
     basis_verify,
@@ -571,16 +572,7 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
 # algebra validation
 
 
-@dataclass
-class AlgebraReport:
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
+def verify_encoding_algebra(enc: Encoding) -> CheckReport:
     """Check the full operator algebra of an encoding.
 
     Edge operators anticommute exactly when they share one endpoint;
@@ -589,7 +581,7 @@ def verify_encoding_algebra(enc: Encoding) -> AlgebraReport:
     every operator is Hermitian and squares to +I; the stabilizers are
     exactly the loop stabilizers of the cycle basis, in order.  The report keeps the first 20 findings.
     """
-    rep = AlgebraReport()
+    rep = CheckReport()
     g = enc.graph
 
     def note(msg: str) -> None:

@@ -35,7 +35,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, ParityError, ParseError
-from .graph import InteractionGraph
+from .geometries import gen_lattice
+from .graph import SystemGraph
 from .pauli import ZERO_THRESHOLD, set_bits
 
 Factor = Tuple[int, bool]  # (mode, dagger)
@@ -194,16 +195,16 @@ def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
     return EVTerm(coeff, tuple(edges), verts)
 
 
-def interaction_graph_from_hamiltonian(f: FermionOperator) -> InteractionGraph:
-    """One vertex per mode; an edge wherever the edge/vertex decomposition
-    of some term requires a coupling generator."""
+def interaction_graph_from_hamiltonian(f: FermionOperator) -> SystemGraph:
+    """One vertex per mode; an edge wherever the substitution identity of
+    some adjacent index pair of a term needs a coupling generator."""
     if not f.is_parity_preserving():
         raise ParityError("Hamiltonian contains odd-parity terms")
     edges = set()
     for mono in to_majorana_normal_form(f):
-        ev = monomial_to_ev(mono)
-        edges.update(ev.edge_factors)
-    return InteractionGraph(f.n_modes, tuple(sorted(edges)))
+        for a, b in zip(mono.indices[::2], mono.indices[1::2]):
+            edges.update(pair_substitution(a, b)[1])
+    return SystemGraph.from_edges(sorted(edges), n_vertices=f.n_modes)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +274,10 @@ def build_syk2(
     return FermionOperator.from_terms(n_modes, terms)
 
 
+#: The lattice each model kind lives on.
+_MODEL_LATTICES = {"chain": "linear", "square_nn": "square", "square_nn_diag": "square_diag"}
+
+
 def build_lattice_model(
     kind: str,
     dims,
@@ -284,57 +289,23 @@ def build_lattice_model(
     """Hopping plus onsite-potential Hamiltonians on small lattices.
 
     Kinds: ``chain``, ``square_nn``, ``square_nn_diag`` (adds t_diag
-    hopping across both square diagonals).  Each bond (j, k) contributes
-    t (a_j^dag a_k + a_k^dag a_j); each site contributes u a_j^dag a_j.
+    hopping across both square diagonals), laid out by ``gen_lattice`` as
+    ``linear``, ``square`` and ``square_diag``: mode m is vertex m of that
+    graph, and ``dims`` and ``bc`` follow its rules.  Each edge (j, k) is a
+    bond contributing t (a_j^dag a_k + a_k^dag a_j), t_diag where j and k
+    differ in both row and column; each site contributes u a_j^dag a_j.
     """
-    if bc not in ("open", "periodic"):
-        raise ParseError(f"unknown boundary {bc!r}")
-    periodic = bc == "periodic"
-
-    bonds: List[Tuple[int, int, float]] = []
-    if kind == "chain":
-        n = dims if isinstance(dims, int) else tuple(dims)[0]
-        if n < 2:
-            raise ParseError("chain needs at least 2 modes")
-        for j in range(n - 1):
-            bonds.append((j, j + 1, t))
-        if periodic:
-            bonds.append((0, n - 1, t))
-    elif kind in ("square_nn", "square_nn_diag"):
-        if isinstance(dims, int):
-            rows = cols = dims
-        else:
-            rows, cols = tuple(dims)
-        n = rows * cols
-        if n < 2:
-            raise ParseError("lattice needs at least 2 modes")
-
-        def vid(r, c):
-            return r * cols + c
-
-        offsets = [(0, 1), (1, 0)]
-        if kind == "square_nn_diag":
-            offsets += [(1, 1), (1, -1)]
-        for r in range(rows):
-            for c in range(cols):
-                for dr, dc in offsets:
-                    rr, cc = r + dr, c + dc
-                    if periodic:
-                        rr, cc = rr % rows, cc % cols
-                    elif not (0 <= rr < rows and 0 <= cc < cols):
-                        continue
-                    amp = t_diag if (dr, dc) in ((1, 1), (1, -1)) else t
-                    if amp != 0.0:
-                        bonds.append((vid(r, c), vid(rr, cc), amp))
-    else:
+    if kind not in _MODEL_LATTICES:
         raise ParseError(f"unknown lattice model {kind!r}")
-
+    g = gen_lattice(_MODEL_LATTICES[kind], dims, bc)
+    cols = g.meta["params"]["dims"][-1]
     terms: List[Word] = []
-    for j, k, amp in bonds:
-        if amp == 0.0:
-            continue
-        terms.append((amp, ((j, True), (k, False))))
-        terms.append((amp, ((k, True), (j, False))))
+    for j, k in g.edges:
+        amp = t_diag if j // cols != k // cols and j % cols != k % cols else t
+        if amp != 0.0:
+            terms.append((amp, ((j, True), (k, False))))
+            terms.append((amp, ((k, True), (j, False))))
+    n = len(g.vertices)
     if u != 0.0:
         for j in range(n):
             terms.append((u, ((j, True), (j, False))))

@@ -21,14 +21,26 @@ from .graph import PHYSICAL, VIRTUAL, SystemGraph, Vertex
 Coord = Tuple[int, int]
 
 
-def _dims_pair(dims) -> Tuple[int, int]:
-    if isinstance(dims, int):
-        return dims, dims
-    dims = tuple(dims)
-    if len(dims) == 1:
-        return dims[0], dims[0]
-    if len(dims) != 2:
-        raise ParseError(f"expected 1 or 2 lattice dimensions, got {dims!r}")
+#: Neighbor offsets (row, col) of each lattice kind, clockwise from the
+#: top; a ``linear`` chain is a single row with ports (left, right).
+_DIRECTIONS: Dict[str, Tuple[Coord, ...]] = {
+    "linear": ((0, -1), (0, 1)),
+    "square": ((-1, 0), (0, 1), (1, 0), (0, -1)),
+    # axial coordinates: up, up-right, right, down, down-left, left
+    "triangular": ((-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)),
+    "square_diag": ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)),
+}
+
+
+def lattice_dims(kind: str, dims) -> Tuple[int, ...]:
+    """``dims`` as a tuple: one entry (n) for ``linear`` and
+    ``blocked_square``, one or two (n meaning n x n) for the other
+    lattices.  Any other count is refused, never truncated."""
+    dims = (dims,) if isinstance(dims, int) else tuple(dims)
+    most = 1 if kind in ("linear", "blocked_square") else 2
+    if not 1 <= len(dims) <= most:
+        takes = "1 dim" if most == 1 else "1 or 2 dims"
+        raise ParseError(f"{kind} takes {takes} in --dims, got {len(dims)}: {dims!r}")
     return dims
 
 
@@ -37,64 +49,42 @@ def _dims_pair(dims) -> Tuple[int, int]:
 
 
 def gen_lattice(kind: str, dims, boundary: str = "open") -> SystemGraph:
-    """Linear, square, or triangular lattice of physical modes.
+    """Linear, square, triangular or square_diag (square plus both
+    diagonals) lattice of physical modes; site (r, c) is vertex
+    r * cols + c.
 
     Ports run clockwise from the top neighbor (linear chains use
-    (left, right)).  Periodic boundaries on a side of length 2 produce
-    parallel edges, which are kept.
+    (left, right)).  A lattice needs at least 2 sites, and a periodic one
+    at least 2 along every side that a neighbor offset wraps; a periodic
+    side of length 2 produces parallel edges, which are kept.
     """
+    if kind not in _DIRECTIONS:
+        raise ParseError(f"unknown lattice kind {kind!r}")
     if boundary not in ("open", "periodic"):
         raise ParseError(f"unknown boundary {boundary!r}")
-    periodic = boundary == "periodic"
-    if kind == "linear":
-        n = dims if isinstance(dims, int) else tuple(dims)[0]
-        return _gen_chain(n, periodic)
-    if kind == "square":
-        return _gen_square(*_dims_pair(dims), periodic)
-    if kind == "triangular":
-        return _gen_triangular(*_dims_pair(dims), periodic)
-    raise ParseError(f"unknown lattice kind {kind!r}")
-
-
-def _gen_chain(n: int, periodic: bool) -> SystemGraph:
-    if n < 1 or (periodic and n < 2):
-        raise ParseError(f"invalid chain length {n}")
-    edges = [(j, j + 1) for j in range(n - 1)]
-    wrap = None
-    if periodic:
-        wrap = len(edges)
-        edges.append((0, n - 1))
-    verts = []
-    for j in range(n):
-        ports = []
-        left = j - 1 if j > 0 else (wrap if periodic else None)
-        right = j if j < n - 1 else (wrap if periodic else None)
-        if left is not None:
-            ports.append(left)
-        if right is not None:
-            ports.append(right)
-        verts.append(Vertex(j, PHYSICAL, tuple(ports)))
-    meta = {
+    dims = lattice_dims(kind, dims)
+    rows, cols = (1, dims[0]) if kind == "linear" else (dims[0], dims[-1])
+    g = _grid_graph(rows, cols, _DIRECTIONS[kind], boundary == "periodic")
+    g.meta = {
         "generator": "lattice",
-        "params": {"kind": "linear", "dims": [n], "boundary": "periodic" if periodic else "open"},
+        "params": {
+            "kind": kind,
+            "dims": [cols] if kind == "linear" else [rows, cols],
+            "boundary": boundary,
+        },
     }
-    return SystemGraph(verts, edges, meta)
+    return g
 
 
 def _grid_graph(
-    rows: int,
-    cols: int,
-    directions: Sequence[Coord],
-    periodic: bool,
-    kind: str,
+    rows: int, cols: int, directions: Sequence[Coord], periodic: bool
 ) -> SystemGraph:
-    """Shared construction: ``directions`` lists neighbor offsets clockwise
-    from the top; edges are created once from each vertex along the
-    positive half of the direction set."""
+    """Edges are created once from each vertex along the positive half of
+    ``directions``; ports follow the order of ``directions``."""
     if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ParseError(f"invalid lattice dims {rows}x{cols}")
-    if periodic and (rows < 2 or cols < 2):
-        raise ParseError("periodic lattice needs both sides >= 2")
+        raise ParseError(f"invalid lattice dims {rows}x{cols}: a lattice needs >= 2 sites")
+    if periodic and any((dr and rows < 2) or (dc and cols < 2) for dr, dc in directions):
+        raise ParseError(f"periodic {rows}x{cols} lattice: a side it wraps needs >= 2 sites")
 
     def vid(r: int, c: int) -> int:
         return r * cols + c
@@ -129,42 +119,14 @@ def _grid_graph(
                 if d > (0, 0):
                     ports.append(edge_id[(r, c, d)])
                 else:
-                    back = (-d[0], -d[1])
-                    src = resolve(r + d[0], c + d[1])
-                    ports.append(edge_id[(src[0], src[1], back)])
+                    ports.append(edge_id[(tgt[0], tgt[1], (-d[0], -d[1]))])
             verts.append(Vertex(vid(r, c), PHYSICAL, tuple(ports)))
-    meta = {
-        "generator": "lattice",
-        "params": {
-            "kind": kind,
-            "dims": [rows, cols],
-            "boundary": "periodic" if periodic else "open",
-        },
-    }
-    return SystemGraph(verts, edges, meta)
-
-
-def _gen_square(rows: int, cols: int, periodic: bool) -> SystemGraph:
-    # clockwise from top: up, right, down, left
-    dirs = [(-1, 0), (0, 1), (1, 0), (0, -1)]
-    return _grid_graph(rows, cols, dirs, periodic, "square")
-
-
-def _gen_triangular(rows: int, cols: int, periodic: bool) -> SystemGraph:
-    # axial coordinates; clockwise from top:
-    # up, up-right, right, down, down-left, left
-    dirs = [(-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)]
-    return _grid_graph(rows, cols, dirs, periodic, "triangular")
+    return SystemGraph(verts, edges)
 
 
 def gen_square_with_diagonals(rows: int, cols: int, boundary: str = "open") -> SystemGraph:
-    """Square lattice plus both diagonal neighbors (degree 8 in the bulk)."""
-    if boundary not in ("open", "periodic"):
-        raise ParseError(f"unknown boundary {boundary!r}")
-    # clockwise from top: up, up-right, right, down-right, down, down-left,
-    # left, up-left
-    dirs = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
-    return _grid_graph(rows, cols, dirs, boundary == "periodic", "square_diag")
+    """``gen_lattice("square_diag", (rows, cols), boundary)``."""
+    return gen_lattice("square_diag", (rows, cols), boundary)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +144,7 @@ def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
     if kind == "complete":
         return _gen_complete(n_modes)
     if kind == "linear":
-        g = _gen_chain(n_modes, periodic=True)
+        g = gen_lattice("linear", n_modes, "periodic")
         g.meta = {"generator": "syk", "params": {"kind": "linear", "n_modes": n_modes}}
         return g
     if kind == "star":

@@ -1,4 +1,4 @@
-"""System and interaction graphs with ordered ports.
+"""System graphs with ordered ports.
 
 A ``SystemGraph`` is the geometry actually laid out in qubits: vertices
 carry an ordered list of ports, one per incident edge, and a vertex of
@@ -262,15 +262,3 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
         cycles.append(Cycle(tuple(verts), tuple(edges)))
 
     return CycleBasis(cycles, tuple(sorted(tree_edges)))
-
-
-# ----------------------------------------------------------------------
-# interaction graphs
-
-
-@dataclass
-class InteractionGraph:
-    """Coupling requirements read off a Hamiltonian: one vertex per mode."""
-
-    n_modes: int
-    edges: Tuple[Edge, ...]

@@ -61,7 +61,9 @@ class MajoranaBasis:
 
 
 @dataclass
-class BasisReport:
+class CheckReport:
+    """What a check (``basis_verify``, ``verify_encoding_algebra``) found."""
+
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -241,10 +243,10 @@ def gf2_pivots(rows: Sequence[int]) -> List[Tuple[int, int]]:
     return pivots
 
 
-def basis_verify(b: MajoranaBasis) -> BasisReport:
+def basis_verify(b: MajoranaBasis) -> CheckReport:
     """Check Hermiticity, squaring to +I, pairwise anticommutation, and
     full symplectic rank.  An empty report means the basis is valid."""
-    report = BasisReport()
+    report = CheckReport()
     n = b.n_qubits
     if len(b.ops) != 2 * n:
         report.violations.append(

@@ -210,8 +210,7 @@ class PauliString:
         return " ".join(parts) if parts else "I"
 
     def __str__(self) -> str:
-        c = self.label_coefficient()
-        return f"({_fmt_float(c.real)},{_fmt_float(c.imag)}) {self.ops_label()}"
+        return format_term(self.label_coefficient(), self.ops_label())
 
     def __repr__(self) -> str:
         return f"PauliString({self})"
@@ -287,10 +286,7 @@ class PauliSum:
         )
 
     def __str__(self) -> str:
-        lines = []
-        for label, c in self.labeled_terms():
-            lines.append(f"({_fmt_float(c.real)},{_fmt_float(c.imag)}) {label}")
-        return "\n".join(lines)
+        return "\n".join(format_term(c, label) for label, c in self.labeled_terms())
 
 
 class PauliSumBuilder:

@@ -11,7 +11,7 @@ import pytest
 from fermigraph import fileio
 from fermigraph.cli import build_parser, main
 from fermigraph.fermion import build_lattice_model
-from fermigraph.geometries import gen_syk_geometry
+from fermigraph.geometries import gen_lattice, gen_square_with_diagonals, gen_syk_geometry
 
 
 class TestGenEncode:
@@ -30,6 +30,32 @@ class TestGenEncode:
         g = str(tmp_path / "hh.graph")
         assert main(["gen", "--geometry", "heavy_hex", "--out", g]) == 0
         assert "49 vertices" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("geometry,dims,bc,expect", [
+        ("square_diag", "3x4", "periodic", lambda: gen_square_with_diagonals(3, 4, "periodic")),
+        ("square_diag", "3", None, lambda: gen_square_with_diagonals(3, 3, "open")),
+        ("triangular", "2x3", "periodic", lambda: gen_lattice("triangular", (2, 3), "periodic")),
+        ("linear", "5", None, lambda: gen_lattice("linear", 5, "open")),
+    ])
+    def test_lattice_files(self, tmp_path, geometry, dims, bc, expect):
+        """Every lattice kind writes the library's graph, byte for byte."""
+        g = tmp_path / "x.graph"
+        argv = ["gen", "--geometry", geometry, "--dims", dims, "--out", str(g)]
+        assert main(argv + (["--bc", bc] if bc else [])) == 0
+        assert g.read_text() == fileio.graph_to_json(expect())
+
+    @pytest.mark.parametrize("geometry,dims", [
+        ("linear", "1"), ("square", "1x4"), ("square_diag", "4x1"),
+    ])
+    def test_lattice_too_small(self, tmp_path, capsys, geometry, dims):
+        """A 1-site chain, and a periodic lattice with a wrapped side of 1
+        site, are parse errors."""
+        g = tmp_path / "x.graph"
+        bc = "open" if geometry == "linear" else "periodic"
+        assert main(["gen", "--geometry", geometry, "--dims", dims, "--bc", bc,
+                     "--out", str(g)]) == 2
+        assert "error: parse:" in capsys.readouterr().err
+        assert not g.exists()
 
     def test_byte_identical_outputs(self, tmp_path):
         a, b = str(tmp_path / "a.graph"), str(tmp_path / "b.graph")

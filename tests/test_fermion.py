@@ -1,12 +1,14 @@
 """Tests for the second-quantized front end and its dense oracles."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import ev_term_matrix, majorana_matrix, monomial_matrix, parity_matrix
-from fermigraph.dense import fermion_operator_matrix
+from fermigraph.dense import dense_oracle_check, fermion_operator_matrix
+from fermigraph.encoding import build_encoding
 from fermigraph.errors import ParityError, ParseError
 from fermigraph.fermion import (
     EVTerm,
@@ -21,6 +23,8 @@ from fermigraph.fermion import (
     syk2_monomials,
     to_majorana_normal_form,
 )
+from fermigraph.geometries import gen_lattice
+from fermigraph.graph import SystemGraph
 
 
 def dense_of_monomials(n, monomials):
@@ -180,6 +184,20 @@ class TestInteractionGraph:
         with pytest.raises(ParityError):
             interaction_graph_from_hamiltonian(f)
 
+    @pytest.mark.parametrize("f", [
+        build_lattice_model("chain", 5, t=1.0, u=0.5, bc="periodic"),
+        build_syk2(4, seed=3),
+    ], ids=["chain5_periodic", "syk2_4"])
+    def test_strictly_local_code(self, f):
+        """The interaction graph is a system graph with one vertex per
+        mode, and the Hamiltonian compiled on it needs no routing and
+        passes the dense oracle."""
+        g = interaction_graph_from_hamiltonian(f)
+        assert isinstance(g, SystemGraph)
+        assert g.vertex_ids() == list(range(f.n_modes))
+        report = dense_oracle_check(f, build_encoding(g, "jw"))
+        assert report.passed, report.messages
+
 
 class TestUncheckedMonomials:
     """``MajoranaMonomial._raw`` skips the index check for the monomials
@@ -251,3 +269,71 @@ class TestBuilders:
     def test_t_zero_is_diagonal(self):
         f = build_lattice_model("chain", 3, t=0.0, u=2.0)
         assert all(fs[0][0] == fs[1][0] for _, fs in f.terms)
+
+
+#: lattice model kind -> the gen_lattice kind it is laid out on
+MODEL_LATTICE = {"chain": "linear", "square_nn": "square", "square_nn_diag": "square_diag"}
+
+LATTICE_CASES = [
+    pytest.param(kind, dims, bc, id=f"{kind}-{dims}-{bc}".replace(" ", ""))
+    for kind in MODEL_LATTICE
+    for dims in list(range(6)) + [(n,) for n in range(1, 4)]
+    + list(itertools.product(range(1, 6), repeat=2))
+    for bc in ("open", "periodic")
+]
+
+
+def _built(make):
+    try:
+        return make()
+    except ParseError:
+        return None
+
+
+class TestLatticeModels:
+    @pytest.mark.parametrize("kind,dims,bc", LATTICE_CASES)
+    def test_bonds_are_graph_edges(self, kind, dims, bc):
+        """Each bond of the model, as (min, max, amplitude), is an edge of
+        the lattice graph, t_diag on edges whose ends differ in both row
+        and column; a model is refused exactly when its graph is."""
+        t, t_diag = 1.25, 0.5
+        f = _built(lambda: build_lattice_model(kind, dims, t=t, t_diag=t_diag, u=0.75, bc=bc))
+        g = _built(lambda: gen_lattice(MODEL_LATTICE[kind], dims, bc))
+        assert (f is None) == (g is None)
+        if f is None:
+            return
+        assert f.n_modes == len(g.vertex_ids())
+        bonds = Counter(
+            (min(j, k), max(j, k), c)
+            for c, ((j, _), (k, _)) in f.terms if j != k
+        )
+        cols = g.meta["params"]["dims"][-1]
+
+        def amp(a, b):
+            return t_diag if a // cols != b // cols and a % cols != b % cols else t
+
+        edges = Counter((a, b, amp(a, b)) for a, b in g.edges)
+        assert bonds == edges + edges  # a_j^dag a_k and a_k^dag a_j
+        onsite = [(c, j) for c, ((j, _), (k, _)) in f.terms if j == k]
+        assert onsite == [(0.75, j) for j in range(f.n_modes)]
+
+    @pytest.mark.parametrize("kind,dims,bc", [
+        ("square_nn", (1, 4), "periodic"),  # once a 2t n_j self-bond per site
+        ("square_nn_diag", (4, 1), "periodic"),
+        ("square_nn", (2, 3, 4), "open"),  # once a bare ValueError
+        ("chain", (4, 6), "open"),  # once silently 4 sites
+        ("chain", 1, "open"),
+        ("chain", 4, "twisted"),
+        ("ladder", 4, "open"),
+    ])
+    def test_refused(self, kind, dims, bc):
+        with pytest.raises(ParseError):
+            build_lattice_model(kind, dims, bc=bc)
+
+    def test_diagonal_amplitude_across_the_wrap(self):
+        """On a periodic 3x3 lattice the wrapped diagonals get t_diag and
+        the wrapped straight bonds t."""
+        f = build_lattice_model("square_nn_diag", 3, t=1.0, t_diag=0.5, bc="periodic")
+        amps = {(j, k): c for c, ((j, _), (k, _)) in f.terms}
+        assert amps[(0, 2)] == amps[(0, 6)] == 1.0  # row and column wraps
+        assert amps[(0, 8)] == amps[(2, 6)] == 0.5  # corner-to-corner wraps

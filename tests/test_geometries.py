@@ -1,8 +1,11 @@
 """Generator-level checks: degrees, qubit totals, declared patterns."""
 
+import hashlib
+
 import pytest
 
 from fermigraph.errors import ParseError
+from fermigraph.fileio import graph_to_json
 from fermigraph.geometries import (
     gen_blocked_square,
     gen_heavy_hex,
@@ -52,6 +55,81 @@ class TestLattices:
             gen_lattice("linear", 0)
         with pytest.raises(ParseError):
             gen_lattice("square", (1, 4), "periodic")
+
+    @pytest.mark.parametrize("kind,dims,bc", [
+        ("linear", 1, "open"),  # once a 0-qubit graph
+        ("linear", 1, "periodic"),
+        ("square", (1, 1), "open"),
+        ("linear", (4, 6), "open"),  # once silently 4 sites
+        ("linear", (), "open"),
+        ("square", (2, 3, 4), "open"),
+        ("triangular", (2, 3, 4), "periodic"),
+        ("hexagonal", 4, "open"),
+        ("square", 3, "twisted"),
+    ])
+    def test_refused(self, kind, dims, bc):
+        with pytest.raises(ParseError):
+            gen_lattice(kind, dims, bc)
+
+    @pytest.mark.parametrize("kind,dims", [
+        ("square", (1, 4)), ("triangular", (4, 1)), ("square_diag", (1, 4)),
+    ])
+    def test_periodic_side_of_one(self, kind, dims):
+        """Named as such, not left to the self loop it would make."""
+        with pytest.raises(ParseError, match="a side it wraps needs >= 2 sites"):
+            gen_lattice(kind, dims, "periodic")
+
+    def test_open_single_row_is_allowed(self):
+        """Only a side that some offset wraps needs 2 sites: a chain is one
+        row, and an open 1 x n square lattice is a chain."""
+        assert gen_lattice("square", (1, 4), "open").edges == ((0, 1), (1, 2), (2, 3))
+
+    @pytest.mark.parametrize("dims", [3, (3,), (2, 5)])
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    def test_square_diag_kind(self, dims, bc):
+        shape = (dims, dims) if isinstance(dims, int) else dims * (3 - len(dims))
+        assert gen_lattice("square_diag", dims, bc) == gen_square_with_diagonals(*shape, bc)
+
+
+#: sha256 of ``graph_to_json`` for lattices laid out before every kind
+#: shared one grid builder; any change to ids, edge order, ports or meta
+#: shows here.
+LATTICE_GRAPH_SHA256 = [
+    ("linear", 2, "open", "f25c53970673faaabe9806e4a219e1d56295dead51e613c3c380778dbe6321c9"),
+    ("linear", 2, "periodic", "321b4c55fe01d742242b1abe39a3bb03941e2a563e6819429c15ed16e1a9a055"),
+    ("linear", 3, "open", "ca446334dd8298592596f829c62d2dc92ed9e0ecb0cab409b470f616082cc74c"),
+    ("linear", 3, "periodic", "14809cb48936f6ac52aad4e0727f056f91bc9eace72ba2869393a42b2ecfe5a1"),
+    ("linear", 7, "open", "daf53a9b9f0ea26ccd33d6e7992bde2d5690c029ce37473c10bcacbde16bead5"),
+    ("linear", 7, "periodic", "0408e4df1458e7f6c545f99555a14d253b1b6a61126b29aa6394521e90dc6778"),
+    ("square", (2, 2), "open", "678ccf55b28df70f6468d49a496dea8d653eb3b55d397fdfa77b91a28641daf3"),
+    ("square", (2, 2), "periodic", "24802368015c40646f0dc8c433fc26ab4301610736ce5cb2d529cb3ef9f8d374"),
+    ("square", (3, 4), "open", "633c53d70a78b6c3bd1a6b65d60d033c37779a77fbf8eef9fee1d50945f48803"),
+    ("square", (3, 4), "periodic", "95ef11dc633bbc5c9588c125995f65356e1ed2ec416d32fa58a7d7a1f427aa91"),
+    ("triangular", (2, 2), "open", "cd911183859ca7963e3f5bb4911398a8067a312e7b8e65fad2f2de50cba16329"),
+    ("triangular", (2, 2), "periodic", "76940e92034d94e868283d880894af49c62743438d9ee9fdc523719bb5c61fb7"),
+    ("triangular", (3, 4), "open", "f459117fb76a0f1fec702b19bd1ce1fee2038396420150a66359a9a8558c0bc8"),
+    ("triangular", (3, 4), "periodic", "c52dfd623101a5cdc66174c91cbf94b25f66a55d94250f642d2a4a3ff48b7739"),
+    ("square_diag", (2, 2), "open", "bab1353ca6b736a34fc836eed2e4768a1129b9f595b864457e9d5389841014e8"),
+    ("square_diag", (2, 2), "periodic", "0214737bbb0c18100471aa9dc8da09869fc5f8f54d30a5ad4a9a9385d5fce9b0"),
+    ("square_diag", (3, 4), "open", "2a83d9285d254c5dd39b823047fb8b35303af4622240a9c54ac716ed8f653952"),
+    ("square_diag", (3, 4), "periodic", "601f555232cdd4beb1f8440481a8c51f840d587233549eed7b5ee22e16e1f260"),
+]
+
+
+class TestGraphBytes:
+    @pytest.mark.parametrize("kind,dims,bc,digest", LATTICE_GRAPH_SHA256)
+    def test_lattice_graph_bytes(self, kind, dims, bc, digest):
+        if kind == "square_diag":
+            g = gen_square_with_diagonals(*dims, bc)
+        else:
+            g = gen_lattice(kind, dims, bc)
+        assert hashlib.sha256(graph_to_json(g).encode()).hexdigest() == digest
+
+    def test_syk_chain_graph_bytes(self):
+        g = gen_syk_geometry("linear", 8)
+        assert hashlib.sha256(graph_to_json(g).encode()).hexdigest() == (
+            "7dbd3cdc8e94076f46c3350b334bc919381eed2437e58dc838c4c554183e271e"
+        )
 
 
 class TestSykGeometries:

@@ -266,6 +266,20 @@ class TestText:
         with pytest.raises(ParseError):
             pauli_sum_from_lines(["qubits 2", line])
 
+    def test_str_is_the_file_line(self):
+        """``str`` of a string and of a sum print the term lines that a
+        ``.pauli`` file holds."""
+        p = PauliString(3, 0b011, 0b110, 1)
+        assert str(p) == "(1,0) X1 Y2 Z3"
+        assert str(PauliString(2, 0b01, 0b01, 0)) == "(0,-1) Y1"
+        s = build_sum(3, [(-0.5j, p), (0.25 - 0.0j, PauliString.identity(3)),
+                          (1e20 + 1j, PauliString(3, 4, 0, 0)),
+                          (-1 / 3, PauliString(3, 0, 2, 0))])
+        assert str(s) == (
+            "(0.25,0) I\n(-0.3333333333333333,0) Z2\n(0,-0.5) X1 Y2 Z3\n(1e+20,1) X3"
+        )
+        assert str(s).splitlines() == pauli_sum_to_lines(s)[1:]
+
     def test_identity_prints_as_I(self):
         s = build_sum(3, [(2.5, PauliString.identity(3))])
         assert pauli_sum_to_lines(s)[1] == "(2.5,0) I"
