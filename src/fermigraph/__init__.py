@@ -1,6 +1,13 @@
 """fermigraph: compile fermionic Hamiltonians into qubit Pauli operators
 over a user-chosen system graph, with quasi-local routed couplings,
-cycle stabilizers, and resource analytics."""
+cycle stabilizers, and resource analytics.
+
+Importing the package loads every module a compile runs, but not numpy:
+numpy loads on the first call that needs it, ``dense_oracle_check``, the
+SYK couplings (``syk2_couplings``, ``syk2_monomials``, ``build_syk2``) or
+``loglog_slope``, and the dense spectral oracle ``fermigraph.dense`` on
+the first ``dense_oracle_check``.
+"""
 
 from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .graph import (
@@ -49,7 +56,6 @@ from .analytics import (
     sweep_syk_geometries,
     weight_stats,
 )
-from .dense import dense_oracle_check
 
 __version__ = "0.1.0"
 
@@ -70,3 +76,12 @@ __all__ = [
     "WeightStats", "BenchRecord", "weight_stats", "sweep_syk_geometries",
     "loglog_slope", "records_to_csv", "dense_oracle_check",
 ]
+
+
+def __getattr__(name):
+    # the dense oracle, and numpy with it, load on first use (PEP 562)
+    if name == "dense_oracle_check":
+        from .dense import dense_oracle_check
+
+        return dense_oracle_check
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

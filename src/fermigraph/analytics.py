@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .encoding import build_encoding
 from .errors import ParseError
 from .fermion import syk2_couplings, syk2_monomials
@@ -119,6 +117,8 @@ def loglog_slope(
     ``field`` is one of qubits, max_weight, total_weight, mean_weight,
     terms.
     """
+    import numpy as np
+
     if len(records) < 4:
         raise ParseError(f"need at least 4 points to fit, got {len(records)}")
     xs = np.log([r.n_modes for r in records])

@@ -24,7 +24,6 @@ import sys
 from typing import List, Optional
 
 from . import analytics, fileio
-from .dense import dense_oracle_check
 from .encoding import build_encoding, verify_encoding_algebra
 from .errors import FermigraphError, ParseError, VerifyError
 from .fermion import build_syk2
@@ -180,6 +179,8 @@ def _cmd_verify(args) -> int:
         raise VerifyError("operator algebra check failed")
     print(f"algebra ok: {len(enc.edge_ops)} edge ops, {len(enc.stabilizers)} stabilizers")
     if args.dense:
+        from .dense import dense_oracle_check
+
         if args.hamiltonian is not None:
             f = fileio.read_fermion(args.hamiltonian)
         else:
@@ -261,6 +262,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_CODES["parse"]
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,14 +30,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from operator import ge
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, ParityError, ParseError
-from .geometries import gen_lattice
+from .geometries import _integer, gen_lattice
 from .graph import SystemGraph
 from .pauli import ZERO_THRESHOLD, set_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Factor = Tuple[int, bool]  # (mode, dagger)
 Word = Tuple[complex, Tuple[Factor, ...]]  # coefficient * product of factors
@@ -214,6 +215,11 @@ def interaction_graph_from_hamiltonian(f: FermionOperator) -> SystemGraph:
 def syk2_couplings(n_modes: int, seed: int) -> np.ndarray:
     """Gaussian couplings J[j,k] (j < k) over the 2N Majoranas, with
     variance 1/(2N); the lower triangle is zero."""
+    import numpy as np
+
+    n_modes = _integer(n_modes, "n_modes")
+    if n_modes < 1:
+        raise ParseError(f"need at least 1 mode, got {n_modes}")
     rng = np.random.default_rng(seed)
     dim = 2 * n_modes
     j = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
@@ -226,7 +232,9 @@ def syk2_monomials(
     seed: Optional[int] = None,
 ) -> List[MajoranaMonomial]:
     """The quadratic Majorana Hamiltonian -i sum_{j<k} J_jk g_j g_k as a
-    monomial list."""
+    monomial list; a non-finite coupling is refused."""
+    import numpy as np
+
     if couplings is None:
         if seed is None:
             raise ParseError("give couplings or a seed")
@@ -240,8 +248,11 @@ def syk2_monomials(
     out = []
     for j, row in enumerate(couplings.tolist()):
         for k in range(j + 1, dim):
-            if row[k] != 0.0:
-                out.append(MajoranaMonomial._raw(-1j * row[k], (j, k)))
+            c = row[k]
+            if c != 0.0:
+                if not cmath.isfinite(c):
+                    raise ParseError(f"non-finite coupling J[{j}, {k}] = {c}")
+                out.append(MajoranaMonomial._raw(-1j * c, (j, k)))
     return out
 
 

@@ -13,6 +13,7 @@ and the surplus leaf slots kept as degree-1 virtual vertices, flagged in
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ResourceError
@@ -32,16 +33,31 @@ _DIRECTIONS: Dict[str, Tuple[Coord, ...]] = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an int or integer-like (``operator.index``),
+    never a bool, a float or a string."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 def lattice_dims(kind: str, dims) -> Tuple[int, ...]:
-    """``dims`` as a tuple: one entry (n) for ``linear`` and
+    """``dims`` as a tuple of ints: one entry (n) for ``linear`` and
     ``blocked_square``, one or two (n meaning n x n) for the other
-    lattices.  Any other count is refused, never truncated."""
-    dims = (dims,) if isinstance(dims, int) else tuple(dims)
+    lattices.  Any other count is refused, never truncated, and so is a
+    size that is not an integer."""
+    try:
+        dims = (dims,) if isinstance(dims, str) else tuple(dims)
+    except TypeError:
+        dims = (dims,)
     most = 1 if kind in ("linear", "blocked_square") else 2
     if not 1 <= len(dims) <= most:
         takes = "1 dim" if most == 1 else "1 or 2 dims"
         raise ParseError(f"{kind} takes {takes} in --dims, got {len(dims)}: {dims!r}")
-    return dims
+    return tuple(_integer(d, f"{kind} dims") for d in dims)
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +155,7 @@ def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
     Kinds: ``complete``, ``linear`` (periodic chain), ``star`` (one central
     virtual mode), ``ternary_tree``, ``ternary_mera``, ``hyperbolic46``.
     """
+    n_modes = _integer(n_modes, "n_modes")
     if n_modes < 2:
         raise ParseError("need at least 2 modes")
     if kind == "complete":
@@ -381,6 +398,7 @@ def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
     boustrophedon chain.  Bulk qubit total is L^2 + 2b before boundary
     corrections.
     """
+    L, blocks = _integer(L, "L"), _integer(blocks, "blocks")
     if L < 1:
         raise ParseError("L must be positive")
     root = math.isqrt(max(blocks, 0))

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -178,6 +181,29 @@ class TestVerify:
         line = next(l for l in capsys.readouterr().out.splitlines()
                     if l.startswith("dense oracle:"))
         assert "codespace_dim=256 multiplicity=4 gauge_pairs=2 " in line
+
+
+class TestModuleEntry:
+    def test_python_m_gen_then_cold_dense_verify(self, tmp_path):
+        """``python -m fermigraph`` runs the command line from the source
+        tree with no install, and a fresh process's ``verify --dense``
+        loads the dense oracle when it reaches it."""
+        src = Path(fileio.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "fermigraph", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+
+        g = tmp_path / "chain4.graph"
+        gen = run("gen", "--geometry", "linear", "--dims", "4", "--out", str(g))
+        assert gen.returncode == 0, gen.stderr
+        assert g.read_text() == fileio.graph_to_json(gen_lattice("linear", 4))
+        verify = run("verify", "--graph", str(g), "--dense")
+        assert verify.returncode == 0, verify.stderr
+        lines = verify.stdout.splitlines()
+        assert any(line.startswith("dense oracle: ") for line in lines)
+        assert lines[-1] == "verify pass"
 
 
 class TestErrors:

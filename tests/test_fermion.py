@@ -251,6 +251,30 @@ class TestBuilders:
         rhs = dense_of_monomials(3, syk2_monomials(3, couplings=j))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_syk2_non_finite_coupling_refused(self, bad):
+        """Once a NaN compiled silently into a 15-term sum with one NaN
+        coefficient; ``build_syk2`` refused the same matrix already."""
+        j = syk2_couplings(3, 1).astype(complex if isinstance(bad, complex) else float)
+        j[0, 3] = bad
+        with pytest.raises(ParseError, match=r"non-finite coupling J\[0, 3\]"):
+            syk2_monomials(3, couplings=j)
+        with pytest.raises(ParseError):
+            build_syk2(3, couplings=j)
+
+    @pytest.mark.parametrize("n, match", [
+        (0, "at least 1 mode"), (-1, "at least 1 mode"),
+        (2.5, "must be an integer"), ("3", "must be an integer"),
+        (True, "must be an integer"),
+    ])
+    def test_syk2_couplings_need_a_mode(self, n, match):
+        """Once a numpy divide-by-zero warning (0), a ValueError (-1) or a
+        bare TypeError (2.5, "3")."""
+        with pytest.raises(ParseError, match=match):
+            syk2_couplings(n, 1)
+        with pytest.raises(ParseError, match=match):
+            syk2_monomials(n, seed=1)
+
     def test_chain_term_count(self):
         f = build_lattice_model("chain", 4, t=1.0, u=0.5, bc="periodic")
         hop = [t for t in f.terms if len(t[1]) == 2 and t[1][0][0] != t[1][1][0]]

@@ -2,9 +2,11 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from fermigraph.errors import ParseError
+from fermigraph.fermion import build_lattice_model
 from fermigraph.fileio import graph_to_json
 from fermigraph.geometries import (
     gen_blocked_square,
@@ -70,6 +72,48 @@ class TestLattices:
     def test_refused(self, kind, dims, bc):
         with pytest.raises(ParseError):
             gen_lattice(kind, dims, bc)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_lattice("square", (2.5, 3)),
+        lambda: gen_lattice("square", "4"),
+        lambda: gen_lattice("square", "44"),
+        lambda: gen_lattice("linear", True),  # once "1xTrue"
+        lambda: gen_lattice("square", (3, False)),
+        lambda: gen_lattice("linear", 4.0),
+        lambda: gen_lattice("linear", None),
+        lambda: gen_square_with_diagonals(3, 2.5),
+        lambda: build_lattice_model("chain", 2.5),
+        lambda: build_lattice_model("square_nn", (3, "3")),
+        lambda: gen_syk_geometry("star", 4.5),
+        lambda: gen_syk_geometry("complete", "4"),
+        lambda: gen_syk_geometry("linear", True),
+        lambda: gen_blocked_square(4, 2.0),
+        lambda: gen_blocked_square(True, 1),  # once a 1x1 lattice with L True
+    ], ids=["float", "str", "str2", "bool", "bool_col", "whole_float", "none",
+            "diag_float", "model_float", "model_str", "syk_float", "syk_str",
+            "syk_bool", "blocks_float", "blocked_bool"])
+    def test_non_integer_size_refused(self, make):
+        """A size that is not an integer is a parse error, once a bare
+        TypeError (or, for a bool, a lattice of that many sites)."""
+        with pytest.raises(ParseError, match="must be an integer"):
+            make()
+
+    def test_integer_likes_are_ints(self):
+        """``operator.index`` sizes, such as numpy's, lay out the same
+        graph as ints, down to the meta's plain ints in the JSON."""
+        pairs = [
+            (gen_lattice("square", np.int64(4)), gen_lattice("square", 4)),
+            (gen_lattice("square_diag", (np.int64(2), np.int32(3)), "periodic"),
+             gen_lattice("square_diag", (2, 3), "periodic")),
+            (gen_lattice("linear", np.array([5])), gen_lattice("linear", 5)),
+            (gen_syk_geometry("star", np.int64(5)), gen_syk_geometry("star", 5)),
+            (gen_syk_geometry("linear", np.int16(6)), gen_syk_geometry("linear", 6)),
+            (gen_blocked_square(np.int64(4), np.int64(4)), gen_blocked_square(4, 4)),
+        ]
+        for got, want in pairs:
+            assert graph_to_json(got) == graph_to_json(want)
+        model = build_lattice_model("chain", np.int64(4), u=0.5)
+        assert model == build_lattice_model("chain", 4, u=0.5)
 
     @pytest.mark.parametrize("kind,dims", [
         ("square", (1, 4)), ("triangular", (4, 1)), ("square_diag", (1, 4)),
