@@ -60,7 +60,7 @@ from .localbasis import (
 )
 from .pauli import PauliString, set_bits
 
-BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]], None]
+BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]]]
 
 #: Most total qubits x table strings (edges + vertices + cycles, the cycles
 #: counted at their bound of one per edge) an encoding may hold.  A table
@@ -486,8 +486,6 @@ def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, Majora
     """Per-vertex basis resolution: a single name, or a map from vertex id
     to a name or an explicit operator label list.  Vertices with the same
     registered name and degree share one verified basis object."""
-    if basis_choice is None:
-        basis_choice = "jw"
     out: Dict[int, MajoranaBasis] = {}
     named: Dict[Tuple[str, int], MajoranaBasis] = {}
     for v in g.vertex_ids():

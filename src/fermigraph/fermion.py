@@ -44,6 +44,11 @@ Factor = Tuple[int, bool]  # (mode, dagger)
 Word = Tuple[complex, Tuple[Factor, ...]]  # coefficient * product of factors
 
 
+def _check_finite(c: complex) -> None:
+    if not cmath.isfinite(c):
+        raise ParseError(f"non-finite coefficient {c}")
+
+
 @dataclass(frozen=True)
 class FermionOperator:
     """Sum of products of creation/annihilation operators."""
@@ -52,7 +57,8 @@ class FermionOperator:
     terms: Tuple[Word, ...]
 
     def __post_init__(self):
-        for _, factors in self.terms:
+        for c, factors in self.terms:
+            _check_finite(c)
             for mode, _ in factors:
                 if not 0 <= mode < self.n_modes:
                     raise DimensionError(
@@ -63,11 +69,7 @@ class FermionOperator:
     def from_terms(
         cls, n_modes: int, terms: Iterable[Tuple[complex, Sequence[Factor]]]
     ) -> "FermionOperator":
-        words = tuple((complex(c), tuple(f)) for c, f in terms)
-        for c, _ in words:
-            if not cmath.isfinite(c):
-                raise ParseError(f"non-finite coefficient {c}")
-        return cls(n_modes, words)
+        return cls(n_modes, tuple((complex(c), tuple(f)) for c, f in terms))
 
     def is_parity_preserving(self) -> bool:
         return all(len(f) % 2 == 0 for _, f in self.terms)
@@ -86,6 +88,7 @@ class MajoranaMonomial:
     indices: Tuple[int, ...]
 
     def __post_init__(self):
+        _check_finite(self.coefficient)
         if any(map(ge, self.indices, self.indices[1:])):
             raise ParseError("Majorana indices must be strictly increasing")
 

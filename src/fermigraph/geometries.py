@@ -95,49 +95,32 @@ def gen_lattice(kind: str, dims, boundary: str = "open") -> SystemGraph:
 def _grid_graph(
     rows: int, cols: int, directions: Sequence[Coord], periodic: bool
 ) -> SystemGraph:
-    """Edges are created once from each vertex along the positive half of
-    ``directions``; ports follow the order of ``directions``."""
+    """Each edge is made once, from the site it leaves along a positive
+    direction, and fills that direction's port slot at both ends; ports
+    follow the order of ``directions``."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ParseError(f"invalid lattice dims {rows}x{cols}: a lattice needs >= 2 sites")
     if periodic and any((dr and rows < 2) or (dc and cols < 2) for dr, dc in directions):
         raise ParseError(f"periodic {rows}x{cols} lattice: a side it wraps needs >= 2 sites")
 
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    def resolve(r: int, c: int) -> Optional[Coord]:
-        if periodic:
-            return r % rows, c % cols
-        if 0 <= r < rows and 0 <= c < cols:
-            return r, c
-        return None
-
-    positive = [d for d in directions if d > (0, 0)]
+    back = [directions.index((-dr, -dc)) for dr, dc in directions]
+    slots: List[List[Optional[int]]] = [[None] * len(directions) for _ in range(rows * cols)]
     edges: List[Tuple[int, int]] = []
-    edge_id: Dict[Tuple[int, int, Coord], int] = {}
     for r in range(rows):
         for c in range(cols):
-            for d in positive:
-                tgt = resolve(r + d[0], c + d[1])
-                if tgt is None:
+            for i, (dr, dc) in enumerate(directions):
+                if (dr, dc) < (0, 0):
                     continue
-                edge_id[(r, c, d)] = len(edges)
-                edges.append((vid(r, c), vid(*tgt)))
-
-    verts = []
-    for r in range(rows):
-        for c in range(cols):
-            ports = []
-            for d in directions:
-                tgt = resolve(r + d[0], c + d[1])
-                if tgt is None:
+                tr, tc = r + dr, c + dc
+                if periodic:
+                    tr, tc = tr % rows, tc % cols
+                elif not (0 <= tr < rows and 0 <= tc < cols):
                     continue
-                if d > (0, 0):
-                    ports.append(edge_id[(r, c, d)])
-                else:
-                    ports.append(edge_id[(tgt[0], tgt[1], (-d[0], -d[1]))])
-            verts.append(Vertex(vid(r, c), PHYSICAL, tuple(ports)))
-    return SystemGraph(verts, edges)
+                a, b = r * cols + c, tr * cols + tc
+                slots[a][i] = slots[b][back[i]] = len(edges)
+                edges.append((a, b))
+    ports = (tuple(e for e in slot if e is not None) for slot in slots)
+    return SystemGraph([Vertex(v, PHYSICAL, p) for v, p in enumerate(ports)], edges)
 
 
 def gen_square_with_diagonals(rows: int, cols: int, boundary: str = "open") -> SystemGraph:
@@ -177,8 +160,8 @@ def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
 
 def _gen_complete(n: int) -> SystemGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    g = SystemGraph.from_edges(edges, meta={"generator": "syk", "params": {"kind": "complete", "n_modes": n}})
-    return g
+    meta = {"generator": "syk", "params": {"kind": "complete", "n_modes": n}}
+    return SystemGraph.from_edges(edges, meta=meta)
 
 
 def _gen_star(n: int) -> SystemGraph:
@@ -392,11 +375,11 @@ def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
     """L x L lattice partitioned into ``blocks`` square blocks, each block
     internally a chain.
 
-    The top-left mode of each block stays on a coarse square lattice of
-    block heads (degree 5 in the bulk: four lattice neighbors plus the
-    chain); the remaining modes of a block hang off the head as a
-    boustrophedon chain.  Bulk qubit total is L^2 + 2b before boundary
-    corrections.
+    The top-left modes of the blocks, their heads, form the open square
+    lattice of the blocks as ``gen_lattice`` lays it out, ports included
+    (degree 5 in the bulk: four lattice neighbors plus the chain); the
+    remaining modes of a block hang off its head as a boustrophedon chain.
+    Bulk qubit total is L^2 + 2b before boundary corrections.
     """
     L, blocks = _integer(L, "L"), _integer(blocks, "blocks")
     if L < 1:
@@ -404,67 +387,34 @@ def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
     root = math.isqrt(max(blocks, 0))
     if root < 1 or root * root != blocks or L % root:
         raise ParseError(f"cannot arrange {blocks} blocks on a {L}x{L} lattice")
-    bh = bw = L // root
-    K, M = L // bh, L // bw  # coarse grid
+    side = L // root
 
-    def vid(r: int, c: int) -> int:
-        return r * L + c
+    def head(block: int) -> int:
+        R, C = divmod(block, root)
+        return R * side * L + C * side
 
-    def block_chain(R: int, C: int) -> List[int]:
-        """Head first, then the rest of the block in boustrophedon order."""
-        out = []
-        for i in range(bh):
-            r = R * bh + i
-            cols = range(bw) if i % 2 == 0 else range(bw - 1, -1, -1)
-            out.extend(vid(r, C * bw + j) for j in cols)
-        return out
-
-    edges: List[Tuple[int, int]] = []
-    head_edge: Dict[Tuple[int, int, str], int] = {}
-    for R in range(K):
-        for C in range(M):
-            head = vid(R * bh, C * bw)
-            if C + 1 < M:
-                head_edge[(R, C, "right")] = len(edges)
-                edges.append((head, vid(R * bh, (C + 1) * bw)))
-            if R + 1 < K:
-                head_edge[(R, C, "down")] = len(edges)
-                edges.append((head, vid((R + 1) * bh, C * bw)))
-    chain_edges: Dict[Tuple[int, int], int] = {}
-    chains: Dict[Tuple[int, int], List[int]] = {}
-    for R in range(K):
-        for C in range(M):
-            seq = block_chain(R, C)
-            chains[(R, C)] = seq
-            for a, b in zip(seq, seq[1:]):
-                chain_edges[(a, b)] = len(edges)
-                edges.append((a, b))
-
+    heads = SystemGraph([], [])  # one block has no head lattice
+    if root > 1:
+        heads = _grid_graph(root, root, _DIRECTIONS["square"], False)
+    edges = [(head(a), head(b)) for a, b in heads.edges]
+    ports = {head(u): v.ports for u, v in heads.vertices.items()}
     verts = []
-    for R in range(K):
-        for C in range(M):
-            seq = chains[(R, C)]
-            head = seq[0]
-            ports = []
-            if R > 0:
-                ports.append(head_edge[(R - 1, C, "down")])
-            if C + 1 < M:
-                ports.append(head_edge[(R, C, "right")])
-            if R + 1 < K:
-                ports.append(head_edge[(R, C, "down")])
-            if C > 0:
-                ports.append(head_edge[(R, C - 1, "right")])
-            if len(seq) > 1:
-                ports.append(chain_edges[(seq[0], seq[1])])
-            verts.append(Vertex(head, PHYSICAL, tuple(ports)))
-            for i in range(1, len(seq)):
-                ports = [chain_edges[(seq[i - 1], seq[i])]]
-                if i + 1 < len(seq):
-                    ports.append(chain_edges[(seq[i], seq[i + 1])])
-                verts.append(Vertex(seq[i], PHYSICAL, tuple(ports)))
+    for block in range(blocks):
+        # head first, then the rest of the block row by row, alternating
+        top, left = divmod(head(block), L)
+        chain = [
+            (top + i) * L + left + (j if i % 2 == 0 else side - 1 - j)
+            for i in range(side)
+            for j in range(side)
+        ]
+        first = len(edges)
+        edges.extend(zip(chain, chain[1:]))
+        for i, v in enumerate(chain):
+            links = tuple(first + k for k in (i - 1, i) if 0 <= k < len(chain) - 1)
+            verts.append(Vertex(v, PHYSICAL, ports.get(v, ()) + links))
     meta = {
         "generator": "blocked_square",
-        "params": {"L": L, "blocks": K * M, "block_dims": [bh, bw]},
+        "params": {"L": L, "blocks": blocks, "block_dims": [side, side]},
     }
     return SystemGraph(verts, edges, meta)
 

@@ -104,19 +104,16 @@ class SystemGraph:
             ids.add(b)
         if n_vertices is not None:
             ids.update(range(n_vertices))
-        norm = sorted(
-            [(min(a, b), max(a, b)) for a, b in edges], key=lambda e: e
-        )
+        norm = sorted((min(a, b), max(a, b)) for a, b in edges)
+        # sorted edges list each vertex's edges in (neighbor, edge) order
         incident: Dict[int, List[int]] = {i: [] for i in ids}
         for eidx, (a, b) in enumerate(norm):
             incident[a].append(eidx)
             incident[b].append(eidx)
-        vlist = []
-        for vid in sorted(ids):
-            ports = sorted(
-                incident[vid], key=lambda e: (_other(norm[e], vid), e)
-            )
-            vlist.append(Vertex(vid, kinds.get(vid, PHYSICAL), tuple(ports)))
+        vlist = [
+            Vertex(vid, kinds.get(vid, PHYSICAL), tuple(incident[vid]))
+            for vid in sorted(ids)
+        ]
         return cls(vlist, norm, meta)
 
     # ------------------------------------------------------------------
@@ -255,7 +252,6 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
                 eb.append(e)
                 vb = _other(g.edges[e], vb)
                 pb.append(vb)
-        # cycle: b -> a via eidx? orient as a-path down from ancestor:
         # vertices: a ... ancestor ... b, then edge eidx closes b -> a
         verts = pa[:-1] + [va] + list(reversed(pb[:-1]))
         edges = ea + list(reversed(eb)) + [eidx]

@@ -6,16 +6,20 @@ Pauli group on those qubits.  The first d operators are assigned to the
 vertex's ports in order; when d is odd the final operator is the vertex's
 unpaired Majorana.
 
-Three constructions are provided:
+Four constructions are provided.  The first three are one pair rule
+(Seeley, Richard & Love, arXiv:1208.5986): mode m of the n qubits carries
+the pair X_U X_m Z_P, X_U Y_m Z_R for its update set U, parity set P and
+remainder set R, and only the sets differ.
 
-``jw``        the chain pattern X1, Y1, Z1 X2, Z1 Y2, ...; weight grows
+``jw``        Jordan-Wigner: U empty, P = R = the qubits below m, so the
+              chain pattern X1, Y1, Z1 X2, Z1 Y2, ...; weight grows
               linearly with the qubit index.
 ``jw_yx``     same strings with each (X, Y) pair swapped, so the first
               operator on each qubit is the Y-type one.  This is the
               variant that makes encoded chain vertex operators come out
               as +Z.
-``fenwick``   binary-indexed-tree strings with weight at most
-              floor(log2 n) + 1.
+``fenwick``   the sets of a binary indexed tree (Bravyi-Kitaev); weight
+              at most floor(log2 n) + 1.
 ``ternary``   root-to-leaf strings of a balanced ternary tree with weight
               at most ceil(log3(2n + 1)); the discarded (2n+1)-th string
               is the all-Z descent.
@@ -77,82 +81,65 @@ def _check_degree(d: int) -> int:
     return (d + 1) // 2
 
 
-def basis_jw(d: int) -> MajoranaBasis:
-    """Chain-pattern basis: op 2m-1 = Z...Z X_m, op 2m = Z...Z Y_m."""
+def _pair_basis(
+    d: int, name: str, masks: Callable[[int], List[Tuple[int, int, int]]], yx: bool = False
+) -> MajoranaBasis:
+    """Mode m maps to the pair X_U X_m Z_P, X_U Y_m Z_R of its (U, P, R)
+    qubit masks from ``masks(n)``; ``yx`` swaps each pair."""
     n = _check_degree(d)
     ops = []
-    for m in range(n):
-        prefix = (1 << m) - 1
-        ops.append(PauliString(n, 1 << m, prefix, 0))
-        ops.append(PauliString(n, 1 << m, prefix | (1 << m), 1))
-    return MajoranaBasis(d, n, tuple(ops), "jw")
+    for m, (u, p, r) in enumerate(masks(n)):
+        pair = [PauliString(n, u | 1 << m, p, 0), PauliString(n, u | 1 << m, r | 1 << m, 1)]
+        ops.extend(pair[::-1] if yx else pair)
+    return MajoranaBasis(d, n, tuple(ops), name)
 
 
-def basis_jw_yx(d: int) -> MajoranaBasis:
-    """Chain pattern with Y before X in every pair (op 2m-1 = Z...Z Y_m)."""
-    n = _check_degree(d)
-    ops = []
-    for m in range(n):
-        prefix = (1 << m) - 1
-        ops.append(PauliString(n, 1 << m, prefix | (1 << m), 1))
-        ops.append(PauliString(n, 1 << m, prefix, 0))
-    return MajoranaBasis(d, n, tuple(ops), "jw_yx")
+def _chain_sets(n: int) -> List[Tuple[int, int, int]]:
+    """Jordan-Wigner's (U, P, R): no update set, every lower qubit in P and R."""
+    return [(0, (1 << m) - 1, (1 << m) - 1) for m in range(n)]
 
 
-# ----------------------------------------------------------------------
-# binary-indexed-tree construction
-
-
-def _bit_sets(n: int) -> List[Tuple[List[int], List[int], List[int]]]:
-    """(update, parity, remainder) qubit sets per mode for a binary indexed
-    tree over n positions.  1-based tree nodes are mapped to 0-based qubits.
+def _bit_sets(n: int) -> List[Tuple[int, int, int]]:
+    """(U, P, R) qubit masks per mode for a binary indexed tree over n
+    positions: U the tree ancestors, P the prefix-parity set, R = P minus
+    the mode's children.  1-based tree nodes are mapped to 0-based qubits.
     """
     out = []
     for m in range(n):
         node = m + 1
-        update = []
+        update = 0
         j = node + (node & -node)
         while j <= n:
-            update.append(j - 1)
+            update |= 1 << (j - 1)
             j += j & -j
-        parity = []
+        parity = 0
         j = m
         while j > 0:
-            parity.append(j - 1)
+            parity |= 1 << (j - 1)
             j -= j & -j
-        children = []
+        children = 0
         low = node & -node
         step = 1
         while step < low:
-            children.append(node - step - 1)
+            children |= 1 << (node - step - 1)
             step <<= 1
-        remainder = [q for q in parity if q not in children]
-        out.append((update, parity, remainder))
+        out.append((update, parity, parity & ~children))
     return out
 
 
-def basis_fenwick(d: int) -> MajoranaBasis:
-    """Tree-structured strings with weight at most floor(log2 n) + 1.
+def basis_jw(d: int) -> MajoranaBasis:
+    """Chain-pattern basis: op 2m-1 = Z...Z X_m, op 2m = Z...Z Y_m."""
+    return _pair_basis(d, "jw", _chain_sets)
 
-    Mode m maps to the pair X_U X_m Z_P and X_U Y_m Z_R, where U is the
-    tree ancestor set, P the prefix-parity set, and R = P minus m's
-    children.
-    """
-    n = _check_degree(d)
-    ops = []
-    for m, (update, parity, remainder) in enumerate(_bit_sets(n)):
-        ux = 0
-        for q in update:
-            ux |= 1 << q
-        pz = 0
-        for q in parity:
-            pz |= 1 << q
-        rz = 0
-        for q in remainder:
-            rz |= 1 << q
-        ops.append(PauliString(n, ux | (1 << m), pz, 0))
-        ops.append(PauliString(n, ux | (1 << m), rz | (1 << m), 1))
-    return MajoranaBasis(d, n, tuple(ops), "fenwick")
+
+def basis_jw_yx(d: int) -> MajoranaBasis:
+    """Chain pattern with Y before X in every pair (op 2m-1 = Z...Z Y_m)."""
+    return _pair_basis(d, "jw_yx", _chain_sets, yx=True)
+
+
+def basis_fenwick(d: int) -> MajoranaBasis:
+    """Tree-structured strings with weight at most floor(log2 n) + 1."""
+    return _pair_basis(d, "fenwick", _bit_sets)
 
 
 # ----------------------------------------------------------------------

@@ -161,23 +161,23 @@ def test_criterion_6_oracle_spectrum_equivalence():
             for basis in ("jw", "fenwick", "ternary"):
                 enc = build_encoding(gen_lattice("linear", n, "open"), basis)
                 h = build_lattice_model("chain", n, t=1.1, u=0.6)
-                rep = dense_oracle_check(h, enc, tol=1e-9)
+                rep = dense_oracle_check(h, enc)
                 assert rep.passed, (n, basis, rep.messages)
         enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
         h = build_lattice_model("chain", 4, t=1.0, u=0.4, bc="periodic")
-        rep = dense_oracle_check(h, enc, tol=1e-9)
+        rep = dense_oracle_check(h, enc)
         assert rep.passed, rep.messages
         enc = build_encoding(gen_lattice("linear", 3, "periodic"), "jw")
-        rep = dense_oracle_check(build_syk2(3, seed=61), enc, tol=1e-9)
+        rep = dense_oracle_check(build_syk2(3, seed=61), enc)
         assert rep.passed, rep.messages
         enc = build_encoding(gen_syk_geometry("star", 4), "jw")
-        rep = dense_oracle_check(build_syk2(4, seed=62), enc, tol=1e-9)
+        rep = dense_oracle_check(build_syk2(4, seed=62), enc)
         assert rep.passed, rep.messages
         g = gen_lattice("square", (2, 2), "periodic")
         assert qubit_count(g) == 8
         enc = build_encoding(g, "jw")
         h = build_lattice_model("square_nn", (2, 2), t=1.0, u=0.5, bc="periodic")
-        rep = dense_oracle_check(h, enc, tol=1e-9)
+        rep = dense_oracle_check(h, enc)
         assert rep.passed, rep.messages
 
 

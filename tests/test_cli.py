@@ -65,7 +65,7 @@ class TestGenEncode:
         for path in (a, b):
             assert main(["gen", "--geometry", "ternary_mera", "--n", "9",
                          "--out", path]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert (tmp_path / "a.graph").read_bytes() == (tmp_path / "b.graph").read_bytes()
 
 
 class TestTransform:
@@ -150,8 +150,8 @@ class TestBench:
         for path in (a, b):
             assert main(["bench", "--geometries", "linear,star",
                          "--n", "8,16,32", "--seed", "1", "--out", path]) == 0
-        rows_a = open(a).read().strip().split("\n")
-        rows_b = open(b).read().strip().split("\n")
+        rows_a = (tmp_path / "a.csv").read_text().strip().split("\n")
+        rows_b = (tmp_path / "b.csv").read_text().strip().split("\n")
         assert len(rows_a) == 7  # header + 6 records
         strip = lambda rows: [",".join(r.split(",")[:-1]) for r in rows]
         assert strip(rows_a) == strip(rows_b)  # all but the seconds column
@@ -458,15 +458,21 @@ class TestErrors:
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "error: parse: bad --n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["unknown_port", "string_id", "string_ids"])
+    @pytest.mark.parametrize(
+        "defect", ["unknown_port", "string_id", "string_ids", "float_endpoint", "bool_port"])
     def test_malformed_graph_exit_code(self, tmp_path, capsys, defect):
         """A port naming no edge, or vertex ids that are not integers, once
-        raised a traceback (the first two) or loaded (all ids strings)."""
+        raised a traceback (the first two) or loaded (all ids strings); an
+        endpoint 0.0 or a port true once loaded and encoded."""
         doc = json.loads(fileio.graph_to_json(gen_syk_geometry("star", 4)))
         if defect == "unknown_port":
             doc["vertices"][0]["ports"][0] = 99
         elif defect == "string_id":
             doc["vertices"][1]["id"] = "1"
+        elif defect == "float_endpoint":
+            doc["edges"][0][0] = 0.0
+        elif defect == "bool_port":
+            doc["vertices"][1]["ports"][0] = True
         else:
             for v in doc["vertices"]:
                 v["id"] = str(v["id"])

@@ -61,6 +61,13 @@ class TestFromTerms:
         with pytest.raises(ParseError):
             FermionOperator.from_terms(2, [(1.0, ((0, True), (1, False))), (coeff, ())])
 
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), complex(1, float("nan"))])
+    def test_direct_constructor_refuses_non_finite(self, coeff):
+        """A NaN hopping once compiled the pair to an empty sum: the normal
+        form dropped the NaN monomials and the finite h.c. term with them."""
+        with pytest.raises(ParseError, match="non-finite"):
+            FermionOperator(2, ((coeff, ((0, True), (1, False))), (1.0, ((1, True), (0, False)))))
+
 
 class TestNormalForm:
     def test_number_operator(self):
@@ -219,6 +226,13 @@ class TestUncheckedMonomials:
         for indices in ((2, 1), (1, 1), (0, 3, 3)):
             with pytest.raises(ParseError, match="strictly increasing"):
                 MajoranaMonomial(1.0, indices)
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("-inf"), complex(float("inf"), 0)])
+    def test_public_constructor_refuses_non_finite(self, coeff):
+        """A NaN monomial once compiled to a NaN term that ``weight_stats``
+        counted as a normal one."""
+        with pytest.raises(ParseError, match="non-finite"):
+            MajoranaMonomial(coeff, (0, 2))
 
 
 class TestBuilders:

@@ -49,6 +49,21 @@ class TestGraphFiles:
         with pytest.raises(ParseError):
             fileio.graph_from_json("{not json")
 
+    @pytest.mark.parametrize("field,value", [
+        ("endpoint", 0.0), ("endpoint", True), ("endpoint", "0"),
+        ("port", 0.0), ("port", False), ("port", "0"),
+    ])
+    def test_non_integer_endpoint_or_port_refused(self, field, value):
+        """An edge endpoint or a port equal to an int but typed float, bool
+        or string once loaded and was written back as that value."""
+        doc = json.loads(fileio.graph_to_json(gen_lattice("linear", 3, "open")))
+        if field == "endpoint":
+            doc["edges"][0][0] = value
+        else:
+            doc["vertices"][0]["ports"][0] = value
+        with pytest.raises(ParseError, match="must be integers"):
+            fileio.graph_from_json(json.dumps(doc))
+
 
 class TestEncodingFiles:
     def test_roundtrip(self, tmp_path):
@@ -140,7 +155,10 @@ class TestEncodingTampering:
         lambda g: {**g, "vertices": [{**g["vertices"][0], "id": "0"}] + g["vertices"][1:]},
         lambda g: {**g, "vertices": [{**g["vertices"][0], "ports": [99]}] + g["vertices"][1:]},
         lambda g: {**g, "edges": [[0, 0]] + g["edges"][1:]},
-    ], ids=["not_a_dict", "no_edges", "string_id", "port_naming_no_edge", "self_loop"])
+        lambda g: {**g, "edges": [[0.0, 1]] + g["edges"][1:]},
+        lambda g: {**g, "vertices": [{**g["vertices"][0], "ports": [True, 0]}] + g["vertices"][1:]},
+    ], ids=["not_a_dict", "no_edges", "string_id", "port_naming_no_edge", "self_loop",
+            "float_endpoint", "bool_port"])
     def test_bad_graph_refused_as_in_a_graph_file(self, tmp_path, tamper):
         """The graph inside an ``.enc`` goes through the ``.graph`` parser:
         each malformed graph is refused with the same message."""

@@ -157,6 +157,35 @@ LATTICE_GRAPH_SHA256 = [
     ("square_diag", (2, 2), "periodic", "0214737bbb0c18100471aa9dc8da09869fc5f8f54d30a5ad4a9a9385d5fce9b0"),
     ("square_diag", (3, 4), "open", "2a83d9285d254c5dd39b823047fb8b35303af4622240a9c54ac716ed8f653952"),
     ("square_diag", (3, 4), "periodic", "601f555232cdd4beb1f8440481a8c51f840d587233549eed7b5ee22e16e1f260"),
+    # periodic sides of length 2: parallel edges keep their ports
+    ("square", (2, 3), "periodic", "960f3cfeb08d0acc18d44dc313e2cdc66f85a919095e9a42c5ba861d22d25ae1"),
+    ("triangular", (2, 3), "periodic", "905999b0b600fc5882ab25142b78f27277e26057113cff4bf4ae55132d7c8200"),
+    ("square_diag", (2, 3), "periodic", "a2d530d6d1b3843a6b8e1737bdfa114759ea276dea90f78ff926d5f0b0599fc3"),
+]
+
+#: sha256 of ``graph_to_json(gen_blocked_square(L, blocks))`` for every
+#: valid (L, blocks) with L <= 8.
+BLOCKED_SQUARE_GRAPH_SHA256 = [
+    (1, 1, "2d02c8f544d7adfdf007a044e62148528e1d70c6434898c6b79f4af4d0ee7753"),
+    (2, 1, "db65ae3f8758c963a17b83630d7c9e94ac35ddc3dbda0a4e230ac84ea353a384"),
+    (2, 4, "60552a939fc9c54f694384546d9a2d17b5b1c72e110fae392c34b98b19927cbf"),
+    (3, 1, "5bfa93b6f5f4ee54dd1cd22ad4737fb5c19980f716b4288720b46a57cb902274"),
+    (3, 9, "9b0260daccda4b1593531c1c0967fbc0c0c43d31224c712ac54178119ea5d61c"),
+    (4, 1, "05f5f1fa47dbfd647ac508a0dc8066f3edb14ab0ecc974cfdef4abe5e91e515b"),
+    (4, 4, "210029f3ace4bbc18df5447cc8531829babd33ec0f4a50922520fc51751c9469"),
+    (4, 16, "711ca516378c5a1f2517c1b47315d5a941836d7f550d4d52154d4866a27d6af6"),
+    (5, 1, "9d6850898b9e5ae70480e71faf3221b1056bc67391327cf1c12d56f070133432"),
+    (5, 25, "ecf9499b8ce7f174b5cf8bcc4ba763312be26b4bff0abae3a15ef5dacc7549cd"),
+    (6, 1, "6d98c01767a63bd15c99c9f65375e14910baf77b129018cd03d04ffa9efef662"),
+    (6, 4, "415d20d4c07e6c7bed5680332489316d7fb8f7045375df58035242f56ab82ef7"),
+    (6, 9, "8fc9f5624ab4691d7f4eb083dd1be35136b269ef7147f9e4550f9baa69a79f1d"),
+    (6, 36, "35f29ef4aa55ccaba935b09df15c03249c06c70344f983b572876fa4f87c74f7"),
+    (7, 1, "e412210e8f3ae80c843e764eba8653a5652d1a066a2f4ea811761ba8a2471f98"),
+    (7, 49, "238bc11beaee75db1b9fde45f89223ad77389455461512d805f10d99f7b73943"),
+    (8, 1, "427a5f98da8a70b0fe90528c0f33e1a21cd882e87af28bd2737c1cecaff3a328"),
+    (8, 4, "dd9d72756c1c7acf2462b6b3f6a5b88921ff29d67c63454f666fdbb90481424b"),
+    (8, 16, "d9c894a36d4388e6761f4f7d693ccb0236723bca3ef6f5f4fa04e3fc89a28857"),
+    (8, 64, "07a6717adef4591a1164af6101f65393c4cae45436288dfd63a3061622587a1b"),
 ]
 
 
@@ -167,6 +196,11 @@ class TestGraphBytes:
             g = gen_square_with_diagonals(*dims, bc)
         else:
             g = gen_lattice(kind, dims, bc)
+        assert hashlib.sha256(graph_to_json(g).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("L,blocks,digest", BLOCKED_SQUARE_GRAPH_SHA256)
+    def test_blocked_square_graph_bytes(self, L, blocks, digest):
+        g = gen_blocked_square(L, blocks)
         assert hashlib.sha256(graph_to_json(g).encode()).hexdigest() == digest
 
     def test_syk_chain_graph_bytes(self):

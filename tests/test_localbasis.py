@@ -1,5 +1,6 @@
 """Tests for the local Majorana basis constructors."""
 
+import hashlib
 import math
 
 import pytest
@@ -52,6 +53,22 @@ class TestPatterns:
         for make in ALL:
             with pytest.raises(ParseError):
                 make(0)
+
+
+#: sha256 of the op strings of degrees 1-64, one line per degree.
+OPS_SHA256 = {
+    "jw": "767f7d1da648498df44dceaf87a602f8efd929a849bf5dd1b61cd02ea92fa30a",
+    "jw_yx": "4cbb601eca755c892e0f74cabb1ebf1d30401548e086404cc6e72837bf8dcf97",
+    "fenwick": "c4d42f791cb97dd09b6f7e3d6f1948c56a99890220b556cfab47014463f73466",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS_SHA256))
+def test_pair_rule_op_strings(name):
+    text = "".join(
+        " ".join(str(op) for op in get_basis(name, d).ops) + "\n" for d in range(1, 65)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == OPS_SHA256[name]
 
 
 class TestWeightBounds:
