@@ -16,20 +16,13 @@ from typing import Iterable, List, Sequence, Tuple
 from .encoding import build_encoding
 from .errors import ParseError
 from .fermion import syk2_couplings, syk2_monomials
-from .geometries import gen_syk_geometry
+from .geometries import SYK_GEOMETRIES, gen_syk_geometry
 from .pauli import PauliSum
 from .transform import transform_monomials
 
 CSV_HEADER = "geometry,n_modes,qubits,max_weight,total_weight,mean_weight,terms,seconds"
 
-SWEEP_GEOMETRIES = (
-    "complete",
-    "linear",
-    "star",
-    "ternary_tree",
-    "ternary_mera",
-    "hyperbolic46",
-)
+SWEEP_GEOMETRIES = tuple(SYK_GEOMETRIES)
 
 #: Local basis used for sweeps.  Tree-structured strings keep the weight
 #: of high-degree vertices logarithmic; at degree <= 2 they reduce to the

@@ -28,6 +28,8 @@ from .encoding import build_encoding, verify_encoding_algebra
 from .errors import FermigraphError, ParseError, VerifyError
 from .fermion import build_syk2
 from .geometries import (
+    LATTICE_DIRECTIONS,
+    SYK_GEOMETRIES,
     gen_blocked_square,
     gen_heavy_hex,
     gen_lattice,
@@ -39,8 +41,9 @@ from .transform import transform_hamiltonian
 
 EXIT_CODES = {"parse": 2, "route": 3, "parity": 4, "resource": 5, "verify-fail": 6}
 
-_LATTICES = ("linear", "square", "triangular", "square_diag")
-_SYK = ("complete", "star", "ternary_tree", "ternary_mera", "hyperbolic46")
+_LATTICES = tuple(LATTICE_DIRECTIONS)
+# gen's linear is the lattice chain (--dims, --bc), bench's the periodic one
+_SYK = tuple(k for k in SYK_GEOMETRIES if k not in LATTICE_DIRECTIONS)
 _GEOMETRIES = _LATTICES + _SYK + ("blocked_square", "heavy_hex")
 
 

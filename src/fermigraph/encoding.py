@@ -502,7 +502,13 @@ def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, Majora
                 continue
             basis = named[(choice, d)] = get_basis(choice, d)
         else:
-            basis = basis_from_labels(d, list(choice))
+            try:
+                labels = list(choice)
+            except TypeError:
+                raise ParseError(
+                    f"basis for vertex {v} must be a name or a label list, got {choice!r}"
+                ) from None
+            basis = basis_from_labels(d, labels)
         report = basis_verify(basis)
         if not report.ok:
             raise VerifyError(

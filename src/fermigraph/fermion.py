@@ -33,8 +33,8 @@ from operator import ge
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, ParityError, ParseError
-from .geometries import _integer, gen_lattice
-from .graph import SystemGraph
+from .geometries import gen_lattice
+from .graph import SystemGraph, _integer
 from .pauli import ZERO_THRESHOLD, set_bits
 
 if TYPE_CHECKING:
@@ -220,7 +220,7 @@ def syk2_couplings(n_modes: int, seed: int) -> np.ndarray:
     variance 1/(2N); the lower triangle is zero."""
     import numpy as np
 
-    n_modes = _integer(n_modes, "n_modes")
+    n_modes = _integer(n_modes, "n_modes must be an integer")
     if n_modes < 1:
         raise ParseError(f"need at least 1 mode, got {n_modes}")
     rng = np.random.default_rng(seed)

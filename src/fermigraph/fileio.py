@@ -60,23 +60,12 @@ def _graph_doc(g: SystemGraph) -> dict:
     }
 
 
-def _int(value) -> int:
-    """A JSON integer, never a bool, a float or a string."""
-    if type(value) is not int:
-        raise TypeError(f"vertex ids, edge endpoints and ports must be integers, got {value!r}")
-    return value
-
-
 def _graph_from_doc(doc) -> SystemGraph:
     """The graph of a parsed ``.graph`` document, or ParseError."""
     try:
-        verts = [
-            Vertex(_int(v["id"]), v["kind"], tuple(map(_int, v["ports"])))
-            for v in doc["vertices"]
-        ]
-        edges = [tuple(map(_int, e)) for e in doc["edges"]]
-        return SystemGraph(verts, edges, doc.get("meta", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        verts = [Vertex(v["id"], v["kind"], v["ports"]) for v in doc["vertices"]]
+        return SystemGraph(verts, doc["edges"], doc.get("meta", {}))
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"bad graph file: {exc}") from exc
 
 

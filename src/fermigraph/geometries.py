@@ -13,35 +13,23 @@ and the surplus leaf slots kept as degree-1 virtual vertices, flagged in
 from __future__ import annotations
 
 import math
-import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError, ResourceError
-from .graph import PHYSICAL, VIRTUAL, SystemGraph, Vertex
+from .graph import PHYSICAL, VIRTUAL, SystemGraph, Vertex, _integer
 
 Coord = Tuple[int, int]
 
 
 #: Neighbor offsets (row, col) of each lattice kind, clockwise from the
 #: top; a ``linear`` chain is a single row with ports (left, right).
-_DIRECTIONS: Dict[str, Tuple[Coord, ...]] = {
+LATTICE_DIRECTIONS: Dict[str, Tuple[Coord, ...]] = {
     "linear": ((0, -1), (0, 1)),
     "square": ((-1, 0), (0, 1), (1, 0), (0, -1)),
     # axial coordinates: up, up-right, right, down, down-left, left
     "triangular": ((-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1)),
     "square_diag": ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)),
 }
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int: an int or integer-like (``operator.index``),
-    never a bool, a float or a string."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 def lattice_dims(kind: str, dims) -> Tuple[int, ...]:
@@ -57,7 +45,7 @@ def lattice_dims(kind: str, dims) -> Tuple[int, ...]:
     if not 1 <= len(dims) <= most:
         takes = "1 dim" if most == 1 else "1 or 2 dims"
         raise ParseError(f"{kind} takes {takes} in --dims, got {len(dims)}: {dims!r}")
-    return tuple(_integer(d, f"{kind} dims") for d in dims)
+    return tuple(_integer(d, f"{kind} dims must be an integer") for d in dims)
 
 
 # ----------------------------------------------------------------------
@@ -74,13 +62,13 @@ def gen_lattice(kind: str, dims, boundary: str = "open") -> SystemGraph:
     at least 2 along every side that a neighbor offset wraps; a periodic
     side of length 2 produces parallel edges, which are kept.
     """
-    if kind not in _DIRECTIONS:
+    if kind not in LATTICE_DIRECTIONS:
         raise ParseError(f"unknown lattice kind {kind!r}")
     if boundary not in ("open", "periodic"):
         raise ParseError(f"unknown boundary {boundary!r}")
     dims = lattice_dims(kind, dims)
     rows, cols = (1, dims[0]) if kind == "linear" else (dims[0], dims[-1])
-    g = _grid_graph(rows, cols, _DIRECTIONS[kind], boundary == "periodic")
+    g = _grid_graph(rows, cols, LATTICE_DIRECTIONS[kind], boundary == "periodic")
     g.meta = {
         "generator": "lattice",
         "params": {
@@ -133,46 +121,25 @@ def gen_square_with_diagonals(rows: int, cols: int, boundary: str = "open") -> S
 
 
 def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
-    """System geometries for all-to-all coupled modes.
+    """System geometries for all-to-all coupled modes, one per kind of
+    ``SYK_GEOMETRIES``: ``complete``, ``linear`` (periodic chain), ``star``
+    (one central virtual mode), ``ternary_tree``, ``ternary_mera``,
+    ``hyperbolic46``.
 
-    Kinds: ``complete``, ``linear`` (periodic chain), ``star`` (one central
-    virtual mode), ``ternary_tree``, ``ternary_mera``, ``hyperbolic46``.
+    Mode m is vertex m for m < n_modes and every other vertex is virtual.
     """
-    n_modes = _integer(n_modes, "n_modes")
-    if n_modes < 2:
+    n = _integer(n_modes, "n_modes must be an integer")
+    if n < 2:
         raise ParseError("need at least 2 modes")
-    if kind == "complete":
-        return _gen_complete(n_modes)
-    if kind == "linear":
-        g = gen_lattice("linear", n_modes, "periodic")
-        g.meta = {"generator": "syk", "params": {"kind": "linear", "n_modes": n_modes}}
-        return g
-    if kind == "star":
-        return _gen_star(n_modes)
-    if kind == "ternary_tree":
-        return _gen_ternary_tree(n_modes)
-    if kind == "ternary_mera":
-        return _gen_ternary_mera(n_modes)
-    if kind == "hyperbolic46":
-        return _gen_hyperbolic46(n_modes)
-    raise ParseError(f"unknown geometry kind {kind!r}")
-
-
-def _gen_complete(n: int) -> SystemGraph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    meta = {"generator": "syk", "params": {"kind": "complete", "n_modes": n}}
-    return SystemGraph.from_edges(edges, meta=meta)
-
-
-def _gen_star(n: int) -> SystemGraph:
-    center = n
-    edges = [(i, center) for i in range(n)]
-    kinds = {center: VIRTUAL}
-    return SystemGraph.from_edges(
-        edges,
-        kinds=kinds,
-        meta={"generator": "syk", "params": {"kind": "star", "n_modes": n}},
-    )
+    if kind not in SYK_GEOMETRIES:
+        raise ParseError(f"unknown geometry kind {kind!r}")
+    edges, params, meta = SYK_GEOMETRIES[kind](n)
+    meta = {"generator": "syk", "params": {"kind": kind, "n_modes": n, **params}, **meta}
+    if isinstance(edges, SystemGraph):  # linear
+        edges.meta = meta
+        return edges
+    virtual = {v: VIRTUAL for edge in edges for v in edge if v >= n}
+    return SystemGraph.from_edges(edges, kinds=virtual, meta=meta)
 
 
 def _ternary_depth(n: int) -> int:
@@ -182,37 +149,20 @@ def _ternary_depth(n: int) -> int:
     return depth
 
 
-def _gen_ternary_tree(n: int) -> SystemGraph:
-    """Complete ternary tree: physical modes at the first n leaves, any
-    surplus leaves kept as virtual placeholders.  Interior vertices have
-    degree 4 (three children plus a parent); the root has degree 3."""
+def _ternary_tree(n: int):
+    """Complete ternary tree with the modes at its first n leaves and any
+    surplus leaves kept as placeholders.  Interior vertices have degree 4
+    (three children plus a parent); the root has degree 3."""
     depth = _ternary_depth(n)
-    n_leaves = 3**depth
-    n_internal = (3**depth - 1) // 2
-    # ids: physical leaves 0..n-1, surplus leaves, then internals (root last)
-    leaf_ids = list(range(n_leaves))
-    internal_ids = [n_leaves + i for i in range(n_internal)]
+    leaves, internal = 3**depth, (3**depth - 1) // 2
 
-    # internal nodes in BFS order: index i has children 3i+1, 3i+2, 3i+3
-    # (children are internal while < n_internal, else leaves)
-    edges = []
-    for i in range(n_internal):
-        for b in range(3):
-            child = 3 * i + 1 + b
-            if child < n_internal:
-                edges.append((internal_ids[i], internal_ids[child]))
-            else:
-                leaf = child - n_internal
-                edges.append((internal_ids[i], leaf_ids[leaf]))
-    kinds = {vid: VIRTUAL for vid in internal_ids}
-    for leaf in range(n, n_leaves):
-        kinds[leaf] = VIRTUAL
-    meta = {
-        "generator": "syk",
-        "params": {"kind": "ternary_tree", "n_modes": n, "depth": depth},
-        "unused_leaves": n_leaves - n,
-    }
-    return SystemGraph.from_edges(edges, kinds=kinds, meta=meta)
+    def vertex(i: int) -> int:
+        # node i in BFS order (children 3i+1..3i+3): internal nodes follow
+        # the leaves, root first
+        return leaves + i if i < internal else i - internal
+
+    edges = [(vertex((i - 1) // 3), vertex(i)) for i in range(1, internal + leaves)]
+    return edges, {"depth": depth}, {"unused_leaves": leaves - n}
 
 
 #: Wiring revision for the MERA-style geometry below; bump when the layer
@@ -220,7 +170,7 @@ def _gen_ternary_tree(n: int) -> SystemGraph:
 MERA_WIRING_VERSION = 1
 
 
-def _gen_ternary_mera(n: int) -> SystemGraph:
+def _ternary_mera(n: int):
     """MERA-style hierarchy over a ternary coarse-graining.
 
     Each layer maps m sites to m/3 through two rows of degree-4 virtual
@@ -234,7 +184,6 @@ def _gen_ternary_mera(n: int) -> SystemGraph:
     depth = _ternary_depth(max(n, 3))
     n_bottom = 3**depth
     next_id = n_bottom
-    kinds = {vid: VIRTUAL for vid in range(n, n_bottom)}
     edges: List[Tuple[int, int]] = []
 
     level = list(range(n_bottom))
@@ -251,24 +200,10 @@ def _gen_ternary_mera(n: int) -> SystemGraph:
             edges.append((merge[i], pair[(i - 1) % nb]))
             edges.append((merge[i], level[3 * i + 1]))
             edges.append((merge[i], pair[i]))
-        for vid in pair + merge:
-            kinds[vid] = VIRTUAL
         level = merge
-    top = next_id
-    kinds[top] = VIRTUAL
-    for s in level:
-        edges.append((s, top))
-    meta = {
-        "generator": "syk",
-        "params": {
-            "kind": "ternary_mera",
-            "n_modes": n,
-            "depth": depth,
-            "wiring_version": MERA_WIRING_VERSION,
-        },
-        "unused_leaves": n_bottom - n,
-    }
-    return SystemGraph.from_edges(edges, kinds=kinds, meta=meta)
+    edges.extend((s, next_id) for s in level)
+    params = {"depth": depth, "wiring_version": MERA_WIRING_VERSION}
+    return edges, params, {"unused_leaves": n_bottom - n}
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +263,7 @@ def _grow_hyperbolic_layer(
     return n_vertices, new_bd, new_fc
 
 
-def _gen_hyperbolic46(n: int) -> SystemGraph:
+def _hyperbolic46(n: int):
     """Disk of the {4,6} tiling (4-sided faces, interior degree 6) grown
     layer by layer from a central face, with physical modes attached as
     pendant legs spread uniformly around the outermost boundary."""
@@ -357,14 +292,25 @@ def _gen_hyperbolic46(n: int) -> SystemGraph:
     for old in range(n_vertices):
         remap[old] = n + old
     edges = [(remap[a], remap[b]) for a, b in edges]
-    kinds = {remap[v]: VIRTUAL for v in range(n_vertices)}
     meta = {
-        "generator": "syk",
-        "params": {"kind": "hyperbolic46", "n_modes": n, "layers": grown + 1},
         "boundary": [remap[v] for v in bd],
         "faces": [[remap[v] for v in f] for f in faces],
     }
-    return SystemGraph.from_edges(edges, kinds=kinds, meta=meta)
+    return edges, {"layers": grown + 1}, meta
+
+
+#: The all-to-all geometries in sweep order: kind -> builder of the edges
+#: over n modes, the extra params and the extra meta.  ``linear`` builds
+#: ``gen_lattice``'s periodic chain instead of edges, whose ports run
+#: (left, right) rather than by ascending neighbor.
+SYK_GEOMETRIES: Dict[str, Callable[[int], Tuple[object, dict, dict]]] = {
+    "complete": lambda n: ([(i, j) for i in range(n) for j in range(i + 1, n)], {}, {}),
+    "linear": lambda n: (gen_lattice("linear", n, "periodic"), {}, {}),
+    "star": lambda n: ([(i, n) for i in range(n)], {}, {}),
+    "ternary_tree": _ternary_tree,
+    "ternary_mera": _ternary_mera,
+    "hyperbolic46": _hyperbolic46,
+}
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +327,8 @@ def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
     remaining modes of a block hang off its head as a boustrophedon chain.
     Bulk qubit total is L^2 + 2b before boundary corrections.
     """
-    L, blocks = _integer(L, "L"), _integer(blocks, "blocks")
+    L = _integer(L, "L must be an integer")
+    blocks = _integer(blocks, "blocks must be an integer")
     if L < 1:
         raise ParseError("L must be positive")
     root = math.isqrt(max(blocks, 0))
@@ -395,7 +342,7 @@ def gen_blocked_square(L: int, blocks: int) -> SystemGraph:
 
     heads = SystemGraph([], [])  # one block has no head lattice
     if root > 1:
-        heads = _grid_graph(root, root, _DIRECTIONS["square"], False)
+        heads = _grid_graph(root, root, LATTICE_DIRECTIONS["square"], False)
     edges = [(head(a), head(b)) for a, b in heads.edges]
     ports = {head(u): v.ports for u, v in heads.vertices.items()}
     verts = []
@@ -465,9 +412,10 @@ def gen_heavy_hex() -> SystemGraph:
 
     Each degree-3 device qubit is grouped with an adjacent row qubit so the
     resulting degree-3 system vertex owns the 2 qubits it needs; all other
-    device qubits stand alone as degree <= 2 vertices with 1 qubit.  Every
-    system-graph edge corresponds to at least one device coupling between
-    the two groups, so encoded operators respect device connectivity.
+    device qubits stand alone as degree <= 2 vertices with 1 qubit.  Each
+    system edge joins two groups that share a device coupling.  No map from
+    a vertex's encoded qubits to its group's device qubits is fixed yet, so
+    an encoded operator may act on device qubits the device does not join.
     """
     n_dev, dev_edges = heavy_hex_device()
     adj: Dict[int, List[int]] = {q: [] for q in range(n_dev)}
@@ -484,24 +432,14 @@ def gen_heavy_hex() -> SystemGraph:
         if not row_nbrs:
             raise ParseError("heavy-hex pairing failed")
         partner[q] = row_nbrs[0]
-    if len(set(partner.values())) != len(partner):
+    partners = set(partner.values())
+    if len(partners) != len(partner):
         raise ParseError("heavy-hex pairing collided")
 
-    group_of: Dict[int, int] = {}
-    groups: List[List[int]] = []
-    for q in range(n_dev):
-        if q in group_of:
-            continue
-        if q in partner:
-            members = sorted([q, partner[q]])
-        elif q in partner.values():
-            continue  # handled with its degree-3 partner
-        else:
-            members = [q]
-        gid = len(groups)
-        groups.append(members)
-        for m in members:
-            group_of[m] = gid
+    # each degree-3 qubit and its partner form one group, placed at the former
+    groups = [sorted([q, partner[q]]) if q in partner else [q]
+              for q in range(n_dev) if q not in partners]
+    group_of = {q: gid for gid, members in enumerate(groups) for q in members}
 
     edges = set()
     for a, b in dev_edges:

@@ -14,6 +14,7 @@ identical serializations.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -26,6 +27,19 @@ PHYSICAL = "physical"
 VIRTUAL = "virtual"
 
 
+def _integer(value, rule: str) -> int:
+    """``value`` as a plain int: an int or integer-like (``operator.index``),
+    never a bool, a float or a string, which raise ParseError(``rule``)."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParseError(f"{rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: int
@@ -34,7 +48,8 @@ class Vertex:
 
 
 class SystemGraph:
-    """Undirected multigraph with per-vertex ordered ports."""
+    """Undirected multigraph with per-vertex ordered ports; vertex ids,
+    edge endpoints and ports are stored as plain ints."""
 
     def __init__(
         self,
@@ -42,7 +57,13 @@ class SystemGraph:
         edges: Sequence[Edge],
         meta: Optional[dict] = None,
     ):
-        vlist = sorted(vertices, key=lambda v: v.id)
+        def plain(value) -> int:
+            return _integer(value, "vertex ids, edge endpoints and ports must be integers")
+
+        vlist = sorted(
+            (Vertex(plain(v.id), v.kind, tuple(map(plain, v.ports))) for v in vertices),
+            key=lambda v: v.id,
+        )
         ids = [v.id for v in vlist]
         if len(set(ids)) != len(ids):
             raise ParseError("duplicate vertex ids")
@@ -50,6 +71,7 @@ class SystemGraph:
 
         norm = []
         for a, b in edges:
+            a, b = plain(a), plain(b)
             if a == b:
                 raise ParseError(f"self loop at vertex {a}")
             if a not in idset or b not in idset:

@@ -1,8 +1,10 @@
 """The package's public name list and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import fermigraph
 
@@ -53,3 +55,33 @@ def test_import_leaves_numpy_out():
         assert "fermigraph.dense" not in loaded, statement
         missing = [m for m in COMPILE_PATH if f"fermigraph.{m}" not in loaded]
         assert missing == [], statement
+
+
+def test_modules_use_every_name_they_import():
+    """No module of the package imports a name it never reads: each
+    imported name appears as a name in the module's code, or in its
+    ``__all__``.  This stands in for a linter's unused-import rule when a
+    helper moves between modules."""
+    unused = []
+    for path in sorted(Path(fermigraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            imported.update(dict.fromkeys(names, node.lineno))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []

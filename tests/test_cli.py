@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 
 from fermigraph import fileio
+from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.cli import build_parser, main
+from fermigraph.errors import ParseError
 from fermigraph.fermion import build_lattice_model
-from fermigraph.geometries import gen_lattice, gen_square_with_diagonals, gen_syk_geometry
+from fermigraph.geometries import (
+    LATTICE_DIRECTIONS,
+    SYK_GEOMETRIES,
+    gen_lattice,
+    gen_square_with_diagonals,
+    gen_syk_geometry,
+)
 
 
 class TestGenEncode:
@@ -510,3 +518,27 @@ class TestDocs:
         documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
                                     "".join(text for _, text in sections)))
         assert documented == options
+
+
+def test_geometry_kinds_agree(tmp_path):
+    """``SWEEP_GEOMETRIES`` are the kinds ``gen_syk_geometry`` accepts, and
+    ``gen --geometry`` offers every lattice and all-to-all kind (its linear
+    is the lattice chain) plus blocked_square and heavy_hex."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    gen = subparsers.choices["gen"]
+    text = next(a.help for a in gen._actions if "--geometry" in a.option_strings)
+    offered = text.removeprefix("one of ").split(", ")
+    assert sorted(offered) == sorted(
+        {*LATTICE_DIRECTIONS, *SWEEP_GEOMETRIES, "blocked_square", "heavy_hex"})
+    assert SWEEP_GEOMETRIES == tuple(SYK_GEOMETRIES)
+    for kind in SWEEP_GEOMETRIES:
+        g = gen_syk_geometry(kind, 5)
+        assert g.meta["params"]["kind"] == kind
+        if kind not in LATTICE_DIRECTIONS:
+            out = tmp_path / f"{kind}.graph"
+            assert main(["gen", "--geometry", kind, "--n", "5", "--out", str(out)]) == 0
+            assert out.read_text() == fileio.graph_to_json(g)
+    for kind in set(offered) - set(SWEEP_GEOMETRIES):
+        with pytest.raises(ParseError, match="unknown geometry kind"):
+            gen_syk_geometry(kind, 5)

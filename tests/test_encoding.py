@@ -14,7 +14,13 @@ from conftest import (
 )
 from fermigraph import encoding
 from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
-from fermigraph.errors import DimensionError, ResourceError, RoutingError, VerifyError
+from fermigraph.errors import (
+    DimensionError,
+    ParseError,
+    ResourceError,
+    RoutingError,
+    VerifyError,
+)
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.localbasis import basis_verify
@@ -44,6 +50,12 @@ class TestBuild:
         enc = build_encoding(g, "jw")
         assert enc.total_qubits == 2
         assert enc.edge_operator(0, 1) == L("X1 X2", 2)
+
+    @pytest.mark.parametrize("choice", [None, 5])
+    def test_basis_choice_neither_name_nor_labels(self, choice):
+        """Once a bare TypeError from ``list(choice)``."""
+        with pytest.raises(ParseError, match=f"basis for vertex 0 .*got {choice!r}"):
+            build_encoding(gen_lattice("linear", 3), choice)
 
     def test_triangular_vertex_op_support(self):
         """Degree-6 vertex under the chain-pattern basis: all-Z on its 3

@@ -1,14 +1,17 @@
 """Generator-level checks: degrees, qubit totals, declared patterns."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
+from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.errors import ParseError
 from fermigraph.fermion import build_lattice_model
 from fermigraph.fileio import graph_to_json
 from fermigraph.geometries import (
+    LATTICE_DIRECTIONS,
     gen_blocked_square,
     gen_heavy_hex,
     gen_lattice,
@@ -361,3 +364,27 @@ class TestHeavyHex:
                 for qa in groups[a]
                 for qb in groups[b]
             )
+
+
+#: (id, mode count, generator) for every generator: the six all-to-all
+#: kinds at counts that fill and overfill their hierarchies, each lattice
+#: kind open and periodic, the blocked square and the heavy-hex device.
+MODES_FIRST_CASES = (
+    [(f"{kind}{n}", n, partial(gen_syk_geometry, kind, n))
+     for kind in SWEEP_GEOMETRIES for n in (2, 3, 5, 8, 27, 28, 49)]
+    + [(f"{kind}_{bc}", 12,
+        partial(gen_lattice, kind, 12 if kind == "linear" else (3, 4), bc))
+       for kind in LATTICE_DIRECTIONS for bc in ("open", "periodic")]
+    + [("blocked_square", 16, partial(gen_blocked_square, 4, 4)),
+       ("heavy_hex", 49, gen_heavy_hex)]
+)
+
+
+@pytest.mark.parametrize("n_modes,make", [case[1:] for case in MODES_FIRST_CASES],
+                         ids=[case[0] for case in MODES_FIRST_CASES])
+def test_modes_first(n_modes, make):
+    """Mode m is vertex m for m < n_modes and every other vertex is
+    virtual; the compile maps modes to physical vertices in id order."""
+    g = make()
+    assert g.physical_ids() == list(range(n_modes))
+    assert all(g.vertices[v].kind == VIRTUAL for v in g.vertex_ids()[n_modes:])

@@ -15,6 +15,7 @@ from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.encoding import Router, build_encoding
 from fermigraph.errors import ParseError, RoutingError
 from fermigraph.fermion import syk2_monomials
+from fermigraph.fileio import graph_to_json
 from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
 from fermigraph.transform import _Realizer
@@ -52,6 +53,25 @@ class TestSystemGraph:
         assert g.vertices[1].ports == (1, 0)
         assert [g.port_of_edge(1, e) for e in (0, 1)] == [1, 0]
         assert g.port_of_edge(2, 1) == 0
+
+    @pytest.mark.parametrize("vertices,edges", [
+        ([Vertex(0, "physical", (0,)), Vertex(1, "physical", (0,))], [(0.0, 1)]),
+        ([Vertex(0, "physical", (0,)), Vertex(1, "physical", (False,))], [(0, 1)]),
+        ([Vertex(0, "physical", (0,)), Vertex("1", "physical", (0,))], [(0, 1)]),
+    ], ids=["float_endpoint", "bool_port", "string_id"])
+    def test_non_integers_refused(self, vertices, edges):
+        """Once built (a float endpoint, stored and written as 0.0, or a
+        bool port) or a bare TypeError (a string id)."""
+        with pytest.raises(ParseError, match="must be integers"):
+            SystemGraph(vertices, edges)
+
+    def test_integer_likes_stored_as_int(self):
+        """numpy ids once built a graph whose JSON write raised TypeError."""
+        g = SystemGraph.from_edges([(np.int64(0), np.int64(1))])
+        assert {type(v) for v in g.vertices} == {int}
+        assert {type(x) for e in g.edges for x in e} == {int}
+        assert {type(p) for v in g.vertices.values() for p in v.ports} == {int}
+        assert graph_to_json(g) == graph_to_json(SystemGraph.from_edges([(0, 1)]))
 
     def test_neighbors_in_port_order(self):
         g = gen_lattice("square", (3, 3), "open")
