@@ -34,9 +34,11 @@ which is not always the Pauli weight of the string; see ``Router``.
 Every table string is built on raw ints from local operators.  An edge
 operator ORs its two port operators shifted to their disjoint blocks, so
 their phases add with no cross term; a vertex operator is multiplied out
-on its block and embedded once; a loop stabilizer, like a routed string,
-folds the directed edge operators along its walk (``_walk_product``, which
-``Router.operator`` runs state by state to share one source's prefixes).
+on its block once per basis object (``resolve_bases`` shares one per name
+and degree) and embedded at each vertex of that basis; a loop stabilizer,
+like a routed string, folds the directed edge operators along its walk
+(``_walk_product``, which ``Router.operator`` runs state by state to share
+one source's prefixes).
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]]]
 #: (complete/150, just under the budget: 52 MB traced), while complete/96
 #: needs 16 % of it and complete/300 is refused.
 TABLE_BUDGET = 1 << 28
+
+
+def check_table_budget(qubits: int, strings: int) -> None:
+    """Refuse, with ``ResourceError``, tables of ``strings`` strings on
+    ``qubits`` qubits when their product exceeds ``TABLE_BUDGET``."""
+    if qubits * strings > TABLE_BUDGET:
+        raise ResourceError(
+            f"encoding tables need {qubits} qubits x {strings} strings = "
+            f"{qubits * strings}, above the budget of {TABLE_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -186,9 +198,12 @@ class Encoding:
         return len(self.graph.physical_ids())
 
 
-#: A route: (cost, edge sequence, end state).  The end state is -1 for a
-#: route of the re-search, whose states belong to another search.
-_Route = Tuple[int, Tuple[int, ...], int]
+#: A route: (cost, edge sequence, end state).  The edge sequence is None
+#: until ``route`` reads it back from the live search; the end state is -1
+#: for a route of the re-search, whose states belong to another search.
+_Route = Tuple[int, Optional[Tuple[int, ...]], int]
+#: The candidate cost of a state no walk has reached yet, above any cost.
+_UNSEEN = 1 << 62
 #: A move of a transition table: (step weight, next state).
 _Move = Tuple[int, int]
 #: The transition row of an in-state: (vertex, single-port weight, moves).
@@ -217,11 +232,13 @@ class Router:
     its least candidate under (cost, vertex sequence, edge sequence),
     and sequences are compared only when two candidates tie on cost; a
     settled state records its predecessor, and the walk is read back from
-    those.  When a state at u settles, it offers u a terminal candidate
-    with u's single-port weight added, kept by the same rule, and u's
-    least terminal candidate is the route to u.  Each vertex's transition
-    table is built the first time the vertex is expanded and kept for the
-    router's life.
+    those.  Each settled state at u offers u a terminal candidate, its
+    cost plus u's single-port weight there, and u's least one by the same
+    rule is the route to u.  It is read off u's states when u is asked
+    for, once no state left to settle could offer one as cheap, so the
+    vertices no route ends at cost the search nothing.  Each vertex's
+    transition table is built the first time the vertex is expanded and
+    kept for the router's life.
 
     The search of the latest source stays live, so routing one source's
     destinations one after another runs one search for all of them;
@@ -249,15 +266,21 @@ class Router:
         self.searches = 0
         self.re_searches = 0
         self._source: Optional[int] = None
-        self._search: Iterator[Tuple[int, int, int]] = iter(())
+        self._search: Iterator[int] = iter(())  # the live search's ``_settle``
+        self._level = -1  # the live search has settled every state this cheap
         self._pred: List[int] = []  # state -> predecessor, -1 at the source
-        # end vertex -> (cost, edge sequence once read back, end state)
-        self._found: Dict[int, Tuple[int, Optional[Tuple[int, ...]], int]] = {}
-        self._prefix: Dict[int, Tuple[int, int, int]] = {}  # state -> (x, z, phase)
+        self._best: List[int] = []  # state -> candidate cost, as ``_settle`` keeps it
+        self._found: Dict[int, _Route] = {}  # end vertex -> its route
+        # state -> (x, z, phase, edges) of the walk's product up to it
+        self._prefix: Dict[int, Tuple[int, int, int, int]] = {}
 
     def route(self, j: int, k: int) -> List[int]:
         """Edge sequence of the minimum-cost walk from j to k."""
-        return list(self._entry(j, k)[1])
+        cost, edges, s = self._entry(j, k)
+        if edges is None:
+            edges = self._walk(s, self._pred)
+            self._found[k] = cost, edges, s
+        return list(edges)
 
     def cost(self, j: int, k: int) -> int:
         """The additive cost ``route`` minimized for (j, k); it is the
@@ -278,16 +301,16 @@ class Router:
         while s >= 0 and s not in prefix:
             chain.append(s)
             s = pred[s]
-        x, z, phase = prefix[s] if s >= 0 else (0, 0, 0)
+        x, z, phase, n = prefix[s] if s >= 0 else (0, 0, 0, 0)
         ops = self._enc.edge_ops
         for s in reversed(chain):
             # the edge walked into state s, negated when entered at its first end
             op = ops[s >> 1]
             phase += op.phase + 2 * (s & 1) + 2 * (z & op.x).bit_count()
-            x, z = x ^ op.x, z ^ op.z
-            prefix[s] = x, z, phase
+            x, z, n = x ^ op.x if x else op.x, z ^ op.z if z else op.z, n + 1
+            prefix[s] = x, z, phase, n
         return _hermitian(
-            PauliString._raw(self._enc.total_qubits, x, z, phase + len(edges) - 1),
+            PauliString._raw(self._enc.total_qubits, x, z, phase + n - 1),
             "canonical path operator",
         )
 
@@ -301,11 +324,9 @@ class Router:
     def _absorbing(self, j: int, k: int) -> Tuple[int, Tuple[int, ...]]:
         """(cost, edge sequence) of k's route from a search of its own
         with k absorbing."""
-        self._check(j, k)
-        pred = [-1] * len(self._rows)
-        for _, cost, s in self._walks(j, k, pred):
-            return cost, self._walk(j, s, pred)[1]
-        raise RoutingError(f"no path between {j} and {k}")
+        pred, best = [-1] * len(self._rows), [_UNSEEN] * len(self._rows)
+        cost, s, _ = self._end(j, k, self._settle(j, k, pred, best), best, pred, -1)
+        return cost, self._walk(s, pred)
 
     def _entry(self, j: int, k: int) -> _Route:
         """The route from j to k, from j's live search, started here when
@@ -315,36 +336,61 @@ class Router:
             self.searches += 1
             self._source, self._found, self._prefix = j, {}, {}
             self._pred = [-1] * len(self._rows)
-            self._search = self._walks(j, None, self._pred)
+            self._best = [_UNSEEN] * len(self._rows)
+            self._search = self._settle(j, None, self._pred, self._best)
+            self._level = -1
         found = self._found
         if k not in found:
-            for v, cost, s in self._search:
-                found[v] = cost, None, s
-                if v == k:
-                    break
-            else:
-                raise RoutingError(f"no path between {j} and {k}")
-        cost, edges, s = found[k]
-        if edges is None:
-            verts, edges = self._walk(j, s, self._pred)
-            if k in verts[:-1]:
+            cost, s, self._level = self._end(
+                j, k, self._search, self._best, self._pred, self._level)
+            edges, t, of = None, self._pred[s], self._vertex_of
+            while t >= 0 and of[t] != k:
+                t = self._pred[t]
+            if t >= 0:  # the walk passes through k before its end
                 self.re_searches += 1
                 (cost, edges), s = self._absorbing(j, k), -1
             found[k] = cost, edges, s
         return found[k]
 
-    def _walk(
-        self, j: int, s: int, pred: List[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(vertex sequence, edge sequence) of the walk from j that
-        ``pred`` records for state s."""
-        verts, edges = [], []
+    def _end(
+        self, j: int, k: int, search: Iterator[int], best: List[int],
+        pred: List[int], level: int,
+    ) -> Tuple[int, int, int]:
+        """(cost, end state) of k's route from j, and the cost to which
+        ``search`` has now settled every state (``level`` before the call).
+        Each settled state at k offers k its cost plus k's single-port
+        weight there, and the least offer under (cost, vertex sequence,
+        edge sequence) is the route; ``search`` settles further until no
+        state left to settle could offer one as cheap."""
+        g, rows = self._graph, self._rows
+        ins = [2 * e + (g.edges[e][0] == k) for e in g.vertices[k].ports]
+        while True:
+            end = None
+            for s in ins:
+                if best[s] < 0:  # settled, at cost ~best[s]
+                    c = ~best[s] + rows[s][1]
+                    if end is None or c < end[0] or (
+                        c == end[0] and self._before(s, end[1], best, pred)
+                    ):
+                        end = c, s
+            # a state still to settle costs level + 1 or more, and every
+            # step adds at least 1
+            if end is not None and end[0] <= level + 1:
+                return end[0], end[1], level
+            level = next(search, _UNSEEN)
+            if level == _UNSEEN:
+                if end is None:
+                    raise RoutingError(f"no path between {j} and {k}")
+                return end[0], end[1], level
+
+    def _walk(self, s: int, pred: List[int]) -> Tuple[int, ...]:
+        """Edge sequence of the walk that ``pred`` records for state s."""
+        edges = []
         while s >= 0:
-            verts.append(self._vertex_of[s])
             edges.append(s >> 1)
             s = pred[s]
-        verts.append(j)
-        return tuple(reversed(verts)), tuple(reversed(edges))
+        edges.reverse()
+        return tuple(edges)
 
     def _before(
         self, a: int, b: int, best: List[int], pred: List[int], t: int = -1
@@ -363,6 +409,8 @@ class Router:
                 tb.append(b)
                 b = pred[b]
         of = self._vertex_of
+        if ta and tb and of[ta[-1]] != of[tb[-1]]:  # most walks differ at once
+            return of[ta[-1]] < of[tb[-1]]
         va, vb = [of[s] for s in reversed(ta)], [of[s] for s in reversed(tb)]
         if va != vb:
             return va < vb
@@ -380,32 +428,23 @@ class Router:
             moves = tuple(m for q, m in enumerate(zip(row, far)) if q != p)
             self._rows[2 * e + (g.edges[e][0] == v)] = (v, basis.op_weights[p], moves)
 
-    def _walks(
-        self, j: int, stop: Optional[int], pred: List[int]
-    ) -> Iterator[Tuple[int, int, int]]:
-        """(vertex, cost, end state) of each vertex's route from j, in
-        order of cost, with ``pred`` filled in for every settled state.
-        With a ``stop`` vertex, its states are not expanded, so no walk
-        passes through it, and only its route is given."""
+    def _settle(
+        self, j: int, stop: Optional[int], pred: List[int], best: List[int]
+    ) -> Iterator[int]:
+        """Settle the states reachable from j in order of cost, filling in
+        ``pred`` and ``best`` (a state's least candidate cost, ``_UNSEEN``
+        until it is offered one, ~cost once settled), and yield each cost
+        once every state of that cost has settled.  With a ``stop``
+        vertex, its states are not expanded, so no walk passes through it."""
         rows = self._rows
         if j not in self._starts:
             self._table(j)
-        # least candidate cost per state, above any cost until offered one;
-        # ~cost once settled
-        best = [1 << 62] * len(rows)
-        ends = {j: (-1, -1)}  # vertex -> least terminal (cost, state); -1 once given
         buckets: DefaultDict[int, List[int]] = defaultdict(list)  # states by cost
-        tails: DefaultDict[int, List[int]] = defaultdict(list)  # vertices by cost
         for step, t in self._starts[j]:
             best[t], pred[t] = step, -1
             buckets[step].append(t)
         cost = 0
-        while buckets or tails:
-            for v in tails.pop(cost, ()):
-                c, s = ends[v]
-                if c == cost:
-                    ends[v] = -1, s
-                    yield v, cost, s
+        while buckets:
             for s in buckets.pop(cost, ()):
                 if best[s] != cost:
                     continue
@@ -414,17 +453,9 @@ class Router:
                 if row is None:
                     self._table(self._vertex_of[s])
                     row = rows[s]
-                v, single, moves = row
-                if stop is None or v == stop:
-                    c = cost + single
-                    old = ends.get(v)
-                    if old is None or c < old[0]:
-                        ends[v] = c, s
-                        tails[c].append(v)
-                    elif c == old[0] and self._before(s, old[1], best, pred):
-                        ends[v] = c, s
-                    if v == stop:
-                        continue
+                v, _, moves = row
+                if v == stop:
+                    continue
                 for step, t in moves:
                     c = cost + step
                     old = best[t]
@@ -434,6 +465,7 @@ class Router:
                         buckets[c].append(t)
                     elif c == old and self._before(s, pred[t], best, pred, t):
                         pred[t] = s
+            yield cost
             cost += 1
 
 
@@ -463,22 +495,26 @@ def _walk_product(
     for e in edges:
         op, (a, b) = edge_ops[e], g.edges[e]
         phase += op.phase + 2 * (z & op.x).bit_count() + 2 * (j != a)
-        x, z, j = x ^ op.x, z ^ op.z, b if j == a else a
+        # a zero mask takes the operator's own int, where XOR would copy it
+        x, z, j = x ^ op.x if x else op.x, z ^ op.z if z else op.z, b if j == a else a
     return x, z, phase
 
 
 def _loop_stabilizer(
     g: SystemGraph, edge_ops: Sequence[PauliString], n: int, cycle: Cycle
 ) -> PauliString:
-    if len(cycle) < 2:
+    edges = cycle.edges
+    if len(edges) < 2:
         raise ParseError("a closed walk needs at least 2 edges")
-    x, z, phase = _walk_product(g, edge_ops, cycle.vertices[0], cycle.edges)
-    return _hermitian(PauliString._raw(n, x, z, phase + len(cycle)), "cycle stabilizer")
+    x, z, phase = _walk_product(g, edge_ops, cycle.vertices[0], edges)
+    return _hermitian(PauliString._raw(n, x, z, phase + len(edges)), "cycle stabilizer")
 
 
-def _hermitian(op: PauliString, what: str) -> PauliString:
+def _hermitian(op: PauliString, *what) -> PauliString:
+    """``op``, or VerifyError naming it by the words of ``what``, which are
+    joined only when it is not Hermitian."""
     if not op.is_hermitian():
-        raise VerifyError(f"{what} is not Hermitian")
+        raise VerifyError(" ".join(map(str, what)) + " is not Hermitian")
     return op
 
 
@@ -535,12 +571,7 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
         offset += nv
     total = offset
     # a fundamental cycle basis has at most one cycle per edge
-    strings = 2 * len(g.edges) + len(layout)
-    if total * strings > TABLE_BUDGET:
-        raise ResourceError(
-            f"encoding tables need {total} qubits x {strings} strings = "
-            f"{total * strings}, above the budget of {TABLE_BUDGET}"
-        )
+    check_table_budget(total, 2 * len(g.edges) + len(layout))
 
     # c_a^p c_b^q on disjoint blocks: an OR of shifts, no cross term in the phase
     edge_ops: List[PauliString] = []
@@ -551,13 +582,18 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
         op = PauliString._raw(
             total, ca.x << oa | cb.x << ob, ca.z << oa | cb.z << ob, ca.phase + cb.phase
         )
-        edge_ops.append(_hermitian(op, f"edge operator {eidx}"))
+        edge_ops.append(_hermitian(op, "edge operator", eidx))
 
+    # vertices sharing a basis object share its product on their block
+    products: Dict[int, PauliString] = {}
     vertex_ops: Dict[int, PauliString] = {}
     for v in g.vertex_ids():
-        (off, nv), ops = layout[v], bases[v].ops
-        op = reduce(mul, ops, PauliString.identity(nv)).with_phase(nv)
-        vertex_ops[v] = _hermitian(op.embed(total, off), f"vertex operator {v}")
+        (off, nv), basis = layout[v], bases[v]
+        op = products.get(id(basis))
+        if op is None:
+            op = reduce(mul, basis.ops, PauliString.identity(nv)).with_phase(nv)
+            products[id(basis)] = op
+        vertex_ops[v] = _hermitian(op.embed(total, off), "vertex operator", v)
 
     cycles = cycle_basis(g)
     return Encoding(

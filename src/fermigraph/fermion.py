@@ -248,15 +248,18 @@ def syk2_monomials(
         raise DimensionError(
             f"couplings must be {dim}x{dim}, got {couplings.shape}"
         )
-    out = []
-    for j, row in enumerate(couplings.tolist()):
-        for k in range(j + 1, dim):
-            c = row[k]
-            if c != 0.0:
-                if not cmath.isfinite(c):
-                    raise ParseError(f"non-finite coupling J[{j}, {k}] = {c}")
-                out.append(MajoranaMonomial._raw(-1j * c, (j, k)))
-    return out
+    rows = couplings.tolist()
+    bad = np.argwhere(~np.isfinite(np.triu(couplings, k=1)))
+    if len(bad):
+        j, k = bad[0].tolist()  # the first in row order
+        raise ParseError(f"non-finite coupling J[{j}, {k}] = {rows[j][k]}")
+    raw = MajoranaMonomial._raw
+    return [
+        raw(-1j * c, (j, k))
+        for j, row in enumerate(rows)
+        for k, c in enumerate(row[j + 1:], j + 1)
+        if c != 0.0
+    ]
 
 
 def majorana_to_ladder(words: List[Word], index: int) -> List[Word]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .encoding import check_table_budget
 from .errors import ParseError, ResourceError
 from .graph import PHYSICAL, VIRTUAL, SystemGraph, Vertex, _integer
 
@@ -127,6 +128,8 @@ def gen_syk_geometry(kind: str, n_modes: int) -> SystemGraph:
     ``hyperbolic46``.
 
     Mode m is vertex m for m < n_modes and every other vertex is virtual.
+    ``complete`` past n_modes = 152 raises ``ResourceError`` before any
+    edge is built: ``build_encoding`` would refuse its tables.
     """
     n = _integer(n_modes, "n_modes must be an integer")
     if n < 2:
@@ -299,12 +302,21 @@ def _hyperbolic46(n: int):
     return edges, {"layers": grown + 1}, meta
 
 
+def _complete(n: int):
+    """All n(n-1)/2 pairs, refused by ``build_encoding``'s budget rule
+    before any is built: each vertex takes n // 2 qubits, and the tables
+    count n^2 strings (an edge operator and at most one cycle per edge, a
+    vertex operator per vertex)."""
+    check_table_budget(n * (n // 2), n * n)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)], {}, {}
+
+
 #: The all-to-all geometries in sweep order: kind -> builder of the edges
 #: over n modes, the extra params and the extra meta.  ``linear`` builds
 #: ``gen_lattice``'s periodic chain instead of edges, whose ports run
 #: (left, right) rather than by ascending neighbor.
 SYK_GEOMETRIES: Dict[str, Callable[[int], Tuple[object, dict, dict]]] = {
-    "complete": lambda n: ([(i, j) for i in range(n) for j in range(i + 1, n)], {}, {}),
+    "complete": _complete,
     "linear": lambda n: (gen_lattice("linear", n, "periodic"), {}, {}),
     "star": lambda n: ([(i, n) for i in range(n)], {}, {}),
     "ternary_tree": _ternary_tree,

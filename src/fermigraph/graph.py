@@ -14,9 +14,10 @@ identical serializations.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter, gt, index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
@@ -34,7 +35,7 @@ def _integer(value, rule: str) -> int:
         return value
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            return index(value)
         except TypeError:
             pass
     raise ParseError(f"{rule}, got {value!r}")
@@ -60,28 +61,37 @@ class SystemGraph:
         def plain(value) -> int:
             return _integer(value, "vertex ids, edge endpoints and ports must be integers")
 
-        vlist = sorted(
-            (Vertex(plain(v.id), v.kind, tuple(map(plain, v.ports))) for v in vertices),
-            key=lambda v: v.id,
-        )
+        def plain_vertex(v) -> Vertex:
+            if type(v) is Vertex and type(v.id) is int and type(v.ports) is tuple:
+                if set(map(type, v.ports)) <= {int}:
+                    return v
+            return Vertex(plain(v.id), v.kind, tuple(map(plain, v.ports)))
+
+        # input already in plain ints and canonical order, as ``from_edges``
+        # gives it, passes every check below without being copied or sorted
+        vlist = sorted(map(plain_vertex, vertices), key=attrgetter("id"))
         ids = [v.id for v in vlist]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate vertex ids")
         idset = set(ids)
+        if len(idset) != len(ids):
+            raise ParseError("duplicate vertex ids")
 
         norm = []
         for a, b in edges:
-            a, b = plain(a), plain(b)
+            if type(a) is not int or type(b) is not int:
+                a, b = plain(a), plain(b)
             if a == b:
                 raise ParseError(f"self loop at vertex {a}")
             if a not in idset or b not in idset:
                 raise ParseError(f"edge ({a},{b}) references unknown vertex")
-            norm.append((min(a, b), max(a, b)))
+            norm.append((a, b) if a < b else (b, a))
 
         # canonical edge order, stable among parallel copies
-        order = sorted(range(len(norm)), key=lambda i: (norm[i], i))
-        remap = {old: new for new, old in enumerate(order)}
-        self.edges: Tuple[Edge, ...] = tuple(norm[i] for i in order)
+        remap = None
+        if any(map(gt, norm, islice(norm, 1, None))):
+            order = sorted(range(len(norm)), key=norm.__getitem__)
+            remap = dict(zip(order, range(len(order))))
+            norm = [norm[i] for i in order]
+        self.edges: Tuple[Edge, ...] = tuple(norm)
 
         incident: Dict[int, List[int]] = {i: [] for i in ids}
         for eidx, (a, b) in enumerate(self.edges):
@@ -90,20 +100,23 @@ class SystemGraph:
 
         self.vertices: Dict[int, Vertex] = {}
         for v in vlist:
-            ports = tuple(remap[p] for p in v.ports)
-            if sorted(ports) != sorted(incident[v.id]):
+            if remap is not None:
+                # -1 is no edge's index: a port naming no edge fails below
+                v = Vertex(v.id, v.kind, tuple(remap.get(p, -1) for p in v.ports))
+            if sorted(v.ports) != incident[v.id]:
                 raise ParseError(
                     f"ports of vertex {v.id} are not a permutation of its edges"
                 )
             if v.kind not in (PHYSICAL, VIRTUAL):
                 raise ParseError(f"unknown vertex kind {v.kind!r}")
-            self.vertices[v.id] = Vertex(v.id, v.kind, ports)
+            self.vertices[v.id] = v
         self.meta = dict(meta or {})
-        self._pair_index: Dict[Edge, List[int]] = {}
+        # tuples, not one-element lists: the collector stops tracking tuples of ints
+        self._pair_index: Dict[Edge, Tuple[int, ...]] = {}
         for eidx, e in enumerate(self.edges):
-            self._pair_index.setdefault(e, []).append(eidx)
+            self._pair_index[e] = self._pair_index.get(e, ()) + (eidx,)
         self._port: Dict[int, Dict[int, int]] = {
-            v.id: {eidx: p for p, eidx in enumerate(v.ports)}
+            v.id: dict(zip(v.ports, range(len(v.ports))))
             for v in self.vertices.values()
         }
 
@@ -120,13 +133,10 @@ class SystemGraph:
     ) -> "SystemGraph":
         """Build with ports in ascending (neighbor, edge) order."""
         kinds = kinds or {}
-        ids = set()
-        for a, b in edges:
-            ids.add(a)
-            ids.add(b)
+        ids = set(chain.from_iterable(edges))
         if n_vertices is not None:
             ids.update(range(n_vertices))
-        norm = sorted((min(a, b), max(a, b)) for a, b in edges)
+        norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
         # sorted edges list each vertex's edges in (neighbor, edge) order
         incident: Dict[int, List[int]] = {i: [] for i in ids}
         for eidx, (a, b) in enumerate(norm):
@@ -164,8 +174,9 @@ class SystemGraph:
         """0-based position of edge ``eidx`` in ``vid``'s port list."""
         return self._port[vid][eidx]
 
-    def edges_between(self, a: int, b: int) -> List[int]:
-        return self._pair_index.get((min(a, b), max(a, b)), [])
+    def edges_between(self, a: int, b: int) -> Tuple[int, ...]:
+        """Indices of the edges joining a and b, ascending; () if none."""
+        return self._pair_index.get((a, b) if a < b else (b, a), ())
 
     def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
         """vertex -> list of (edge index, neighbor id)."""
@@ -232,8 +243,9 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
     the smallest vertex id of each component and neighbors are explored in
     edge-index order.  Each cycle uses exactly one non-tree edge.
     """
-    adj = g.adjacency()
+    adj = g.adjacency()  # each list in edge-index order
     parent_edge: Dict[int, Optional[int]] = {}
+    parent: Dict[int, int] = {}
     depth: Dict[int, int] = {}
     tree_edges: List[int] = []
     for root in g.vertex_ids():
@@ -246,9 +258,10 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for eidx, u in sorted(adj[v]):
+            for eidx, u in adj[v]:
                 if u not in parent_edge:
                     parent_edge[u] = eidx
+                    parent[u] = v
                     depth[u] = depth[v] + 1
                     tree_edges.append(eidx)
                     queue.append(u)
@@ -265,18 +278,16 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
         va, vb = a, b
         while va != vb:
             if depth[va] >= depth[vb]:
-                e = parent_edge[va]
-                ea.append(e)
-                va = _other(g.edges[e], va)
+                ea.append(parent_edge[va])
+                va = parent[va]
                 pa.append(va)
             else:
-                e = parent_edge[vb]
-                eb.append(e)
-                vb = _other(g.edges[e], vb)
+                eb.append(parent_edge[vb])
+                vb = parent[vb]
                 pb.append(vb)
         # vertices: a ... ancestor ... b, then edge eidx closes b -> a
-        verts = pa[:-1] + [va] + list(reversed(pb[:-1]))
-        edges = ea + list(reversed(eb)) + [eidx]
-        cycles.append(Cycle(tuple(verts), tuple(edges)))
+        eb.reverse()
+        eb.append(eidx)
+        cycles.append(Cycle(tuple(pa + pb[-2::-1]), tuple(ea + eb)))
 
     return CycleBasis(cycles, tuple(sorted(tree_edges)))

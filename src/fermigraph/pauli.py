@@ -36,7 +36,9 @@ no qubit named twice in a label.  The algebra (``*``, ``with_phase``, ``-``,
 and its walk folds (``_walk_product``, ``Router.operator``) skip that check
 through ``PauliString._raw``.  Their masks always fit: XORs or range-checked
 shifts of checked masks, keys a builder took from checked strings, basis
-masks shifted within the layout, or XORs of edge operator masks.
+masks shifted within the layout, or XORs of edge operator masks.  ``_raw``
+sets the four fields with ``object.__setattr__``, as the dataclass's own
+``__init__`` does, so no instance carries a dict object of its own.
 """
 
 from __future__ import annotations
@@ -88,8 +90,12 @@ class PauliString:
     def _raw(cls, n: int, x: int, z: int, phase: int) -> "PauliString":
         """Unchecked constructor; see the module docstring."""
         p = object.__new__(cls)
-        d = p.__dict__
-        d["n"], d["x"], d["z"], d["phase"] = n, x, z, phase & 3
+        # not through ``p.__dict__``, which would give each instance a
+        # full dict of its own
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "z", z)
+        object.__setattr__(p, "phase", phase & 3)
         return p
 
     # ------------------------------------------------------------------
@@ -309,7 +315,15 @@ class PauliSumBuilder:
         """Unchecked ``add`` of coeff * i^phase X^x Z^z; the masks must fit
         the register, as those of a string ``add`` has checked do."""
         terms, key = self._terms, (x, z)
-        new = terms.get(key, 0.0) + coeff * (1, 1j, -1, -1j)[phase & 3]
+        add = coeff * (1, 1j, -1, -1j)[phase & 3]
+        if abs(add) >= ZERO_THRESHOLD:
+            # a new key is hashed once, by an insert that leaves a present
+            # key's own value; 0.0 + add, a new object, is the sum the
+            # general path would store
+            new = 0.0 + add
+            if terms.setdefault(key, new) is new:
+                return
+        new = terms.get(key, 0.0) + add
         if abs(new) < ZERO_THRESHOLD:
             terms.pop(key, None)
         else:

@@ -60,8 +60,9 @@ class _Realizer:
         if key not in self._coupling:
             enc = self.enc
             vp, vq = self.vertex(p), self.vertex(q)
-            if enc.graph.edges_between(vp, vq):
-                op = enc.edge_operator(vp, vq)
+            cands = enc.graph.edges_between(vp, vq)
+            if cands:  # the lowest of parallel edges, as ``edge_operator`` takes
+                op = enc.directed_edge_operator(cands[0], vp)
             elif self.paths is None:
                 op = self.router.operator(vp, vq)
             elif key not in self.paths:
@@ -103,11 +104,11 @@ class _Realizer:
             # the fold is written out per factor kind, so no factor list is built;
             # a zero mask takes the factor's own int, where XOR would copy it
             for e in edges:
-                op = couplings[e] if e in couplings else self.coupling(*e)
+                op = couplings.get(e) or self.coupling(*e)
                 phase += op.phase + 2 * (z & op.x).bit_count()
                 x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
             for v in verts:
-                op = parities[v] if v in parities else self.parity(v)
+                op = parities.get(v) or self.parity(v)
                 phase += op.phase + 2 * (z & op.x).bit_count()
                 x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
         return coeff, x, z, phase

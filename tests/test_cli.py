@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from fermigraph.geometries import (
     gen_square_with_diagonals,
     gen_syk_geometry,
 )
+from fermigraph.graph import SystemGraph
 
 
 class TestGenEncode:
@@ -244,9 +246,11 @@ class TestErrors:
 
     def test_resource_error_exit_code(self, tmp_path, capsys):
         """complete/300 (45,000 qubits) is over the encoding's table
-        budget in every verb that builds an encoding."""
+        budget in every verb that builds an encoding.  The graph is built
+        here, since ``gen`` refuses it by the same rule."""
         g = str(tmp_path / "k.graph")
-        fileio.write_graph(g, gen_syk_geometry("complete", 300))
+        fileio.write_graph(g, SystemGraph.from_edges(
+            list(itertools.combinations(range(300), 2))))
         h = tmp_path / "h.fham"
         h.write_text("modes 300\n(1,0) a+1 a-2\n(1,0) a+2 a-1\n")
         for argv in (
@@ -258,6 +262,17 @@ class TestErrors:
         ):
             assert main(argv) == 5, argv[0]
             assert "error: resource:" in capsys.readouterr().err
+
+    def test_gen_refuses_complete_over_budget(self, tmp_path, capsys):
+        """complete/600 once took 5.8 s and 137 MB to write; now refused
+        before any edge is built, with nothing written."""
+        out = tmp_path / "k.graph"
+        start = time.perf_counter()
+        assert main(["gen", "--geometry", "complete", "--n", "600",
+                     "--out", str(out)]) == 5
+        assert time.perf_counter() - start < 1.0
+        assert "error: resource:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dense_register_too_large_exit_code(self, tmp_path, capsys):
         """An open 20-mode chain has no stabilizers, so its codespace is

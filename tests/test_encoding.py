@@ -1,6 +1,7 @@
 """Tests for the encoder: operator tables, algebra, routing, stabilizers."""
 
 import dataclasses
+import itertools
 import time
 import tracemalloc
 
@@ -98,8 +99,9 @@ class TestBuild:
     def test_qubit_cap(self):
         """complete/300 (45,000 qubits, 44,850 edges) is over
         ``TABLE_BUDGET``: refused from its graph and bases alone, before
-        any operator is embedded."""
-        g = gen_syk_geometry("complete", 300)
+        any operator is embedded.  The graph is built here, since
+        ``gen_syk_geometry`` refuses it by the same rule."""
+        g = SystemGraph.from_edges(list(itertools.combinations(range(300), 2)))
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -160,6 +162,24 @@ class TestBuild:
         ]
         assert enc.local_bases[2] is enc.local_bases[3]
         assert enc.local_bases[0] is not enc.local_bases[1]
+
+    def test_shared_basis_multiplied_once(self, monkeypatch):
+        """complete/24 under ``fenwick``: its 24 vertices share one basis
+        of 24 operators, whose product is taken once (24 products) beside
+        the basis check's 24, not once per vertex (600 in all)."""
+        g = gen_syk_geometry("complete", 24)
+        calls = []
+        mul = PauliString.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(PauliString, "__mul__", counted)
+        enc = build_encoding(g, "fenwick")
+        assert len(calls) <= 48
+        monkeypatch.undo()
+        assert enc == build_encoding(g, "fenwick")
 
     def test_invalid_override_rejected(self):
         g = gen_syk_geometry("star", 4)

@@ -1,13 +1,15 @@
 """Generator-level checks: degrees, qubit totals, declared patterns."""
 
 import hashlib
+import time
 from functools import partial
 
 import numpy as np
 import pytest
 
 from fermigraph.analytics import SWEEP_GEOMETRIES
-from fermigraph.errors import ParseError
+from fermigraph.encoding import TABLE_BUDGET
+from fermigraph.errors import ParseError, ResourceError
 from fermigraph.fermion import build_lattice_model
 from fermigraph.fileio import graph_to_json
 from fermigraph.geometries import (
@@ -219,6 +221,19 @@ class TestSykGeometries:
         assert qubit_count(g) == 8  # 4 * ceil(3/2)
         assert len(g.edges) == 6
         assert all(g.vertices[v].kind == PHYSICAL for v in g.vertex_ids())
+
+    def test_complete_over_table_budget_refused(self):
+        """complete/n needs n * (n // 2) qubits x n^2 table strings: 152 is
+        the last n within ``TABLE_BUDGET`` and 153 is refused before any
+        edge is built (n = 600 once took 5.8 s and 137 MB)."""
+        g = gen_syk_geometry("complete", 152)
+        units = qubit_count(g) * (2 * len(g.edges) + len(g.vertices))
+        assert units == 266_897_408 <= TABLE_BUDGET
+        for n in (153, 600):
+            start = time.perf_counter()
+            with pytest.raises(ResourceError, match="above the budget"):
+                gen_syk_geometry("complete", n)
+            assert time.perf_counter() - start < 0.1
 
     def test_linear(self):
         g = gen_syk_geometry("linear", 10)

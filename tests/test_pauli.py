@@ -6,6 +6,7 @@ import pytest
 from conftest import string_matrix
 from fermigraph.errors import DimensionError, ParseError
 from fermigraph.pauli import (
+    ZERO_THRESHOLD,
     PauliString,
     PauliSum,
     PauliSumBuilder,
@@ -227,6 +228,54 @@ class TestSum:
                             int(rng.integers(0, 4)))
             terms.append((complex(rng.normal(), rng.normal()), p))
         assert build_sum(3, terms) == build_sum(3, reversed(terms))
+
+    def test_exact_accumulation_rule(self):
+        """The builder keeps exactly what a two-step accumulator keeps: for
+        each term in order, the stored coefficient (0.0 if absent) plus
+        c * i^phase, popped when below ``ZERO_THRESHOLD`` and stored
+        otherwise.  Keys and complex values (their reprs, so the sign of a
+        zero too) are compared exactly, over repeated keys, cancellations
+        below the threshold, re-adds after a drop and tiny terms into
+        present and absent keys."""
+        rng = np.random.default_rng(7)
+        n, terms = 4, []
+        for _ in range(600):
+            p = PauliString(n, int(rng.integers(0, 16)), int(rng.integers(0, 16)),
+                            int(rng.integers(0, 4)))
+            c = complex(rng.normal(), rng.normal())
+            move = rng.integers(0, 4)
+            if move == 1:  # cancel to a residue below the threshold
+                terms += [(c, p), (-c + 1e-13, p)]
+            elif move == 2:  # a term that is below the threshold by itself
+                terms.append((c * 1e-14, p))
+            elif move == 3:  # real: times i^phase, a -0.0 part where c < 0
+                terms.append((c.real, p))
+            else:
+                terms.append((c, p))
+
+        ref, seen, dropped = {}, set(), set()
+        for c, p in terms:
+            key = (p.x, p.z)
+            present = key in ref
+            new = ref.get(key, 0.0) + c * (1, 1j, -1, -1j)[p.phase]
+            if abs(new) < ZERO_THRESHOLD:
+                ref.pop(key, None)
+                seen.add("drop" if present else "tiny into absent")
+                dropped.add(key)
+            else:
+                ref[key] = new
+                if abs(c) < ZERO_THRESHOLD:
+                    seen.add("tiny into present")
+                elif present:
+                    seen.add("repeat")
+                elif key in dropped:
+                    seen.add("re-add after drop")
+        assert seen == {"drop", "tiny into absent", "tiny into present", "repeat",
+                        "re-add after drop"}
+
+        got = build_sum(n, terms)._terms
+        assert list(got) == list(ref)
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in ref.items()}
 
     def test_xy_chain_term_multiset(self):
         """(t/2) XX and YY per bond assemble into the rotated-chain sum."""

@@ -21,6 +21,7 @@ from fermigraph.fermion import (
     syk2_monomials,
 )
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
+from fermigraph.graph import SystemGraph
 from fermigraph.pauli import ZERO_THRESHOLD, PauliString, PauliSumBuilder
 from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
 
@@ -259,6 +260,25 @@ class TestHoppingIdentity:
 
 
 class TestSykCompile:
+    def test_one_edge_lookup_per_coupling(self, monkeypatch):
+        """Compiling SYK2 on complete/24 looks each of its 276 couplings
+        up in the graph once (552 lookups when the coupling first asked
+        whether an edge exists and then fetched its operator by the pair)."""
+        enc = build_encoding(gen_syk_geometry("complete", 24), "fenwick")
+        monos = syk2_monomials(24, seed=1)
+        calls = []
+        lookup = SystemGraph.edges_between
+
+        def counted(g, a, b):
+            calls.append((a, b))
+            return lookup(g, a, b)
+
+        monkeypatch.setattr(SystemGraph, "edges_between", counted)
+        compiled = transform_monomials(monos, enc)
+        assert len(calls) <= 276
+        monkeypatch.undo()
+        assert compiled == transform_monomials(monos, enc)
+
     def test_monomial_and_operator_routes_agree(self):
         n = 4
         enc = build_encoding(gen_syk_geometry("linear", n), "jw")
