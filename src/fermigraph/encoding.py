@@ -50,7 +50,7 @@ from operator import mul, xor
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
-from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, cycle_basis
+from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, _integer, cycle_basis
 from .localbasis import (
     CheckReport,
     MajoranaBasis,
@@ -198,10 +198,9 @@ class Encoding:
         return len(self.graph.physical_ids())
 
 
-#: A route: (cost, edge sequence, end state).  The edge sequence is None
-#: until ``route`` reads it back from the live search; the end state is -1
-#: for a route of the re-search, whose states belong to another search.
-_Route = Tuple[int, Optional[Tuple[int, ...]], int]
+#: A route: (cost, end state, the predecessor list of the search that
+#: settled it), from which its walk is read back.
+_Route = Tuple[int, int, List[int]]
 #: The candidate cost of a state no walk has reached yet, above any cost.
 _UNSEEN = 1 << 62
 #: A move of a transition table: (step weight, next state).
@@ -237,17 +236,19 @@ class Router:
     rule is the route to u.  It is read off u's states when u is asked
     for, once no state left to settle could offer one as cheap, so the
     vertices no route ends at cost the search nothing.  Each vertex's
-    transition table is built the first time the vertex is expanded and
-    kept for the router's life.
+    transition table is built the first time the vertex is expanded, from
+    weights computed once per local basis object, and kept for the
+    router's life.
 
     The search of the latest source stays live, so routing one source's
     destinations one after another runs one search for all of them;
     returning to an earlier source starts its search again.  When the
     route passes through its destination before its end, that one pair
-    is searched again with the destination absorbing.  ``operator`` runs
-    ``_walk_product``'s fold state by state and keeps the raw product at
-    each state on a returned route of the live search, so every route from
-    one source multiplies out only the states no earlier route reached.
+    is searched again with the destination absorbing; both kinds of route
+    are read alike.  ``operator`` runs ``_walk_product``'s fold state by
+    state and keeps the raw product at each state on a returned route of
+    the live search, so every route from one source multiplies out only
+    the states no earlier route reached.
     ``Encoding.path_edge_operator`` with no path is the one-shot form: a
     fresh router's ``operator``.
 
@@ -261,6 +262,8 @@ class Router:
         # per in-state its row once built; per vertex its moves as a source
         self._rows: List[Optional[_Row]] = [None] * (2 * len(enc.graph.edges))
         self._starts: Dict[int, Tuple[_Move, ...]] = {}
+        # id of a local basis -> (its single-operator weights, its port-pair weights)
+        self._weights: Dict[int, Tuple[List[int], List[List[int]]]] = {}
         # the vertex of each state: state 2e is edge e's second end, 2e+1 its first
         self._vertex_of = [v for a, b in enc.graph.edges for v in (b, a)]
         self.searches = 0
@@ -276,11 +279,13 @@ class Router:
 
     def route(self, j: int, k: int) -> List[int]:
         """Edge sequence of the minimum-cost walk from j to k."""
-        cost, edges, s = self._entry(j, k)
-        if edges is None:
-            edges = self._walk(s, self._pred)
-            self._found[k] = cost, edges, s
-        return list(edges)
+        _, s, pred = self._entry(j, k)
+        edges = []
+        while s >= 0:
+            edges.append(s >> 1)
+            s = pred[s]
+        edges.reverse()
+        return edges
 
     def cost(self, j: int, k: int) -> int:
         """The additive cost ``route`` minimized for (j, k); it is the
@@ -292,11 +297,10 @@ class Router:
         """The canonical routed string of (j, k), equal to
         ``enc.walk_operator(j, route(j, k))``: the product of the states
         on the route that no earlier route from j reached, on the stored
-        product of the last one that was, times i^(n-1)."""
-        _, edges, s = self._entry(j, k)
-        if s < 0:
-            return self._enc.walk_operator(j, edges)
-        prefix, pred = self._prefix, self._pred
+        product of the last one that was, times i^(n-1).  A re-searched
+        route's states belong to another search, so it shares no prefix."""
+        _, s, pred = self._entry(j, k)
+        prefix = self._prefix if pred is self._pred else {}
         chain = []
         while s >= 0 and s not in prefix:
             chain.append(s)
@@ -321,12 +325,11 @@ class Router:
         if j == k:
             raise RoutingError("path endpoints must differ")
 
-    def _absorbing(self, j: int, k: int) -> Tuple[int, Tuple[int, ...]]:
-        """(cost, edge sequence) of k's route from a search of its own
-        with k absorbing."""
+    def _absorbing(self, j: int, k: int) -> _Route:
+        """k's route from a search of its own with k absorbing."""
         pred, best = [-1] * len(self._rows), [_UNSEEN] * len(self._rows)
         cost, s, _ = self._end(j, k, self._settle(j, k, pred, best), best, pred, -1)
-        return cost, self._walk(s, pred)
+        return cost, s, pred
 
     def _entry(self, j: int, k: int) -> _Route:
         """The route from j to k, from j's live search, started here when
@@ -341,15 +344,17 @@ class Router:
             self._level = -1
         found = self._found
         if k not in found:
+            pred, of = self._pred, self._vertex_of
             cost, s, self._level = self._end(
-                j, k, self._search, self._best, self._pred, self._level)
-            edges, t, of = None, self._pred[s], self._vertex_of
+                j, k, self._search, self._best, pred, self._level)
+            t = pred[s]
             while t >= 0 and of[t] != k:
-                t = self._pred[t]
+                t = pred[t]
             if t >= 0:  # the walk passes through k before its end
                 self.re_searches += 1
-                (cost, edges), s = self._absorbing(j, k), -1
-            found[k] = cost, edges, s
+                found[k] = self._absorbing(j, k)
+            else:
+                found[k] = cost, s, pred
         return found[k]
 
     def _end(
@@ -383,15 +388,6 @@ class Router:
                     raise RoutingError(f"no path between {j} and {k}")
                 return end[0], end[1], level
 
-    def _walk(self, s: int, pred: List[int]) -> Tuple[int, ...]:
-        """Edge sequence of the walk that ``pred`` records for state s."""
-        edges = []
-        while s >= 0:
-            edges.append(s >> 1)
-            s = pred[s]
-        edges.reverse()
-        return tuple(edges)
-
     def _before(
         self, a: int, b: int, best: List[int], pred: List[int], t: int = -1
     ) -> bool:
@@ -421,12 +417,20 @@ class Router:
         the port edge's far end, weighing v's single operator there when v
         is the source and the in/out pair otherwise."""
         g, basis = self._graph, self._enc.local_bases[v]
+        weights = self._weights.get(id(basis))
+        if weights is None:
+            ops, d = basis.ops, basis.degree
+            weights = self._weights[id(basis)] = [op.weight() for op in ops], [
+                [(ops[p] * ops[q]).weight() if p != q else 0 for q in range(d)]
+                for p in range(d)
+            ]
+        single, pairs = weights
         ports = g.vertices[v].ports
         far = [2 * e + (g.edges[e][0] != v) for e in ports]
-        self._starts[v] = tuple(zip(basis.op_weights, far))
-        for p, (e, row) in enumerate(zip(ports, basis.pair_weights)):
+        self._starts[v] = tuple(zip(single, far))
+        for p, (e, row) in enumerate(zip(ports, pairs)):
             moves = tuple(m for q, m in enumerate(zip(row, far)) if q != p)
-            self._rows[2 * e + (g.edges[e][0] == v)] = (v, basis.op_weights[p], moves)
+            self._rows[2 * e + (g.edges[e][0] == v)] = (v, single[p], moves)
 
     def _settle(
         self, j: int, stop: Optional[int], pred: List[int], best: List[int]
@@ -520,8 +524,15 @@ def _hermitian(op: PauliString, *what) -> PauliString:
 
 def resolve_bases(g: SystemGraph, basis_choice: BasisChoice) -> Dict[int, MajoranaBasis]:
     """Per-vertex basis resolution: a single name, or a map from vertex id
-    to a name or an explicit operator label list.  Vertices with the same
-    registered name and degree share one verified basis object."""
+    to a name or an explicit operator label list, whose ``"default"`` key
+    covers the vertices it does not name (``jw`` without one); a key that
+    is neither is a ParseError.  Vertices with the same registered name
+    and degree share one verified basis object."""
+    if isinstance(basis_choice, dict):
+        rule = "basis keys must be 'default' or a vertex id"
+        for key in basis_choice:
+            if key != "default" and _integer(key, rule) not in g:
+                raise ParseError(f"basis key {key!r} names no vertex")
     out: Dict[int, MajoranaBasis] = {}
     named: Dict[Tuple[str, int], MajoranaBasis] = {}
     for v in g.vertex_ids():

@@ -179,9 +179,11 @@ def pair_substitution(
 def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
     """Decompose an even monomial by pairing adjacent sorted indices.
 
-    Pair terms are multiplied left to right; each incoming edge factor is
-    commuted past the accumulated vertex factors (sign flip per shared
-    mode) so edge factors stay ahead of vertex factors.
+    Pair terms are multiplied left to right, edge factors ahead of vertex
+    factors.  Moving an incoming edge factor past the accumulated vertex
+    factors costs no sign: a pair leaves a parity only on a mode both of
+    whose Majorana indices are at most its own last one, so no later pair
+    of the strictly increasing indices couples that mode.
     """
     if len(m.indices) % 2:
         raise ParityError("cannot decompose an odd Majorana monomial")
@@ -191,10 +193,7 @@ def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:
     for a, b in zip(m.indices[::2], m.indices[1::2]):
         factor, pair_edges, pair_verts = pair_substitution(a, b)
         coeff *= factor
-        for e in pair_edges:
-            if len(verts & set(e)) % 2:
-                coeff = -coeff
-            edges.append(e)
+        edges.extend(pair_edges)
         verts = verts ^ frozenset(pair_verts)
     return EVTerm(coeff, tuple(edges), verts)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ParseError, VerifyError
@@ -47,21 +46,6 @@ class MajoranaBasis:
         if self.degree % 2 == 0:
             raise VerifyError(f"degree {self.degree} vertex has no unpaired Majorana")
         return self.ops[self.degree]
-
-    @cached_property
-    def op_weights(self) -> List[int]:
-        """Pauli weight of each operator, computed on first use."""
-        return [op.weight() for op in self.ops]
-
-    @cached_property
-    def pair_weights(self) -> List[List[int]]:
-        """Pauli weight of c^p c^q per port pair, computed on first use;
-        the memo sits outside the fields, so equality ignores it."""
-        ops, d = self.ops, self.degree
-        return [
-            [(ops[p] * ops[q]).weight() if p != q else 0 for q in range(d)]
-            for p in range(d)
-        ]
 
 
 @dataclass

@@ -173,12 +173,12 @@ def reference_route(enc, j: int, k: int) -> List[int]:
         if (v, e_in) in seen:
             continue
         seen.add((v, e_in))
-        pw = enc.local_bases[v].pair_weights
-        p_in = g.port_of_edge(v, e_in)
+        ops = enc.local_bases[v].ops
+        c_in = ops[g.port_of_edge(v, e_in)]
         for e_out, u in sorted(adj[v]):
             if e_out == e_in or (u, e_out) in seen:
                 continue
-            step = pw[p_in][g.port_of_edge(v, e_out)]
+            step = (c_in * ops[g.port_of_edge(v, e_out)]).weight()
             if u == k:
                 step += single_w(k, e_out)
             heapq.heappush(heap, (w + step, verts + (u,), edges + (e_out,)))

@@ -85,3 +85,34 @@ def test_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def decorated(node, name, **keywords):
+    """Whether ``node`` carries the decorator ``name``, bare, dotted or
+    called, and when called with at least ``keywords`` as constants."""
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if getattr(target, "id", getattr(target, "attr", None)) != name:
+            continue
+        given = {k.arg: getattr(k.value, "value", None) for k in getattr(d, "keywords", ())}
+        if all(given.get(k) == v for k, v in keywords.items()):
+            return True
+    return False
+
+
+def test_frozen_dataclasses_keep_no_memo():
+    """No method of a ``@dataclass(frozen=True)`` class in the package is a
+    ``cached_property``: such a memo writes into the instance dict, so a
+    value that compares equal no longer pickles the same.  This stands in
+    for a lint rule, like the unused-import check above."""
+    memos = []
+    for path in sorted(Path(fermigraph.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and decorated(cls, "dataclass", frozen=True):
+                memos += [
+                    f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and decorated(node, "cached_property")
+                ]
+    assert memos == []

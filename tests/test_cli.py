@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fermigraph import fileio
+from fermigraph import cli, fileio
 from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.cli import build_parser, main
 from fermigraph.errors import ParseError
@@ -25,6 +26,7 @@ from fermigraph.geometries import (
     gen_syk_geometry,
 )
 from fermigraph.graph import SystemGraph
+from fermigraph.localbasis import CheckReport
 
 
 class TestGenEncode:
@@ -505,6 +507,142 @@ class TestErrors:
         assert main(["encode", "--graph", str(g),
                      "--out", str(tmp_path / "x.enc")]) == 2
         assert "error: parse: bad graph file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(1,0) a+1 a-2\n", "hamiltonian file must start with 'modes <n>'"),
+            ("modes 4\n(1,0) a+0 a-2\n", "factor index in 'a+0' must be 1-based"),
+            ("modes 4\n(1,0) g9 g1\n", "Majorana index 'g9' out of range"),
+            ("modes 4\n(1,0) a+5 a-1\n", "mode index 'a+5' out of range"),
+            ("# hopping\n# on a chain\n", "empty hamiltonian file"),
+        ],
+        ids=["no_header", "mode_0", "majorana_9_of_8", "mode_5_of_4", "only_comments"],
+    )
+    def test_bad_fham_exit_code(self, tmp_path, capsys, text, message):
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text(text)
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--out", str(tmp_path / "o.pauli")]) == 2
+        assert capsys.readouterr().err == f"error: parse: {message}\n"
+
+    def test_fham_comment_after_header(self, tmp_path, capsys):
+        """A ``#`` line after the header is skipped like a blank one."""
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--out", g])
+        terms = "(1,0) a+1 a-2\n(1,0) a+2 a-1\n"
+        outs = []
+        for i, text in enumerate(("modes 4\n# hopping\n" + terms, "modes 4\n" + terms)):
+            h, out = tmp_path / f"h{i}.fham", tmp_path / f"o{i}.pauli"
+            h.write_text(text)
+            assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("qubits 2\n(1,0) Q1\n", "bad Pauli token 'Q1'"),
+            ("qubits 2\n(1,0) X0\n", "qubit index 0 must be 1-based"),
+            ("(1,0) X1\n", "pauli sum file must start with 'qubits <n>'"),
+            ("", "empty pauli sum file"),
+            ("qubits 2\n1 X1\n", "bad term line '1 X1'"),
+            ("qubits 2\n(one,0) X1\n", "bad coefficient component 'one'"),
+        ],
+        ids=["letter_Q", "qubit_0", "no_header", "empty", "bare_number", "word_coefficient"],
+    )
+    def test_bad_pauli_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.pauli"
+        path.write_text(text)
+        assert main(["stats", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: parse: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("route 1 5 0 1 4", "bad path line 'route 1 5 0 1 4'"),
+            ("path 0 5 0 1 4", "path modes are 1-based"),
+            (None, "unknown routing policy 'bogus'"),
+        ],
+        ids=["route_line", "mode_0", "unknown_policy"],
+    )
+    def test_bad_route_policy_exit_code(self, tmp_path, capsys, line, message):
+        g = str(tmp_path / "sq.graph")
+        main(["gen", "--geometry", "square", "--dims", "3x3", "--out", g])
+        h = tmp_path / "h.fham"
+        h.write_text("modes 9\n(1,0) a+1 a-5\n(1,0) a+5 a-1\n")
+        policy = "bogus"
+        if line is not None:
+            routes = tmp_path / "routes.txt"
+            routes.write_text(line + "\n")
+            policy = f"explicit:{routes}"
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--route", policy, "--out", str(tmp_path / "o.pauli")]) == 2
+        assert capsys.readouterr().err == f"error: parse: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--geometry", "square"], "--dims is required for lattice geometries"),
+            (["--geometry", "star"], "--n is required for all-to-all geometries"),
+            (["--geometry", "blocked_square", "--dims", "4"],
+             "blocked_square needs --dims L and --blocks b"),
+        ],
+        ids=["square_no_dims", "star_no_n", "blocked_square_no_blocks"],
+    )
+    def test_gen_missing_size_exit_code(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.graph"
+        assert main(["gen", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: parse: {message}\n"
+        assert not out.exists()
+
+    def test_verify_algebra_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        """No valid graph fails the algebra check, so the check is made to."""
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--out", g])
+        monkeypatch.setattr(cli, "verify_encoding_algebra",
+                            lambda enc: CheckReport(["edges 0 and 1 commute", "x"]))
+        capsys.readouterr()
+        assert main(["verify", "--graph", g]) == 6
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "algebra: edges 0 and 1 commute\nalgebra: x\n"
+            "error: verify-fail: operator algebra check failed\n"
+        )
+        assert "verify pass" not in captured.out
+
+    def test_verify_oracle_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        """No valid input fails the dense oracle, so its report is made to."""
+        from fermigraph import dense
+
+        check = dense.dense_oracle_check
+        monkeypatch.setattr(dense, "dense_oracle_check", lambda f, enc: dataclasses.replace(
+            check(f, enc), passed=False, messages=["spectra differ"]))
+        g = str(tmp_path / "c.graph")
+        main(["gen", "--geometry", "linear", "--dims", "4", "--out", g])
+        capsys.readouterr()
+        assert main(["verify", "--graph", g, "--dense"]) == 6
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "oracle: spectra differ\nerror: verify-fail: dense oracle check failed\n"
+        )
+        assert "verify pass" not in captured.out
+
+    def test_stats_out_writes_what_it_prints(self, tmp_path, capsys):
+        path = tmp_path / "s.pauli"
+        path.write_text("qubits 3\n(1,0) X1 Z2\n(0.5,0) Y3\n")
+        out = tmp_path / "s.txt"
+        assert main(["stats", "--in", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        assert printed.splitlines()[:4] == [
+            "qubits 3", "terms 2", "max_weight 2", "total_weight 3"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["encode", "--graph", str(tmp_path / "none.graph"),

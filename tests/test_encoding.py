@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import time
 import tracemalloc
 
@@ -22,10 +23,12 @@ from fermigraph.errors import (
     RoutingError,
     VerifyError,
 )
+from fermigraph.fermion import syk2_monomials
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.localbasis import basis_verify
 from fermigraph.pauli import PauliString
+from fermigraph.transform import _Realizer
 
 
 def L(label, n):
@@ -186,6 +189,16 @@ class TestBuild:
         with pytest.raises(VerifyError):
             build_encoding(g, {0: ["X1", "X1"]})
 
+    @pytest.mark.parametrize("key", ["4", 99, True, 4.0])
+    def test_basis_key_naming_no_vertex_rejected(self, key):
+        """Keys are ``"default"`` or vertex ids under ``SystemGraph``'s
+        integer rule.  Each of these was once ignored without a word, "4"
+        and 99 leaving vertex 4 on ``jw``, or read as a vertex id, True
+        as vertex 1 and 4.0 as vertex 4."""
+        g = gen_syk_geometry("star", 4)
+        with pytest.raises(ParseError, match=f"basis key.*{key!r}"):
+            build_encoding(g, {key: "fenwick"})
+
 
 class TestValue:
     def test_fields_are_the_tables(self):
@@ -204,6 +217,17 @@ class TestValue:
         routed, fresh = build_encoding(g, "jw"), build_encoding(g, "jw")
         routed.path_edge_operator(0, 4)
         assert routed == fresh
+
+    def test_compile_leaves_the_encoding_unchanged(self):
+        """A compile that routes writes nothing into the encoding or the
+        bases it holds: its pickled bytes are the same after."""
+        enc = build_encoding(gen_syk_geometry("ternary_tree", 9), "fenwick")
+        before = pickle.dumps(enc)
+        realizer = _Realizer(enc)
+        for mono in syk2_monomials(9, seed=1):
+            realizer.term(mono)
+        assert realizer.router.searches > 0
+        assert pickle.dumps(enc) == before
 
 
 class TestUnpaired:

@@ -162,6 +162,22 @@ class TestMonomialToEV:
             assert len(ev.edge_factors) <= 2
             assert np.allclose(monomial_matrix(n, mono), ev_term_matrix(n, ev))
 
+    def test_no_coupling_meets_an_earlier_parity(self):
+        """In a strictly increasing monomial no pair's coupling touches a
+        mode on which an earlier pair left a parity, so ``monomial_to_ev``
+        moves each edge factor ahead of the vertex factors with no sign:
+        every increasing index tuple of even length 2 to 8 over 14 indices."""
+        tuples = 0
+        for length in (2, 4, 6, 8):
+            for combo in itertools.combinations(range(14), length):
+                verts = set()
+                for a, b in zip(combo[::2], combo[1::2]):
+                    _, edges, pair_verts = pair_substitution(a, b)
+                    assert not any(verts & set(e) for e in edges), combo
+                    verts ^= set(pair_verts)
+                tuples += 1
+        assert tuples == 7098
+
     def test_sextic_against_dense(self):
         mono = MajoranaMonomial(1.5, (0, 1, 2, 4, 5, 7))
         ev = monomial_to_ev(mono)

@@ -101,11 +101,12 @@ class TestRoutingWeights:
 
     @staticmethod
     def assert_steps_cost_at_least_one(b):
-        assert min(b.op_weights) >= 1, b.name
+        ports = b.ops[: b.degree]
+        assert min(op.weight() for op in b.ops) >= 1, b.name
         assert all(
-            w >= 1
-            for p, row in enumerate(b.pair_weights)
-            for q, w in enumerate(row)
+            (a * c).weight() >= 1
+            for p, a in enumerate(ports)
+            for q, c in enumerate(ports)
             if p != q
         ), b.name
 
