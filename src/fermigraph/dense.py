@@ -94,6 +94,8 @@ _IPOW = np.array([1, 1j, -1, -1j])
 ENTRY_BUDGET = 1 << 21
 #: Largest connected component that is diagonalized as a dense matrix.
 MAX_COMPONENT = 4096
+#: Largest spectrum deviation, and monomial-to-adjoint deviation, accepted.
+TOL = 1e-9
 #: Basis-state indices are int64 bit masks.
 _MAX_INDEX_BITS = 62
 
@@ -519,14 +521,14 @@ def _hermitian_string(v: int, n: int) -> PauliString:
 # the check itself
 
 
-def _check_hermitian(monomials: Sequence[MajoranaMonomial], tol: float) -> None:
+def _check_hermitian(monomials: Sequence[MajoranaMonomial]) -> None:
     """Refuse a non-Hermitian operator, which ``eigvalsh`` would answer on
     whichever triangle of each side it reads.  The adjoint of c g_I with
     |I| = k is (-1)^{k(k-1)/2} conj(c) g_I, so each monomial must equal
-    that within ``tol``."""
+    that within ``TOL``."""
     for m in monomials:
         k, c = len(m.indices), complex(m.coefficient)
-        if abs(c - (-1) ** (k * (k - 1) // 2) * c.conjugate()) > tol:
+        if abs(c - (-1) ** (k * (k - 1) // 2) * c.conjugate()) > TOL:
             word = " ".join(f"g{i + 1}" for i in m.indices) or "1"
             raise ParseError(
                 f"Hamiltonian is not Hermitian: Majorana monomial ({c:.6g}) {word} "
@@ -549,11 +551,7 @@ class OracleReport:
     gauge_pairs: int = 0
 
 
-def dense_oracle_check(
-    f: FermionOperator,
-    enc: Encoding,
-    tol: float = 1e-9,
-) -> OracleReport:
+def dense_oracle_check(f: FermionOperator, enc: Encoding) -> OracleReport:
     """Compare the compiled Hamiltonian, restricted to the codespace,
     against the exact fermionic spectrum in the matching sector.
 
@@ -585,7 +583,7 @@ def dense_oracle_check(
 
     ``ParseError`` is raised before the algebra check and the compile
     when a Majorana monomial of ``f`` differs from its adjoint by more
-    than ``tol``: a non-Hermitian operator has no spectrum to compare.
+    than ``TOL``: a non-Hermitian operator has no spectrum to compare.
     ``ResourceError`` is raised before that when the register is wider
     than 62 qubits, the int64 basis-state index; before the entries are
     allocated when commuting terms x sector orbits or kept terms x sector
@@ -596,7 +594,7 @@ def dense_oracle_check(
     constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
     orbits = _orbits(n, constraints)
     monomials = hamiltonian_monomials(f, enc)
-    _check_hermitian(monomials, tol)
+    _check_hermitian(monomials)
     messages: List[str] = []
     algebra = verify_encoding_algebra(enc)
     if not algebra.ok:
@@ -634,7 +632,7 @@ def dense_oracle_check(
     # repeats of sorted spectra are sorted
     spec_enc = np.repeat(_eigvalsh_by_components(block), 1 << k)
     diff = float(np.max(np.abs(np.repeat(spec_ref, mult) - spec_enc)))
-    if diff > tol:
-        messages.append(f"spectrum mismatch: max deviation {diff:.3e} > {tol:.1e}")
-    ok = algebra.ok and diff <= tol and not broken
+    if diff > TOL:
+        messages.append(f"spectrum mismatch: max deviation {diff:.3e} > {TOL:.1e}")
+    ok = algebra.ok and diff <= TOL and not broken
     return OracleReport(ok, n, code_dim, sector, mult, diff, algebra.ok, messages, k)

@@ -145,13 +145,15 @@ class Encoding:
         self, j: int, k: int, path: Optional[Sequence[int]] = None
     ) -> PauliString:
         """Canonical coupling operator between j and k along ``path``, a
-        vertex sequence, or along ``Router``'s route when ``path`` is None;
-        a caller routing many pairs keeps one ``Router`` instead."""
+        vertex sequence whose ids obey ``SystemGraph``'s integer rule, or
+        along ``Router``'s route when ``path`` is None; a caller routing
+        many pairs keeps one ``Router`` instead."""
         if path is None:
             return Router(self).operator(j, k)
-        if list(path)[0] != j or list(path)[-1] != k:
+        verts = [_integer(v, "explicit path vertices must be integers") for v in path]
+        if not verts or verts[0] != j or verts[-1] != k:
             raise RoutingError(f"explicit path does not join {j} to {k}")
-        return self.walk_operator(j, _walk_edges(self.graph, list(path)))
+        return self.walk_operator(j, _walk_edges(self.graph, verts))
 
     def walk_operator(self, j: int, edges: Sequence[int]) -> PauliString:
         """i^(n-1) times the product of the directed edge operators along

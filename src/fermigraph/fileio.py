@@ -35,6 +35,7 @@ from .graph import SystemGraph, Vertex
 from .localbasis import BASIS_BUILDERS
 from .pauli import (
     PauliSum,
+    _term_lines,
     format_term,
     parse_term,
     pauli_sum_from_lines,
@@ -180,18 +181,9 @@ def fermion_to_lines(f: FermionOperator) -> List[str]:
 
 
 def fermion_from_lines(lines) -> FermionOperator:
-    n = None
+    n, body = _term_lines(lines, "modes", "hamiltonian")
     terms: List[Word] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            m = re.fullmatch(r"modes\s+(\d+)", line)
-            if not m:
-                raise ParseError("hamiltonian file must start with 'modes <n>'")
-            n = int(m.group(1))
-            continue
+    for line in body:
         coeff, rest = parse_term(line)
         words: List[Word] = [(coeff, ())]
         if rest != "1":
@@ -213,8 +205,6 @@ def fermion_from_lines(lines) -> FermionOperator:
                         (c, fs + ((idx, kind == "a+"),)) for c, fs in words
                     ]
         terms.extend(words)
-    if n is None:
-        raise ParseError("empty hamiltonian file")
     return FermionOperator.from_terms(n, terms)
 
 

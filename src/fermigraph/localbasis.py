@@ -133,21 +133,19 @@ def basis_fenwick(d: int) -> MajoranaBasis:
 def _ternary_strings(n: int) -> List[PauliString]:
     """All 2n+1 root-to-slot strings of the balanced ternary tree on n
     qubits (node i has children 3i+1, 3i+2, 3i+3), in depth-first order
-    with branches visited X, Y, Z."""
-    letters = ("X", "Y", "Z")
+    with branches visited X, Y, Z; a Y adds 1 to the phase."""
     out: List[PauliString] = []
 
-    def visit(node: int, prefix: Dict[int, str]) -> None:
-        for b, letter in enumerate(letters):
+    def visit(node: int, x: int, z: int, phase: int) -> None:
+        bit = 1 << node
+        for b, (xb, zb, yb) in enumerate(((bit, 0, 0), (bit, bit, 1), (0, bit, 0))):
             child = 3 * node + 1 + b
-            ops = dict(prefix)
-            ops[node] = letter
             if child < n:
-                visit(child, ops)
+                visit(child, x | xb, z | zb, phase + yb)
             else:
-                out.append(PauliString.from_ops(n, ops))
+                out.append(PauliString(n, x | xb, z | zb, phase + yb))
 
-    visit(0, {})
+    visit(0, 0, 0, 0)
     return out
 
 

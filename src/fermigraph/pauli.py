@@ -30,7 +30,7 @@ pure functions, so instances may be shared freely across workers.  Sums
 are assembled with ``PauliSumBuilder``.
 
 Strings made from outside input (``PauliString(...)``, ``identity``,
-``from_ops``, ``from_label``) are checked: ``n >= 0``, masks within n bits,
+``from_label``) are checked: ``n >= 0``, masks within n bits,
 no qubit named twice in a label.  The algebra (``*``, ``with_phase``, ``-``,
 ``adjoint``, ``embed``), ``PauliSum.terms``, the encoding's table building
 and its walk folds (``_walk_product``, ``Router.operator``) skip that check
@@ -53,9 +53,10 @@ from .errors import DimensionError, ParseError
 #: Coefficients with magnitude below this are dropped from sums.
 ZERO_THRESHOLD = 1e-12
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+#: The letter of a qubit's (x, z) bits, at index x | z << 1.
+_LETTERS = "IXZY"
 
+_TOKEN_RE = re.compile(r"([IXYZixyz])(\d+)")
 _TERM_RE = re.compile(r"^\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)\s*(.*)$")
 
 
@@ -106,38 +107,9 @@ class PauliString:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_ops(cls, n: int, ops: Dict[int, str]) -> "PauliString":
-        """Build from a map of 0-based qubit -> letter in I, X, Y, Z."""
-        x = z = 0
-        phase = 0
-        for q, letter in ops.items():
-            if not 0 <= q < n:
-                raise DimensionError(f"qubit {q} out of range for n={n}")
-            xb, zb = _LETTER_BITS[letter.upper()]
-            x |= xb << q
-            z |= zb << q
-            if letter.upper() == "Y":
-                phase += 1
-        return cls(n, x, z, phase)
-
-    @classmethod
     def from_label(cls, label: str, n: int) -> "PauliString":
         """Parse a 1-based textual label such as ``"X1 Z2 Y3"`` or ``"I"``."""
-        label = label.strip()
-        if label in ("", "I"):
-            return cls.identity(n)
-        ops: Dict[int, str] = {}
-        for token in label.split():
-            m = re.fullmatch(r"([IXYZixyz])(\d+)", token)
-            if not m:
-                raise ParseError(f"bad Pauli token {token!r}")
-            letter, idx = m.group(1).upper(), int(m.group(2))
-            if idx < 1:
-                raise ParseError(f"qubit index {idx} must be 1-based")
-            if idx - 1 in ops:
-                raise ParseError(f"qubit {idx} named twice in {label!r}")
-            ops[idx - 1] = letter
-        return cls.from_ops(n, ops)
+        return cls(n, *_parse_label(label, n))
 
     # ------------------------------------------------------------------
     # algebra
@@ -184,9 +156,6 @@ class PauliString:
         """Acted-on qubits in ascending order."""
         return set_bits(self.x | self.z)
 
-    def letter(self, qubit: int) -> str:
-        return _BITS_LETTER[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]
-
     def embed(self, n_total: int, offset: int) -> "PauliString":
         """Place this operator into a larger register starting at ``offset``."""
         if offset < 0 or offset + self.n > n_total:
@@ -207,19 +176,57 @@ class PauliString:
         The letter product treats every (1,1) qubit as the standard Y, so
         c = i^(phase - |x & z|); it is +1 or -1 for Hermitian strings.
         """
-        k = (self.phase - (self.x & self.z).bit_count()) % 4
-        return (1, 1j, -1, -1j)[k]
+        return _letter_coefficient(self.x, self.z, self.phase)
 
     def ops_label(self) -> str:
         """The 1-based letter part of the label, e.g. ``"X1 Z2"`` or ``"I"``."""
-        parts = [f"{self.letter(q)}{q + 1}" for q in self.support()]
-        return " ".join(parts) if parts else "I"
+        return _format_label(self.x, self.z)
 
     def __str__(self) -> str:
         return format_term(self.label_coefficient(), self.ops_label())
 
     def __repr__(self) -> str:
         return f"PauliString({self})"
+
+
+def _parse_label(label: str, n: int) -> Tuple[int, int, int]:
+    """(x, z, y) of a 1-based label such as ``"x1 Z2 Y3"`` or ``"I"``: its
+    masks and its number of Y's.  A bad token, an index below 1 or a qubit
+    named twice (``I<k>`` names qubit k) is a ParseError at its token; a
+    qubit beyond n is a DimensionError after the last token."""
+    label = label.strip()
+    if label == "I":
+        return 0, 0, 0
+    x = z = y = 0
+    seen: Dict[int, None] = {}  # 1-based indices in token order
+    for token in label.split():
+        m = _TOKEN_RE.fullmatch(token)
+        if not m:
+            raise ParseError(f"bad Pauli token {token!r}")
+        idx = int(m.group(2))
+        if idx < 1:
+            raise ParseError(f"qubit index {idx} must be 1-based")
+        if idx in seen:
+            raise ParseError(f"qubit {idx} named twice in {label!r}")
+        seen[idx] = None
+        if idx <= n:
+            b = _LETTERS.index(m.group(1).upper())
+            x, z, y = x | (b & 1) << idx - 1, z | (b >> 1) << idx - 1, y + (b == 3)
+    beyond = [idx for idx in seen if idx > n]
+    if beyond:
+        raise DimensionError(f"qubit {beyond[0] - 1} out of range for n={n}")
+    return x, z, y
+
+
+def _format_label(x: int, z: int) -> str:
+    """The 1-based letter label of the masks (x, z); ``"I"`` when both are 0."""
+    parts = [f"{_LETTERS[(x >> q & 1) | (z >> q & 1) << 1]}{q + 1}" for q in set_bits(x | z)]
+    return " ".join(parts) if parts else "I"
+
+
+def _letter_coefficient(x: int, z: int, phase: int) -> complex:
+    """``PauliString.label_coefficient`` of i^phase X^x Z^z."""
+    return (1, 1j, -1, -1j)[(phase - (x & z).bit_count()) % 4]
 
 
 def _fmt_float(v: float) -> str:
@@ -273,10 +280,8 @@ class PauliSum:
 
     def labeled_terms(self) -> Iterator[Tuple[str, complex]]:
         """Iterate (letter label, coefficient of the Hermitian letter product)."""
-        for p, c in self.terms():
-            # prod X^x Z^z = (-i)^y * (letter product with Y's), y = |x & z|
-            y = (p.x & p.z).bit_count() % 4
-            yield p.ops_label(), c * (1, -1j, -1, 1j)[y]
+        for (x, z), c in sorted(self._terms.items()):
+            yield _format_label(x, z), c * _letter_coefficient(x, z, 0)
 
     def is_real(self) -> bool:
         """True when every labeled coefficient is real within ZERO_THRESHOLD."""
@@ -359,22 +364,25 @@ def pauli_sum_to_lines(s: PauliSum) -> List[str]:
     return lines
 
 
+def _term_lines(lines: Iterable[str], word: str, what: str) -> Tuple[int, Iterator[str]]:
+    """The n of a term file's ``<word> <n>`` header and an iterator over
+    its term lines, stripped; blank and ``#`` lines are skipped.  A file
+    whose first such line is not the header, or that has none, is a
+    ParseError naming it as a ``what`` file."""
+    body = (line for line in map(str.strip, lines) if line and not line.startswith("#"))
+    header = next(body, None)
+    if header is None:
+        raise ParseError(f"empty {what} file")
+    m = re.fullmatch(rf"{word}\s+(\d+)", header)
+    if not m:
+        raise ParseError(f"{what} file must start with '{word} <n>'")
+    return int(m.group(1)), body
+
+
 def pauli_sum_from_lines(lines: Iterable[str]) -> PauliSum:
-    n = None
-    builder = None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            m = re.fullmatch(r"qubits\s+(\d+)", line)
-            if not m:
-                raise ParseError("pauli sum file must start with 'qubits <n>'")
-            n = int(m.group(1))
-            builder = PauliSumBuilder(n)
-            continue
+    n, body = _term_lines(lines, "qubits", "pauli sum")
+    builder = PauliSumBuilder(n)
+    for line in body:
         coeff, label = parse_term(line)
-        builder.add(coeff, PauliString.from_label(label, n))
-    if builder is None:
-        raise ParseError("empty pauli sum file")
+        builder._add_raw(coeff, *_parse_label(label, n))
     return builder.build()

@@ -116,3 +116,31 @@ def test_frozen_dataclasses_keep_no_memo():
                     and decorated(node, "cached_property")
                 ]
     assert memos == []
+
+
+def test_private_helpers_are_read():
+    """Every module-level function, class or assignment of the package
+    whose name starts with ``_`` (dunders aside) is read somewhere in the
+    package: as a name, an attribute or an imported name.  A helper whose
+    last caller went away fails this, as a linter's dead-code rule would."""
+    defined, read = {}, set()
+    for path in sorted(Path(fermigraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((n, f"{path.name}:{node.lineno} {n}") for n in names
+                           if n.startswith("_") and not n.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert sorted(where for name, where in defined.items() if name not in read) == []

@@ -249,16 +249,18 @@ class TestHermitianInput:
             dense_oracle_check(f, enc)
         assert f"Majorana monomial {monomial}" in str(err.value)
 
-    def test_tolerance_is_the_oracles(self):
-        """Each monomial is compared with its adjoint within ``tol``: a
-        hopping whose two directions differ by 1e-10 passes at 1e-9 and is
-        refused at 1e-11."""
+    def test_tolerance_is_the_oracles(self, monkeypatch):
+        """Each monomial is compared with its adjoint within ``dense.TOL``:
+        a hopping whose two directions differ by 1e-10 passes at 1e-9 and
+        is refused at 1e-11."""
         enc = build_encoding(gen_lattice("linear", 4, "open"), "jw")
         f = build_lattice_model("chain", 4, t=1.0, u=0.5) + FermionOperator.from_terms(
             4, [(1e-10, ((0, True), (1, False)))])
-        assert dense_oracle_check(f, enc, tol=1e-9).passed
+        assert dense.TOL == 1e-9
+        assert dense_oracle_check(f, enc).passed
+        monkeypatch.setattr(dense, "TOL", 1e-11)
         with pytest.raises(ParseError, match="not Hermitian"):
-            dense_oracle_check(f, enc, tol=1e-11)
+            dense_oracle_check(f, enc)
 
     def test_complex_hermitian_hopping_passes(self):
         """t a_1^dag a_2 + conj(t) a_2^dag a_1 with complex t is Hermitian."""
@@ -497,7 +499,7 @@ class TestOracleBeyondKronReach:
         try:
             start = time.perf_counter()
             enc = build_encoding(make_graph(), basis)
-            rep = dense_oracle_check(ham(), enc, tol=1e-9)
+            rep = dense_oracle_check(ham(), enc)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -6,6 +6,7 @@ import pickle
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -23,12 +24,12 @@ from fermigraph.errors import (
     RoutingError,
     VerifyError,
 )
-from fermigraph.fermion import syk2_monomials
+from fermigraph.fermion import FermionOperator, syk2_monomials
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.localbasis import basis_verify
 from fermigraph.pauli import PauliString
-from fermigraph.transform import _Realizer
+from fermigraph.transform import _Realizer, transform_hamiltonian
 
 
 def L(label, n):
@@ -308,6 +309,44 @@ class TestPaths:
         p2 = enc.path_edge_operator(0, 4, path=[0, 3, 4])
         member = enc.stabilizer_group_member(p1 * p2)
         assert member is not None and member == p1 * p2
+
+
+class TestExplicitPaths:
+    """A path given by the caller is checked before it is walked, both
+    through ``path_edge_operator`` and through a compile's path map."""
+
+    HOP = FermionOperator.from_terms(
+        4, [(1.0, ((0, True), (2, False))), (1.0, ((2, True), (0, False)))])
+
+    @pytest.fixture
+    def enc(self):
+        return build_encoding(gen_lattice("linear", 4), "jw")
+
+    def test_empty_path_does_not_join(self, enc):
+        with pytest.raises(RoutingError, match="explicit path does not join 0 to 2"):
+            enc.path_edge_operator(0, 2, [])
+        with pytest.raises(RoutingError, match="explicit path does not join 0 to 2"):
+            transform_hamiltonian(self.HOP, enc, route={(0, 2): []})
+
+    @pytest.mark.parametrize("path", [[0, None, 2], [0, "1", 2], [0, 1.0, 2],
+                                      [0.0, 1, 2], [0, True, 2]],
+                             ids=["None", "str", "float", "float_end", "bool"])
+    def test_non_integer_vertex_refused(self, enc, path):
+        bad = next(v for v in path if type(v) is not int)
+        message = f"explicit path vertices must be integers, got {bad!r}"
+        with pytest.raises(ParseError) as err:
+            enc.path_edge_operator(0, 2, path)
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            transform_hamiltonian(self.HOP, enc, route={(0, 2): path})
+        assert str(err.value) == message
+
+    def test_numpy_integers_taken(self, enc):
+        path = list(np.arange(3))
+        assert enc.path_edge_operator(0, 2, path) == enc.path_edge_operator(0, 2, [0, 1, 2])
+        assert str(enc.path_edge_operator(0, 2, path)) == "(-1,0) X1 Z2 X3"
+        assert transform_hamiltonian(self.HOP, enc, route={(0, 2): path}) == \
+            transform_hamiltonian(self.HOP, enc, route={(0, 2): [0, 1, 2]})
 
 
 class TestStabilizers:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import string_matrix
 from fermigraph.errors import DimensionError, ParseError
@@ -105,7 +107,8 @@ class TestWeight:
             x = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
             z = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & ((1 << n) - 1)
             p = PauliString(n, x, z)
-            assert p.support() == [q for q in range(n) if p.letter(q) != "I"]
+            letters = {int(t[1:]) - 1: t[0] for t in p.ops_label().split() if t != "I"}
+            assert p.support() == [q for q in range(n) if letters.get(q, "I") != "I"]
             assert len(p.support()) == p.weight()
 
 
@@ -185,8 +188,6 @@ class TestUncheckedConstructor:
             PauliString(-1, 0, 0)
         with pytest.raises(DimensionError):
             PauliString.identity(-1)
-        with pytest.raises(DimensionError):
-            PauliString.from_ops(n, {n: "X"})
         with pytest.raises(DimensionError):
             PauliString.from_label(f"Z{n + 1}", n)
         with pytest.raises(DimensionError):
@@ -332,3 +333,54 @@ class TestText:
     def test_identity_prints_as_I(self):
         s = build_sum(3, [(2.5, PauliString.identity(3))])
         assert pauli_sum_to_lines(s)[1] == "(2.5,0) I"
+
+
+class TestLabelCodec:
+    """The label reader's results and its error precedence: a bad token,
+    an index below 1 or a qubit named twice is reported at its token,
+    before any qubit beyond n."""
+
+    @pytest.mark.parametrize("label, n, error, message", [
+        ("I1 X1", 2, ParseError, "qubit 1 named twice in 'I1 X1'"),
+        ("X5 Q1", 4, ParseError, "bad Pauli token 'Q1'"),
+        ("X9 X9", 4, ParseError, "qubit 9 named twice in 'X9 X9'"),
+        ("I9", 4, DimensionError, "qubit 8 out of range for n=4"),
+        ("X1 Z7 Y5", 4, DimensionError, "qubit 6 out of range for n=4"),
+        ("X0", 2, ParseError, "qubit index 0 must be 1-based"),
+    ])
+    def test_refusals(self, label, n, error, message):
+        with pytest.raises(error) as err:
+            PauliString.from_label(label, n)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("label, n, want", [
+        ("x1 y2", 2, PauliString(2, 0b11, 0b10, 1)),
+        ("X1 Y2", 2, PauliString(2, 0b11, 0b10, 1)),
+        ("z2 I1", 2, PauliString(2, 0, 0b10, 0)),
+        ("I", 3, PauliString.identity(3)),
+        ("", 3, PauliString.identity(3)),
+        ("  ", 0, PauliString.identity(0)),
+    ])
+    def test_reads(self, label, n, want):
+        assert PauliString.from_label(label, n) == want
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip(self, data):
+        """A label read back gives the masks it was written from, a term
+        line the string, and a ``.pauli`` text read back its own lines."""
+        n = data.draw(st.integers(0, 130))
+        mask, phase = st.integers(0, (1 << n) - 1), st.integers(0, 3)
+        p = PauliString(n, data.draw(mask), data.draw(mask), data.draw(phase))
+        assert PauliString.from_label(p.ops_label(), n).key() == p.key()
+        coeff, label = parse_term(str(p))
+        assert PauliString.from_label(label, n).with_phase(
+            (1, 1j, -1, -1j).index(coeff)) == p
+        terms = data.draw(st.lists(st.tuples(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            mask, mask, phase), max_size=6))
+        b = PauliSumBuilder(n)
+        for c, x, z, k in terms:
+            b.add(c, PauliString(n, x, z, k))
+        lines = pauli_sum_to_lines(b.build())
+        assert pauli_sum_to_lines(pauli_sum_from_lines(lines)) == lines

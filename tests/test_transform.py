@@ -332,15 +332,17 @@ class TestDenseOracle:
     def test_c4_even_sector(self):
         enc = chain_encoding(4)
         h = build_lattice_model("chain", 4, t=1.0, u=0.0, bc="periodic")
-        rep = dense_oracle_check(h, enc, tol=1e-10)
-        assert rep.passed and rep.sector == "even" and rep.codespace_dim == 8
+        rep = dense_oracle_check(h, enc)
+        assert rep.passed and rep.max_spectrum_diff <= 1e-10
+        assert rep.sector == "even" and rep.codespace_dim == 8
 
     def test_torus_2x2(self):
         g = gen_lattice("square", (2, 2), "periodic")
         enc = build_encoding(g, "jw")
         h = build_lattice_model("square_nn", (2, 2), t=1.0, u=0.3, bc="periodic")
-        rep = dense_oracle_check(h, enc, tol=1e-10)
-        assert rep.passed and enc.total_qubits == 8
+        rep = dense_oracle_check(h, enc)
+        assert rep.passed and rep.max_spectrum_diff <= 1e-10
+        assert enc.total_qubits == 8
 
     def test_star_multiplicity(self):
         enc = build_encoding(gen_syk_geometry("star", 4), "jw")
