@@ -11,7 +11,6 @@ the first ``dense_oracle_check``.
 
 from .pauli import PauliString, PauliSum, PauliSumBuilder
 from .graph import (
-    CycleBasis,
     SystemGraph,
     Vertex,
     cycle_basis,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliString", "PauliSum", "PauliSumBuilder",
-    "SystemGraph", "Vertex", "CycleBasis",
+    "SystemGraph", "Vertex",
     "cycle_basis", "qubit_count",
     "gen_lattice", "gen_square_with_diagonals", "gen_syk_geometry",
     "gen_blocked_square", "gen_heavy_hex", "heavy_hex_device",

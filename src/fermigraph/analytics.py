@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .encoding import build_encoding
 from .errors import ParseError
-from .fermion import syk2_couplings, syk2_monomials
+from .fermion import check_seed, syk2_couplings, syk2_monomials
 from .geometries import SYK_GEOMETRIES, gen_syk_geometry
 from .pauli import PauliSum
 from .transform import transform_monomials
@@ -74,9 +74,11 @@ def sweep_syk_geometries(
 
     The couplings at a given (seed, N) are shared across geometries so
     columns are directly comparable; records are deterministic for a fixed
-    seed apart from the wall-time column.  A point whose encoding exceeds
+    seed apart from the wall-time column.  ``seed`` must be a non-negative
+    integer (``fermion.check_seed``).  A point whose encoding exceeds
     ``encoding.TABLE_BUDGET`` raises ``ResourceError``.
     """
+    seed = check_seed(seed)
     records = []
     for kind in geometries:
         if kind not in SWEEP_GEOMETRIES:

@@ -86,9 +86,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _encoding(args):
+    """The encoding of the ``--graph`` file under ``--basis``."""
+    return build_encoding(fileio.read_graph(args.graph), args.basis)
+
+
 def _cmd_encode(args) -> int:
-    g = fileio.read_graph(args.graph)
-    enc = build_encoding(g, args.basis)
+    enc = _encoding(args)
     fileio.write_encoding(args.out, enc)
     print(
         f"wrote {args.out}: {enc.total_qubits} qubits, {len(enc.edge_ops)} edge ops, "
@@ -98,8 +102,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    g = fileio.read_graph(args.graph)
-    enc = build_encoding(g, args.basis)
+    enc = _encoding(args)
     f = fileio.read_fermion(args.hamiltonian)
     route = _route_policy(args.route)
     compiled = transform_hamiltonian(f, enc, route)
@@ -173,8 +176,7 @@ def _cmd_verify(args) -> int:
         raise ParseError("--hamiltonian is read only with --dense")
     if args.seed is not None and (args.hamiltonian is not None or not args.dense):
         raise ParseError("--seed seeds the Hamiltonian --dense draws without --hamiltonian")
-    g = fileio.read_graph(args.graph)
-    enc = build_encoding(g, args.basis)
+    enc = _encoding(args)
     rep = verify_encoding_algebra(enc)
     if not rep.ok:
         for v in rep.violations:
@@ -188,7 +190,7 @@ def _cmd_verify(args) -> int:
             f = fileio.read_fermion(args.hamiltonian)
         else:
             seed = 1 if args.seed is None else args.seed
-            f = build_syk2(len(g.physical_ids()), seed=seed)
+            f = build_syk2(enc.n_modes, seed=seed)
         report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "
@@ -206,6 +208,10 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fermigraph", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    # the encoding that encode writes and transform and verify compile
+    encoded = argparse.ArgumentParser(add_help=False)
+    encoded.add_argument("--graph", required=True, help="system graph (.graph)")
+    encoded.add_argument("--basis", default="jw", help="jw | jw_yx | fenwick | ternary")
 
     p = sub.add_parser("gen", help="generate a system graph")
     p.add_argument("--geometry", required=True,
@@ -217,16 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("encode", help="build the encoded operator tables")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--basis", default="jw", help="jw | jw_yx | fenwick | ternary")
+    p = sub.add_parser("encode", parents=[encoded], help="build the encoded operator tables")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("transform", help="compile a Hamiltonian to Paulis")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("transform", parents=[encoded], help="compile a Hamiltonian to Paulis")
     p.add_argument("--hamiltonian", required=True)
-    p.add_argument("--basis", default="jw")
     p.add_argument("--route", default="auto", help="auto | explicit:<path-file>")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_transform)
@@ -243,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify", help="algebra and oracle checks")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--basis", default="jw")
+    p = sub.add_parser("verify", parents=[encoded], help="algebra and oracle checks")
     p.add_argument("--dense", action="store_true")
     p.add_argument("--hamiltonian",
                    help="with --dense; defaults to a seeded quadratic Hamiltonian")

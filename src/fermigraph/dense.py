@@ -75,6 +75,7 @@ the most significant bit of a basis-state index.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -84,7 +85,7 @@ from .encoding import Encoding, verify_encoding_algebra
 from .errors import ParseError, ResourceError
 from .fermion import FermionOperator, MajoranaMonomial
 from .localbasis import gf2_pivots, gf2_reduce
-from .pauli import PauliString, PauliSum, PauliSumBuilder
+from .pauli import PauliString, PauliSum
 from .transform import hamiltonian_monomials, transform_monomials
 
 #: i^k for k = 0..3, indexed by an integer phase exponent mod 4.
@@ -122,13 +123,6 @@ def _index_order(p: PauliString) -> PauliString:
 def _phase_exponents(q: PauliString, b: np.ndarray) -> np.ndarray:
     """k with q |b> = i^k |b ^ q.x>, for index-ordered ``q``."""
     return q.phase + 2 * _parity(b & q.z)
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string, including its exact phase."""
-    one = PauliSumBuilder(p.n)
-    one.add(1.0, p)
-    return pauli_sum_to_matrix(one.build())
 
 
 def pauli_sum_to_matrix(s: PauliSum) -> np.ndarray:
@@ -274,17 +268,13 @@ class _Orbits:
         """These orbits with the Hermitian strings ``more``, which commute
         with the constraints and with one another, also fixed to +1: each
         is reduced by the pivots and becomes a pivot or a pure-Z element."""
-        pivot_of = {g.x.bit_length() - 1: g for g in self.pivots}
-        z_type = list(self.z_type)
+        pivots, z_type = list(self.pivots), list(self.z_type)
         for s in more:
-            g = _index_order(s)
-            while g.x and g.x.bit_length() - 1 in pivot_of:
-                g = g * pivot_of[g.x.bit_length() - 1]
-            if g.x:
-                pivot_of[g.x.bit_length() - 1] = g
+            g = _reduce(_index_order(s), pivots)
+            if g.x:  # a new top bit: insert it in place, high to low
+                insort(pivots, g, key=lambda p: -p.x)
             else:
                 z_type.append(g)
-        pivots = [pivot_of[b] for b in sorted(pivot_of, reverse=True)]
         return _Orbits(self.n, pivots, z_type)
 
 

@@ -50,7 +50,7 @@ from operator import mul, xor
 from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
-from .graph import Cycle, CycleBasis, SystemGraph, VIRTUAL, _integer, cycle_basis
+from .graph import Cycle, SystemGraph, VIRTUAL, _integer, cycle_basis
 from .localbasis import (
     CheckReport,
     MajoranaBasis,
@@ -97,7 +97,7 @@ class Encoding:
     edge_ops: List[PauliString]  # per edge index, oriented min->max
     vertex_ops: Dict[int, PauliString]
     stabilizers: List[PauliString]  # one per cycle of ``cycles``, in order
-    cycles: CycleBasis
+    cycles: List[Cycle]
 
     # ------------------------------------------------------------------
     # operator queries
@@ -124,10 +124,6 @@ class Encoding:
         if j not in self.vertex_ops:
             raise ParseError(f"unknown vertex {j}")
         return self.vertex_ops[j]
-
-    def unpaired_majorana(self, j: int) -> PauliString:
-        op = self.local_bases[j].unpaired_op()
-        return op.embed(self.total_qubits, self.layout[j][0])
 
     def virtual_parity_ops(self) -> List[PauliString]:
         """Vertex operators of virtual modes; these are fixed to +1 on the
@@ -616,7 +612,7 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
         local_bases=bases,
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
-        stabilizers=[_loop_stabilizer(g, edge_ops, total, c) for c in cycles.cycles],
+        stabilizers=[_loop_stabilizer(g, edge_ops, total, c) for c in cycles],
         cycles=cycles,
     )
 
@@ -691,7 +687,7 @@ def verify_encoding_algebra(enc: Encoding) -> CheckReport:
             note(f"stabilizer {si} fails to commute with {kind} {tag}")
     try:
         loops_ok = enc.stabilizers == [
-            enc.loop_stabilizer(c) for c in enc.cycles.cycles
+            enc.loop_stabilizer(c) for c in enc.cycles
         ]
     except VerifyError:
         loops_ok = False

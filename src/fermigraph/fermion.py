@@ -132,7 +132,9 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
     moves it past the set indices above j (g_a g_b = -g_b g_a for a != b)
     and then cancels or sets bit j (g_j g_j = 1).  Like monomials are
     combined; coefficients of magnitude at most ``ZERO_THRESHOLD`` are
-    dropped.  The result is sorted by (length, indices) for determinism.
+    dropped, and a combined coefficient that is not finite (finite terms
+    whose sum overflows) is a ParseError naming its monomial 1-based.  The
+    result is sorted by (length, indices) for determinism.
     """
     acc: Dict[int, complex] = {}
     for coeff, factors in f.terms:
@@ -149,11 +151,16 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
             words = nxt
         for c, m, sign in words:
             acc[m] = acc.get(m, 0.0) + sign * c
-    out = [
-        MajoranaMonomial._raw(c, tuple(set_bits(m)))
-        for m, c in acc.items()
-        if abs(c) > ZERO_THRESHOLD
-    ]
+    out = []
+    for m, c in acc.items():
+        if not cmath.isfinite(c):
+            word = " ".join(f"g{i + 1}" for i in set_bits(m)) or "1"
+            raise ParseError(
+                f"coefficient of Majorana monomial {word} (1-based, as in .fham "
+                f"files) sums to the non-finite {c}"
+            )
+        if abs(c) > ZERO_THRESHOLD:
+            out.append(MajoranaMonomial._raw(c, tuple(set_bits(m))))
     out.sort(key=lambda m: (len(m.indices), m.indices))
     return out
 
@@ -214,6 +221,16 @@ def interaction_graph_from_hamiltonian(f: FermionOperator) -> SystemGraph:
 # model builders
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a plain int: a non-negative integer under the graph's
+    integer rule; anything else is a ParseError."""
+    rule = "seed must be a non-negative integer"
+    seed = _integer(seed, rule)
+    if seed < 0:
+        raise ParseError(f"{rule}, got {seed}")
+    return seed
+
+
 def syk2_couplings(n_modes: int, seed: int) -> np.ndarray:
     """Gaussian couplings J[j,k] (j < k) over the 2N Majoranas, with
     variance 1/(2N); the lower triangle is zero."""
@@ -222,7 +239,7 @@ def syk2_couplings(n_modes: int, seed: int) -> np.ndarray:
     n_modes = _integer(n_modes, "n_modes must be an integer")
     if n_modes < 1:
         raise ParseError(f"need at least 1 mode, got {n_modes}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     dim = 2 * n_modes
     j = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
     return np.triu(j, k=1)
@@ -234,7 +251,8 @@ def syk2_monomials(
     seed: Optional[int] = None,
 ) -> List[MajoranaMonomial]:
     """The quadratic Majorana Hamiltonian -i sum_{j<k} J_jk g_j g_k as a
-    monomial list; a non-finite coupling is refused."""
+    monomial list; a non-finite or complex coupling (a non-Hermitian
+    Hamiltonian) is refused."""
     import numpy as np
 
     if couplings is None:
@@ -248,10 +266,11 @@ def syk2_monomials(
             f"couplings must be {dim}x{dim}, got {couplings.shape}"
         )
     rows = couplings.tolist()
-    bad = np.argwhere(~np.isfinite(np.triu(couplings, k=1)))
-    if len(bad):
-        j, k = bad[0].tolist()  # the first in row order
-        raise ParseError(f"non-finite coupling J[{j}, {k}] = {rows[j][k]}")
+    upper = np.triu(couplings, k=1)
+    for what, bad in (("non-finite", ~np.isfinite(upper)), ("complex", upper.imag != 0)):
+        if bad.any():
+            j, k = np.argwhere(bad)[0].tolist()  # the first in row order
+            raise ParseError(f"{what} coupling J[{j}, {k}] = {rows[j][k]}")
     raw = MajoranaMonomial._raw
     return [
         raw(-1j * c, (j, k))

@@ -35,6 +35,7 @@ from .graph import SystemGraph, Vertex
 from .localbasis import BASIS_BUILDERS
 from .pauli import (
     PauliSum,
+    _parse_int,
     _term_lines,
     format_term,
     parse_term,
@@ -82,9 +83,15 @@ def graph_from_json(text: str) -> SystemGraph:
     return _graph_from_doc(doc)
 
 
-def write_graph(path: str, g: SystemGraph) -> None:
+def _write(path: str, text: str) -> None:
+    """Write ``text``, formatted in full before the file is opened, so a
+    refused write leaves the old bytes in place."""
     with open(path, "w") as fh:
-        fh.write(graph_to_json(g))
+        fh.write(text)
+
+
+def write_graph(path: str, g: SystemGraph) -> None:
+    _write(path, graph_to_json(g))
 
 
 def read_graph(path: str) -> SystemGraph:
@@ -150,8 +157,7 @@ def encoding_from_json(text: str) -> Encoding:
 
 
 def write_encoding(path: str, enc: Encoding) -> None:
-    with open(path, "w") as fh:
-        fh.write(encoding_to_json(enc))
+    _write(path, encoding_to_json(enc))
 
 
 def read_encoding(path: str) -> Encoding:
@@ -191,7 +197,7 @@ def fermion_from_lines(lines) -> FermionOperator:
                 m = _FACTOR_RE.match(tok)
                 if not m:
                     raise ParseError(f"bad factor {tok!r}")
-                kind, idx = m.group(1), int(m.group(2)) - 1
+                kind, idx = m.group(1), _parse_int(m.group(2)) - 1
                 if idx < 0:
                     raise ParseError(f"factor index in {tok!r} must be 1-based")
                 if kind == "g":
@@ -209,8 +215,7 @@ def fermion_from_lines(lines) -> FermionOperator:
 
 
 def write_fermion(path: str, f: FermionOperator) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(fermion_to_lines(f)) + "\n")
+    _write(path, "\n".join(fermion_to_lines(f)) + "\n")
 
 
 def read_fermion(path: str) -> FermionOperator:
@@ -223,8 +228,7 @@ def read_fermion(path: str) -> FermionOperator:
 
 
 def write_pauli_sum(path: str, s: PauliSum) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(pauli_sum_to_lines(s)) + "\n")
+    _write(path, "\n".join(pauli_sum_to_lines(s)) + "\n")
 
 
 def read_pauli_sum(path: str) -> PauliSum:

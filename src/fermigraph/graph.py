@@ -230,13 +230,7 @@ class Cycle:
         return len(self.edges)
 
 
-@dataclass
-class CycleBasis:
-    cycles: List[Cycle]
-    spanning_tree: Tuple[int, ...] = ()  # edge indices
-
-
-def cycle_basis(g: SystemGraph) -> CycleBasis:
+def cycle_basis(g: SystemGraph) -> List[Cycle]:
     """Fundamental cycles of a BFS spanning tree (forest per component).
 
     Deterministic given the canonical vertex/edge ordering: the BFS root is
@@ -247,7 +241,7 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
     parent_edge: Dict[int, Optional[int]] = {}
     parent: Dict[int, int] = {}
     depth: Dict[int, int] = {}
-    tree_edges: List[int] = []
+    tree_edges = set()
     for root in g.vertex_ids():
         if root in parent_edge:
             continue
@@ -263,13 +257,12 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
                     parent_edge[u] = eidx
                     parent[u] = v
                     depth[u] = depth[v] + 1
-                    tree_edges.append(eidx)
+                    tree_edges.add(eidx)
                     queue.append(u)
 
-    tree_set = set(tree_edges)
     cycles: List[Cycle] = []
     for eidx, (a, b) in enumerate(g.edges):
-        if eidx in tree_set:
+        if eidx in tree_edges:
             continue
         # walk both endpoints up to their common ancestor
         pa, pb = [a], [b]
@@ -290,4 +283,4 @@ def cycle_basis(g: SystemGraph) -> CycleBasis:
         eb.append(eidx)
         cycles.append(Cycle(tuple(pa + pb[-2::-1]), tuple(ea + eb)))
 
-    return CycleBasis(cycles, tuple(sorted(tree_edges)))
+    return cycles

@@ -31,7 +31,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import ParseError, VerifyError
+from .errors import ParseError
 from .pauli import PauliString
 
 
@@ -41,11 +41,6 @@ class MajoranaBasis:
     n_qubits: int
     ops: Tuple[PauliString, ...]
     name: str = "custom"
-
-    def unpaired_op(self) -> PauliString:
-        if self.degree % 2 == 0:
-            raise VerifyError(f"degree {self.degree} vertex has no unpaired Majorana")
-        return self.ops[self.degree]
 
 
 @dataclass

@@ -43,6 +43,7 @@ sets the four fields with ``object.__setattr__``, as the dataclass's own
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -203,7 +204,7 @@ def _parse_label(label: str, n: int) -> Tuple[int, int, int]:
         m = _TOKEN_RE.fullmatch(token)
         if not m:
             raise ParseError(f"bad Pauli token {token!r}")
-        idx = int(m.group(2))
+        idx = _parse_int(m.group(2))
         if idx < 1:
             raise ParseError(f"qubit index {idx} must be 1-based")
         if idx in seen:
@@ -230,11 +231,22 @@ def _letter_coefficient(x: int, z: int, phase: int) -> complex:
 
 
 def _fmt_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ParseError(f"cannot write the non-finite coefficient component {v}")
     if v == 0:
         v = 0.0  # normalize -0.0
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+def _parse_int(digits: str) -> int:
+    """The value of a run of decimal digits; one longer than Python's
+    integer-string limit is a ParseError, not a bare ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long") from None
 
 
 def _parse_number(tok: str) -> float:
@@ -282,10 +294,6 @@ class PauliSum:
         """Iterate (letter label, coefficient of the Hermitian letter product)."""
         for (x, z), c in sorted(self._terms.items()):
             yield _format_label(x, z), c * _letter_coefficient(x, z, 0)
-
-    def is_real(self) -> bool:
-        """True when every labeled coefficient is real within ZERO_THRESHOLD."""
-        return all(abs(c.imag) <= ZERO_THRESHOLD for _, c in self.labeled_terms())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum) or other.n != self.n:
@@ -376,13 +384,18 @@ def _term_lines(lines: Iterable[str], word: str, what: str) -> Tuple[int, Iterat
     m = re.fullmatch(rf"{word}\s+(\d+)", header)
     if not m:
         raise ParseError(f"{what} file must start with '{word} <n>'")
-    return int(m.group(1)), body
+    return _parse_int(m.group(1)), body
 
 
 def pauli_sum_from_lines(lines: Iterable[str]) -> PauliSum:
+    """The sum of a ``.pauli`` file's terms; a label whose coefficients sum
+    to a non-finite value (finite terms that overflow) is a ParseError."""
     n, body = _term_lines(lines, "qubits", "pauli sum")
     builder = PauliSumBuilder(n)
     for line in body:
         coeff, label = parse_term(line)
         builder._add_raw(coeff, *_parse_label(label, n))
+    for (x, z), c in builder._terms.items():
+        if not cmath.isfinite(c):
+            raise ParseError(f"coefficients of {_format_label(x, z)} sum to a non-finite value")
     return builder.build()

@@ -234,7 +234,7 @@ def reference_algebra_violations(enc) -> List[str]:
                 note(f"stabilizer {si} fails to commute with {kind} {tag}")
     try:
         loops_ok = enc.stabilizers == [
-            enc.loop_stabilizer(c) for c in enc.cycles.cycles
+            enc.loop_stabilizer(c) for c in enc.cycles
         ]
     except VerifyError:
         loops_ok = False
@@ -264,7 +264,7 @@ def reference_tables(enc):
         for v in g.vertex_ids()
     }
     stabilizers = []
-    for c in enc.cycles.cycles:
+    for c in enc.cycles:
         factors, src = [], c.vertices[0]
         for e in c.edges:
             factors.append(enc.directed_edge_operator(e, src))

@@ -15,7 +15,6 @@ from fermigraph.analytics import (
 from fermigraph.dense import (
     dense_oracle_check,
     joint_plus_one_basis,
-    pauli_to_matrix,
 )
 from fermigraph.encoding import build_encoding, verify_encoding_algebra
 from fermigraph.fermion import build_lattice_model, build_syk2
@@ -31,7 +30,7 @@ from fermigraph.localbasis import basis_fenwick, basis_ternary_tree
 from fermigraph.pauli import PauliString
 from fermigraph.transform import transform_hamiltonian
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, string_matrix
 
 
 @contextmanager
@@ -264,8 +263,8 @@ def test_criterion_8_path_independence():
                 p1 = enc.path_edge_operator(j, k, path=paths[0])
                 p2 = enc.path_edge_operator(j, k, path=paths[1])
                 if dense_ok:
-                    m1 = pauli_to_matrix(p1) @ basis
-                    m2 = pauli_to_matrix(p2) @ basis
+                    m1 = string_matrix(p1) @ basis
+                    m2 = string_matrix(p2) @ basis
                     assert np.allclose(m1, m2, atol=1e-10), (j, k)
                 else:
                     member = enc.stabilizer_group_member(p1 * p2)

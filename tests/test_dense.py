@@ -34,7 +34,6 @@ from fermigraph.dense import (
     even_sector_states,
     joint_plus_one_basis,
     pauli_sum_to_matrix,
-    pauli_to_matrix,
 )
 from fermigraph.encoding import build_encoding
 from fermigraph.errors import ParseError, ResourceError
@@ -109,6 +108,13 @@ def S(label, n):
     return PauliString.from_label(label, n)
 
 
+def one_term(p: PauliString):
+    """The sum whose one term is ``p``, its phase folded in."""
+    b = PauliSumBuilder(p.n)
+    b.add(1.0, p)
+    return b.build()
+
+
 class TestPauliMatrix:
     def test_matches_kron_chain(self, rng):
         for _ in range(200):
@@ -119,12 +125,12 @@ class TestPauliMatrix:
                 int(rng.integers(0, 2**n)),
                 int(rng.integers(0, 4)),
             )
-            assert np.array_equal(pauli_to_matrix(p), kron_pauli(p)), p
+            assert np.array_equal(pauli_sum_to_matrix(one_term(p)), kron_pauli(p)), p
 
     def test_y_letters_and_all_phases(self):
         for k in range(4):
             p = S("Y1 X2 Z3 Y5", 5).with_phase(k)
-            assert np.array_equal(pauli_to_matrix(p), kron_pauli(p))
+            assert np.array_equal(pauli_sum_to_matrix(one_term(p)), kron_pauli(p))
 
     def test_sum_matches_kron_chain(self, rng):
         b = PauliSumBuilder(4)

@@ -231,19 +231,24 @@ class TestValue:
         assert pickle.dumps(enc) == before
 
 
+def unpaired(enc, v):
+    """The unpaired Majorana of odd-degree vertex ``v``: the last operator
+    of its local basis, embedded at its block."""
+    op = enc.local_bases[v].ops[enc.graph.degree(v)]
+    return op.embed(enc.total_qubits, enc.layout[v][0])
+
+
 class TestUnpaired:
     def test_open_chain_endpoint(self):
         enc = build_encoding(gen_lattice("linear", 3, "open"), "jw")
-        u = enc.unpaired_majorana(0)
+        u = unpaired(enc, 0)
         assert u == L("Y1", 3)
-        with pytest.raises(VerifyError):
-            enc.unpaired_majorana(1)  # interior, degree 2
 
     def test_heavy_hex_degree3(self):
         g = gen_heavy_hex()
         enc = build_encoding(g, "jw")
         v = next(v for v in g.vertex_ids() if g.degree(v) == 3)
-        u = enc.unpaired_majorana(v)
+        u = unpaired(enc, v)
         assert u.weight() <= 2
         assert not u.commutes(enc.vertex_operator(v))
         for k in g.neighbors(v):
@@ -252,7 +257,7 @@ class TestUnpaired:
     def test_commutes_elsewhere(self):
         g = gen_lattice("linear", 4, "open")
         enc = build_encoding(g, "jw")
-        u = enc.unpaired_majorana(0)
+        u = unpaired(enc, 0)
         for eidx in (1, 2):
             assert u.commutes(enc.edge_ops[eidx])
         for v in (1, 2, 3):
@@ -364,7 +369,7 @@ class TestStabilizers:
         on each of its three corners."""
         g = gen_lattice("triangular", (3, 3), "periodic")
         enc = build_encoding(g, "jw")
-        tri = next(c for c in enc.cycles.cycles if len(c) == 3)
+        tri = next(c for c in enc.cycles if len(c) == 3)
         s = enc.loop_stabilizer(tri)
         assert s.is_hermitian() and (s * s).phase == 0
         assert s.weight() == 6

