@@ -74,8 +74,7 @@ def sweep_syk_geometries(
 
     The couplings at a given (seed, N) are shared across geometries so
     columns are directly comparable; records are deterministic for a fixed
-    seed apart from the wall-time column.  ``seed`` must be a non-negative
-    integer (``fermion.check_seed``).  A point whose encoding exceeds
+    seed apart from the wall-time column.  A point whose encoding exceeds
     ``encoding.TABLE_BUDGET`` raises ``ResourceError``.
     """
     seed = check_seed(seed)

@@ -154,8 +154,7 @@ def _cmd_stats(args) -> int:
     ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        fileio.write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -164,9 +163,7 @@ def _cmd_bench(args) -> int:
     geometries = args.geometries.split(",")
     n_list = _ints(args.n.split(","), f"--n {args.n!r}")
     records = analytics.sweep_syk_geometries(geometries, n_list, seed=args.seed)
-    csv = analytics.records_to_csv(records)
-    with open(args.out, "w") as fh:
-        fh.write(csv)
+    fileio.write_text(args.out, analytics.records_to_csv(records))
     print(f"wrote {args.out}: {len(records)} rows")
     return 0
 
@@ -189,8 +186,7 @@ def _cmd_verify(args) -> int:
         if args.hamiltonian is not None:
             f = fileio.read_fermion(args.hamiltonian)
         else:
-            seed = 1 if args.seed is None else args.seed
-            f = build_syk2(enc.n_modes, seed=seed)
+            f = build_syk2(enc.n_modes, seed=1 if args.seed is None else args.seed)
         report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "

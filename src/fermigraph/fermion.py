@@ -132,9 +132,8 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
     moves it past the set indices above j (g_a g_b = -g_b g_a for a != b)
     and then cancels or sets bit j (g_j g_j = 1).  Like monomials are
     combined; coefficients of magnitude at most ``ZERO_THRESHOLD`` are
-    dropped, and a combined coefficient that is not finite (finite terms
-    whose sum overflows) is a ParseError naming its monomial 1-based.  The
-    result is sorted by (length, indices) for determinism.
+    dropped, and one that overflows to a non-finite value is a ParseError.
+    The result is sorted by (length, indices) for determinism.
     """
     acc: Dict[int, complex] = {}
     for coeff, factors in f.terms:
@@ -155,10 +154,7 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
     for m, c in acc.items():
         if not cmath.isfinite(c):
             word = " ".join(f"g{i + 1}" for i in set_bits(m)) or "1"
-            raise ParseError(
-                f"coefficient of Majorana monomial {word} (1-based, as in .fham "
-                f"files) sums to the non-finite {c}"
-            )
+            raise ParseError(f"Majorana monomial {word} (1-based) sums to the non-finite {c}")
         if abs(c) > ZERO_THRESHOLD:
             out.append(MajoranaMonomial._raw(c, tuple(set_bits(m))))
     out.sort(key=lambda m: (len(m.indices), m.indices))
@@ -222,8 +218,7 @@ def interaction_graph_from_hamiltonian(f: FermionOperator) -> SystemGraph:
 
 
 def check_seed(seed) -> int:
-    """``seed`` as a plain int: a non-negative integer under the graph's
-    integer rule; anything else is a ParseError."""
+    """``seed`` as a plain int if it is a non-negative integer, else ParseError."""
     rule = "seed must be a non-negative integer"
     seed = _integer(seed, rule)
     if seed < 0:
@@ -251,8 +246,7 @@ def syk2_monomials(
     seed: Optional[int] = None,
 ) -> List[MajoranaMonomial]:
     """The quadratic Majorana Hamiltonian -i sum_{j<k} J_jk g_j g_k as a
-    monomial list; a non-finite or complex coupling (a non-Hermitian
-    Hamiltonian) is refused."""
+    monomial list; a non-finite or complex (non-Hermitian) coupling is refused."""
     import numpy as np
 
     if couplings is None:

@@ -83,15 +83,15 @@ def graph_from_json(text: str) -> SystemGraph:
     return _graph_from_doc(doc)
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text``, formatted in full before the file is opened, so a
-    refused write leaves the old bytes in place."""
+def write_text(path: str, text: str) -> None:
+    """The one file writer: callers format in full before it opens the file,
+    so a refused write leaves the old bytes in place."""
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def write_graph(path: str, g: SystemGraph) -> None:
-    _write(path, graph_to_json(g))
+    write_text(path, graph_to_json(g))
 
 
 def read_graph(path: str) -> SystemGraph:
@@ -157,7 +157,7 @@ def encoding_from_json(text: str) -> Encoding:
 
 
 def write_encoding(path: str, enc: Encoding) -> None:
-    _write(path, encoding_to_json(enc))
+    write_text(path, encoding_to_json(enc))
 
 
 def read_encoding(path: str) -> Encoding:
@@ -215,7 +215,7 @@ def fermion_from_lines(lines) -> FermionOperator:
 
 
 def write_fermion(path: str, f: FermionOperator) -> None:
-    _write(path, "\n".join(fermion_to_lines(f)) + "\n")
+    write_text(path, "\n".join(fermion_to_lines(f)) + "\n")
 
 
 def read_fermion(path: str) -> FermionOperator:
@@ -228,7 +228,7 @@ def read_fermion(path: str) -> FermionOperator:
 
 
 def write_pauli_sum(path: str, s: PauliSum) -> None:
-    _write(path, "\n".join(pauli_sum_to_lines(s)) + "\n")
+    write_text(path, "\n".join(pauli_sum_to_lines(s)) + "\n")
 
 
 def read_pauli_sum(path: str) -> PauliSum:

@@ -241,7 +241,6 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
     parent_edge: Dict[int, Optional[int]] = {}
     parent: Dict[int, int] = {}
     depth: Dict[int, int] = {}
-    tree_edges = set()
     for root in g.vertex_ids():
         if root in parent_edge:
             continue
@@ -257,9 +256,9 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
                     parent_edge[u] = eidx
                     parent[u] = v
                     depth[u] = depth[v] + 1
-                    tree_edges.add(eidx)
                     queue.append(u)
 
+    tree_edges = set(parent_edge.values())
     cycles: List[Cycle] = []
     for eidx, (a, b) in enumerate(g.edges):
         if eidx in tree_edges:

@@ -241,8 +241,7 @@ def _fmt_float(v: float) -> str:
 
 
 def _parse_int(digits: str) -> int:
-    """The value of a run of decimal digits; one longer than Python's
-    integer-string limit is a ParseError, not a bare ValueError."""
+    """``int(digits)``; past Python's integer-string limit, a ParseError."""
     try:
         return int(digits)
     except ValueError:

@@ -158,6 +158,13 @@ class TestSweep:
             r.stats.mean_weight * r.stats.term_count
         )
 
+    @pytest.mark.parametrize("seed", [None, -1, -10, 2.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """``seed=None`` once raised a TypeError, and ``seed=-1`` passed:
+        each N drew with seed + N."""
+        with pytest.raises(ParseError, match="seed must be a non-negative integer"):
+            sweep_syk_geometries(["linear"], [4, 5], seed=seed)
+
     def test_unknown_geometry(self):
         with pytest.raises(ParseError):
             sweep_syk_geometries(["klein_bottle"], [4], seed=1)

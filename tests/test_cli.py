@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib
 import itertools
 import json
 import os
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import fermigraph
 from fermigraph import cli, fileio
+from fermigraph.dense import OracleReport
+from fermigraph.encoding import Encoding, Router
 from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.cli import build_parser, main
 from fermigraph.errors import ParseError
@@ -649,6 +653,89 @@ class TestErrors:
                      "--out", str(tmp_path / "x.enc")]) == 2
 
 
+def _chain2(tmp_path):
+    g = str(tmp_path / "c2.graph")
+    assert main(["gen", "--geometry", "linear", "--dims", "2", "--out", g]) == 0
+    return g
+
+
+class TestRefusedNumbers:
+    """Finite coefficients whose sum overflows, integers past Python's
+    4,300-digit string limit and bad SYK seeds are parse errors, not
+    tracebacks or silent successes."""
+
+    OVERFLOW_FHAM = "modes 2\n(1.7e308,0) g1 g3\n(1.7e308,0) g1 g3\n"
+    LONG = "9" * 5000
+
+    def test_overflowing_fham_keeps_the_old_output(self, tmp_path, capsys):
+        """``transform`` once exited 1 with a NaN traceback and left its
+        ``--out`` file empty."""
+        g = _chain2(tmp_path)
+        h, out = tmp_path / "h.fham", tmp_path / "o.pauli"
+        h.write_text(self.OVERFLOW_FHAM)
+        out.write_text("qubits 2\n(1,0) Z1\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse: Majorana monomial g1 g3 (1-based) sums to")
+        assert out.read_text() == "qubits 2\n(1,0) Z1\n"
+
+    def test_overflowing_fham_dense_names_the_overflow(self, tmp_path, capsys):
+        """``verify --dense`` once called the same file non-Hermitian."""
+        g = _chain2(tmp_path)
+        h = tmp_path / "h.fham"
+        h.write_text(self.OVERFLOW_FHAM)
+        capsys.readouterr()
+        assert main(["verify", "--graph", g, "--dense", "--hamiltonian", str(h)]) == 2
+        err = capsys.readouterr().err
+        assert "error: parse: Majorana monomial g1 g3 (1-based) sums to the non-finite" in err
+
+    def test_overflowing_pauli_sum(self, tmp_path, capsys):
+        """``stats`` once exited 0 and counted an ``inf`` term."""
+        path = tmp_path / "o.pauli"
+        path.write_text("qubits 2\n(1.7e308,0) X1\n(1.7e308,0) X1\n")
+        assert main(["stats", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: parse: coefficients of X1 sum to a non-finite value\n")
+
+    @pytest.mark.parametrize("text", [
+        f"qubits 2\n(1,0) X{LONG}\n", f"qubits {LONG}\n(1,0) X1\n",
+    ], ids=["label_index", "qubits_header"])
+    def test_long_integer_in_pauli_file(self, tmp_path, capsys, text):
+        path = tmp_path / "big.pauli"
+        path.write_text(text)
+        assert main(["stats", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: parse: number of 5000 digits is too long\n"
+
+    def test_long_integer_in_fham_factor(self, tmp_path, capsys):
+        g = _chain2(tmp_path)
+        h = tmp_path / "big.fham"
+        h.write_text(f"modes 2\n(1,0) a+{self.LONG} a-1\n")
+        capsys.readouterr()
+        assert main(["transform", "--graph", g, "--hamiltonian", str(h),
+                     "--out", str(tmp_path / "o.pauli")]) == 2
+        assert capsys.readouterr().err == "error: parse: number of 5000 digits is too long\n"
+
+    def test_negative_dense_seed(self, tmp_path, capsys):
+        """Once numpy's ValueError traceback, exit 1."""
+        g = _chain2(tmp_path)
+        assert main(["verify", "--graph", g, "--dense", "--seed", "-5"]) == 2
+        assert ("error: parse: seed must be a non-negative integer, got -5"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n, seed", [("4", "-10"), ("4,5", "-1")])
+    def test_negative_bench_seed(self, tmp_path, capsys, n, seed):
+        """``--seed -10`` once raised numpy's ValueError; ``--n 4,5 --seed -1``
+        exited 0, drawing with seed + N."""
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--geometries", "linear", "--n", n, "--seed", seed,
+                     "--out", str(out)]) == 2
+        assert (f"error: parse: seed must be a non-negative integer, got {seed}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 class TestDocs:
     def test_readme_documents_every_option(self):
         """The long options of every subcommand are exactly the ``--flag``
@@ -671,6 +758,37 @@ class TestDocs:
         documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*",
                                     "".join(text for _, text in sections)))
         assert documented == options
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_readme_tour_runs(self):
+        """README's library tour is the one ``python`` block; it runs."""
+        blocks = re.findall(r"^```python\n(.*?)^```", self.README.read_text(),
+                            flags=re.M | re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+
+    def test_readme_names_resolve(self):
+        """Every backquoted ``Class.attr`` or ``module.NAME`` README gives
+        for these classes and modules exists: on the class, as a dataclass
+        field, or on an instance (``Router.searches`` is set in
+        ``__init__``)."""
+        enc = fermigraph.build_encoding(gen_lattice("linear", 3), "jw")
+        owners = {
+            "Encoding": (Encoding, enc), "Router": (Router, Router(enc)),
+            "OracleReport": (OracleReport, None),
+            **{m: (importlib.import_module(f"fermigraph.{m}"), None)
+               for m in ("dense", "encoding", "geometries", "analytics", "fermion")},
+        }
+        names = re.findall(rf"`({'|'.join(owners)})\.([A-Za-z_]\w*)",
+                           self.README.read_text())
+        assert len(names) >= 13
+        missing = [
+            f"{owner}.{attr}" for owner, attr in names
+            if not any(hasattr(o, attr) for o in owners[owner])
+            and attr not in getattr(owners[owner][0], "__dataclass_fields__", {})
+        ]
+        assert missing == []
 
 
 def test_geometry_kinds_agree(tmp_path):

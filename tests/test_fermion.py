@@ -23,6 +23,7 @@ from fermigraph.fermion import (
     syk2_monomials,
     to_majorana_normal_form,
 )
+from fermigraph.fileio import fermion_from_lines
 from fermigraph.geometries import gen_lattice
 from fermigraph.graph import SystemGraph
 
@@ -94,6 +95,14 @@ class TestNormalForm:
             (0, 3): pytest.approx(0.5j),
             (1, 2): pytest.approx(-0.5j),
         }
+
+    def test_overflowing_sum_refused(self):
+        """Two finite terms whose sum overflows once made an ``inf``
+        monomial, which the compile turned into a NaN traceback."""
+        f = fermion_from_lines(["modes 2", "(1.7e308,0) g1 g3", "(1.7e308,0) g1 g3"])
+        with pytest.raises(ParseError, match=r"Majorana monomial g1 g3 \(1-based\) sums "
+                                             r"to the non-finite"):
+            to_majorana_normal_form(f)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(40):
@@ -291,6 +300,24 @@ class TestBuilders:
             syk2_monomials(3, couplings=j)
         with pytest.raises(ParseError):
             build_syk2(3, couplings=j)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", None, True])
+    def test_syk2_couplings_need_a_seed(self, seed):
+        """A negative seed once escaped as numpy's ValueError, and a float,
+        string or None as a TypeError."""
+        with pytest.raises(ParseError, match="seed must be a non-negative integer"):
+            syk2_couplings(4, seed)
+
+    def test_syk2_complex_coupling_refused(self):
+        """A complex coupling is a non-Hermitian H; its imaginary part was
+        once kept without a word, and the compile accepted it."""
+        j = np.zeros((4, 4), dtype=complex)
+        j[0, 2], j[1, 3] = 0.5, 2j
+        with pytest.raises(ParseError, match=r"complex coupling J\[1, 3\] = 2j"):
+            syk2_monomials(2, j)
+        with pytest.raises(ParseError, match="complex coupling"):
+            syk2_monomials(2, 1j * np.ones((4, 4)))
+        assert len(syk2_monomials(2, j.real)) == 1
 
     @pytest.mark.parametrize("n, match", [
         (0, "at least 1 mode"), (-1, "at least 1 mode"),

@@ -251,6 +251,18 @@ class TestPauliFiles:
         fileio.write_pauli_sum(path, s)
         assert fileio.read_pauli_sum(path) == s
 
+    def test_refused_write_keeps_the_old_file(self, tmp_path):
+        """Writing an overflowed sum once raised an OverflowError after the
+        target was opened, which left it empty."""
+        b = PauliSumBuilder(2)
+        for _ in range(2):
+            b.add(1.7e308, PauliString.from_label("X1", 2))
+        path = tmp_path / "h.pauli"
+        path.write_text("qubits 2\n(1,0) Z1\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            fileio.write_pauli_sum(str(path), b.build())
+        assert path.read_text() == "qubits 2\n(1,0) Z1\n"
+
     def test_complex_coefficients(self, tmp_path):
         b = PauliSumBuilder(2)
         b.add(0.25 - 1.5j, PauliString.from_label("Y1 X2", 2))

@@ -316,6 +316,20 @@ class TestText:
         with pytest.raises(ParseError):
             pauli_sum_from_lines(["qubits 2", line])
 
+    def test_overflowing_sum_refused(self):
+        """Finite terms whose sum overflows once read as an ``inf`` term."""
+        with pytest.raises(ParseError, match="coefficients of Y2 sum to a non-finite value"):
+            pauli_sum_from_lines(["qubits 2", "(1,0) X1", "(1.7e308,0) Y2", "(1.7e308,0) Y2"])
+
+    def test_non_finite_sum_is_not_written(self):
+        """A builder may hold the overflowed sum, but printing it once raised
+        a bare OverflowError."""
+        s = build_sum(2, [(1.7e308, S("X1", 2))] * 2)
+        with pytest.raises(ParseError, match="non-finite coefficient component inf"):
+            str(s)
+        with pytest.raises(ParseError, match="non-finite"):
+            pauli_sum_to_lines(s)
+
     def test_str_is_the_file_line(self):
         """``str`` of a string and of a sum print the term lines that a
         ``.pauli`` file holds."""
