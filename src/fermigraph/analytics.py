@@ -17,6 +17,7 @@ from .encoding import build_encoding
 from .errors import ParseError
 from .fermion import check_seed, syk2_couplings, syk2_monomials
 from .geometries import SYK_GEOMETRIES, gen_syk_geometry
+from .graph import _integer
 from .pauli import PauliSum
 from .transform import transform_monomials
 
@@ -78,6 +79,7 @@ def sweep_syk_geometries(
     ``encoding.TABLE_BUDGET`` raises ``ResourceError``.
     """
     seed = check_seed(seed)
+    n_list = [_integer(n, "mode counts must be integers") for n in n_list]
     records = []
     for kind in geometries:
         if kind not in SWEEP_GEOMETRIES:

@@ -26,7 +26,7 @@ from typing import List, Optional
 from . import analytics, fileio
 from .encoding import build_encoding, verify_encoding_algebra
 from .errors import FermigraphError, ParseError, VerifyError
-from .fermion import build_syk2
+from .fermion import build_syk2, check_seed
 from .geometries import (
     LATTICE_DIRECTIONS,
     SYK_GEOMETRIES,
@@ -37,6 +37,7 @@ from .geometries import (
     lattice_dims,
 )
 from .graph import qubit_count
+from .localbasis import BASIS_BUILDERS
 from .transform import transform_hamiltonian
 
 EXIT_CODES = {"parse": 2, "route": 3, "parity": 4, "resource": 5, "verify-fail": 6}
@@ -102,10 +103,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    enc = _encoding(args)
     f = fileio.read_fermion(args.hamiltonian)
     route = _route_policy(args.route)
-    compiled = transform_hamiltonian(f, enc, route)
+    compiled = transform_hamiltonian(f, _encoding(args), route)
     fileio.write_pauli_sum(args.out, compiled)
     stats = analytics.weight_stats(compiled)
     print(
@@ -173,6 +173,12 @@ def _cmd_verify(args) -> int:
         raise ParseError("--hamiltonian is read only with --dense")
     if args.seed is not None and (args.hamiltonian is not None or not args.dense):
         raise ParseError("--seed seeds the Hamiltonian --dense draws without --hamiltonian")
+    # read the inputs first: a bad one costs no encoding build and no "ok" line
+    f = seed = None
+    if args.hamiltonian is not None:
+        f = fileio.read_fermion(args.hamiltonian)
+    elif args.dense:
+        seed = check_seed(1 if args.seed is None else args.seed)
     enc = _encoding(args)
     rep = verify_encoding_algebra(enc)
     if not rep.ok:
@@ -183,10 +189,8 @@ def _cmd_verify(args) -> int:
     if args.dense:
         from .dense import dense_oracle_check
 
-        if args.hamiltonian is not None:
-            f = fileio.read_fermion(args.hamiltonian)
-        else:
-            f = build_syk2(enc.n_modes, seed=1 if args.seed is None else args.seed)
+        if f is None:
+            f = build_syk2(enc.n_modes, seed=seed)
         report = dense_oracle_check(f, enc)
         print(
             f"dense oracle: sector={report.sector} codespace_dim={report.codespace_dim} "
@@ -207,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the encoding that encode writes and transform and verify compile
     encoded = argparse.ArgumentParser(add_help=False)
     encoded.add_argument("--graph", required=True, help="system graph (.graph)")
-    encoded.add_argument("--basis", default="jw", help="jw | jw_yx | fenwick | ternary")
+    encoded.add_argument("--basis", default="jw", help=" | ".join(BASIS_BUILDERS))
 
     p = sub.add_parser("gen", help="generate a system graph")
     p.add_argument("--geometry", required=True,

@@ -582,16 +582,16 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
     # a fundamental cycle basis has at most one cycle per edge
     check_table_budget(total, 2 * len(g.edges) + len(layout))
 
-    # c_a^p c_b^q on disjoint blocks: an OR of shifts, no cross term in the phase
-    edge_ops: List[PauliString] = []
-    for eidx, (a, b) in enumerate(g.edges):
-        ca = bases[a].ops[g.port_of_edge(a, eidx)]
-        cb = bases[b].ops[g.port_of_edge(b, eidx)]
-        (oa, _), (ob, _) = layout[a], layout[b]
-        op = PauliString._raw(
-            total, ca.x << oa | cb.x << ob, ca.z << oa | cb.z << ob, ca.phase + cb.phase
-        )
-        edge_ops.append(_hermitian(op, "edge operator", eidx))
+    # port k of v takes v's local Majorana k; edge (a, b) is c_a^p c_b^q on
+    # disjoint blocks: an OR of shifts, no cross term in the phase
+    xs, zs, phases = [0] * len(g.edges), [0] * len(g.edges), [0] * len(g.edges)
+    for v, (off, _) in layout.items():
+        for c, eidx in zip(bases[v].ops, g.vertices[v].ports):
+            xs[eidx] |= c.x << off
+            zs[eidx] |= c.z << off
+            phases[eidx] += c.phase
+    edge_ops = [_hermitian(PauliString._raw(total, *xzp), "edge operator", eidx)
+                for eidx, xzp in enumerate(zip(xs, zs, phases))]
 
     # vertices sharing a basis object share its product on their block
     products: Dict[int, PauliString] = {}

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from numbers import Number
 from operator import ge
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,9 +45,17 @@ Factor = Tuple[int, bool]  # (mode, dagger)
 Word = Tuple[complex, Tuple[Factor, ...]]  # coefficient * product of factors
 
 
-def _check_finite(c: complex) -> None:
+def _coefficient(c, what: str = "coefficient") -> complex:
+    """``c`` as a complex if it is a finite number: an int, float or
+    complex, numpy scalars included, never a bool, a str or None, which
+    raise ParseError, as a non-finite value does."""
+    if type(c) is not complex:
+        if isinstance(c, bool) or not isinstance(c, Number):
+            raise ParseError(f"{what} must be an int, float or complex, got {c!r}")
+        c = complex(c)
     if not cmath.isfinite(c):
-        raise ParseError(f"non-finite coefficient {c}")
+        raise ParseError(f"non-finite {what} {c}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,12 @@ class FermionOperator:
     terms: Tuple[Word, ...]
 
     def __post_init__(self):
+        n = _integer(self.n_modes, "n_modes must be an integer")
+        object.__setattr__(self, "n_modes", n)
         for c, factors in self.terms:
-            _check_finite(c)
+            _coefficient(c)
             for mode, _ in factors:
-                if not 0 <= mode < self.n_modes:
+                if not 0 <= _integer(mode, "modes must be integers") < n:
                     raise DimensionError(
                         f"mode {mode} out of range for n_modes={self.n_modes}"
                     )
@@ -69,7 +80,7 @@ class FermionOperator:
     def from_terms(
         cls, n_modes: int, terms: Iterable[Tuple[complex, Sequence[Factor]]]
     ) -> "FermionOperator":
-        return cls(n_modes, tuple((complex(c), tuple(f)) for c, f in terms))
+        return cls(n_modes, tuple((_coefficient(c), tuple(f)) for c, f in terms))
 
     def is_parity_preserving(self) -> bool:
         return all(len(f) % 2 == 0 for _, f in self.terms)
@@ -88,8 +99,9 @@ class MajoranaMonomial:
     indices: Tuple[int, ...]
 
     def __post_init__(self):
-        _check_finite(self.coefficient)
-        if any(map(ge, self.indices, self.indices[1:])):
+        _coefficient(self.coefficient)
+        indices = [_integer(i, "Majorana indices must be integers") for i in self.indices]
+        if any(map(ge, indices, indices[1:])):
             raise ParseError("Majorana indices must be strictly increasing")
 
     @classmethod
@@ -246,7 +258,8 @@ def syk2_monomials(
     seed: Optional[int] = None,
 ) -> List[MajoranaMonomial]:
     """The quadratic Majorana Hamiltonian -i sum_{j<k} J_jk g_j g_k as a
-    monomial list; a non-finite or complex (non-Hermitian) coupling is refused."""
+    monomial list; couplings that are not numbers (a bool, str or object
+    dtype) and a non-finite or complex (non-Hermitian) coupling are refused."""
     import numpy as np
 
     if couplings is None:
@@ -254,6 +267,8 @@ def syk2_monomials(
             raise ParseError("give couplings or a seed")
         couplings = syk2_couplings(n_modes, seed)
     couplings = np.asarray(couplings)
+    if couplings.dtype.kind not in "iufc":
+        raise ParseError(f"couplings must be numbers, got dtype {couplings.dtype}")
     dim = 2 * n_modes
     if couplings.shape != (dim, dim):
         raise DimensionError(
@@ -326,6 +341,7 @@ def build_lattice_model(
     """
     if kind not in _MODEL_LATTICES:
         raise ParseError(f"unknown lattice model {kind!r}")
+    t, t_diag, u = _coefficient(t, "t"), _coefficient(t_diag, "t_diag"), _coefficient(u, "u")
     g = gen_lattice(_MODEL_LATTICES[kind], dims, bc)
     cols = g.meta["params"]["dims"][-1]
     terms: List[Word] = []

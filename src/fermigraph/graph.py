@@ -7,6 +7,9 @@ periodic lattice needs them), so ports reference *edge indices* rather
 than neighbor ids; for simple graphs the two views coincide, and
 ``SystemGraph.from_edges`` orders ports by ascending neighbor id.
 
+The port tuples are the graph's one incidence; only ``edges_between``
+keeps an index of its own, keyed by endpoint pair.
+
 Canonical form: edges are sorted lexicographically as (min, max) pairs at
 construction and ports are remapped accordingly, so equal graphs have
 identical serializations.
@@ -41,6 +44,10 @@ def _integer(value, rule: str) -> int:
     raise ParseError(f"{rule}, got {value!r}")
 
 
+def _id(value) -> int:
+    return _integer(value, "vertex ids, edge endpoints and ports must be integers")
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: int
@@ -58,14 +65,11 @@ class SystemGraph:
         edges: Sequence[Edge],
         meta: Optional[dict] = None,
     ):
-        def plain(value) -> int:
-            return _integer(value, "vertex ids, edge endpoints and ports must be integers")
-
         def plain_vertex(v) -> Vertex:
             if type(v) is Vertex and type(v.id) is int and type(v.ports) is tuple:
                 if set(map(type, v.ports)) <= {int}:
                     return v
-            return Vertex(plain(v.id), v.kind, tuple(map(plain, v.ports)))
+            return Vertex(_id(v.id), v.kind, tuple(map(_id, v.ports)))
 
         # input already in plain ints and canonical order, as ``from_edges``
         # gives it, passes every check below without being copied or sorted
@@ -78,7 +82,7 @@ class SystemGraph:
         norm = []
         for a, b in edges:
             if type(a) is not int or type(b) is not int:
-                a, b = plain(a), plain(b)
+                a, b = _id(a), _id(b)
             if a == b:
                 raise ParseError(f"self loop at vertex {a}")
             if a not in idset or b not in idset:
@@ -93,11 +97,7 @@ class SystemGraph:
             norm = [norm[i] for i in order]
         self.edges: Tuple[Edge, ...] = tuple(norm)
 
-        incident: Dict[int, List[int]] = {i: [] for i in ids}
-        for eidx, (a, b) in enumerate(self.edges):
-            incident[a].append(eidx)
-            incident[b].append(eidx)
-
+        incident = _incidence(ids, self.edges)
         self.vertices: Dict[int, Vertex] = {}
         for v in vlist:
             if remap is not None:
@@ -115,10 +115,6 @@ class SystemGraph:
         self._pair_index: Dict[Edge, Tuple[int, ...]] = {}
         for eidx, e in enumerate(self.edges):
             self._pair_index[e] = self._pair_index.get(e, ()) + (eidx,)
-        self._port: Dict[int, Dict[int, int]] = {
-            v.id: dict(zip(v.ports, range(len(v.ports))))
-            for v in self.vertices.values()
-        }
 
     # ------------------------------------------------------------------
     # convenience constructors
@@ -134,14 +130,15 @@ class SystemGraph:
         """Build with ports in ascending (neighbor, edge) order."""
         kinds = kinds or {}
         ids = set(chain.from_iterable(edges))
+        # a bool or float equal to an int id hides in the set: __init__ refuses it
+        if not set(map(type, ids)) <= {int}:
+            edges = [(_id(a), _id(b)) for a, b in edges]
+            ids = set(chain.from_iterable(edges))
         if n_vertices is not None:
-            ids.update(range(n_vertices))
+            ids.update(range(_integer(n_vertices, "n_vertices must be an integer")))
         norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
         # sorted edges list each vertex's edges in (neighbor, edge) order
-        incident: Dict[int, List[int]] = {i: [] for i in ids}
-        for eidx, (a, b) in enumerate(norm):
-            incident[a].append(eidx)
-            incident[b].append(eidx)
+        incident = _incidence(ids, norm)
         vlist = [
             Vertex(vid, kinds.get(vid, PHYSICAL), tuple(incident[vid]))
             for vid in sorted(ids)
@@ -171,20 +168,15 @@ class SystemGraph:
         return [_other(self.edges[e], vid) for e in self.vertices[vid].ports]
 
     def port_of_edge(self, vid: int, eidx: int) -> int:
-        """0-based position of edge ``eidx`` in ``vid``'s port list."""
-        return self._port[vid][eidx]
+        """0-based position of edge ``eidx`` in ``vid``'s ports, else ParseError."""
+        ports = self.vertices[vid].ports
+        if eidx in ports:
+            return ports.index(eidx)
+        raise ParseError(f"edge {eidx!r} is not a port of vertex {vid}")
 
     def edges_between(self, a: int, b: int) -> Tuple[int, ...]:
         """Indices of the edges joining a and b, ascending; () if none."""
         return self._pair_index.get((a, b) if a < b else (b, a), ())
-
-    def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
-        """vertex -> list of (edge index, neighbor id)."""
-        adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self.vertices}
-        for eidx, (a, b) in enumerate(self.edges):
-            adj[a].append((eidx, b))
-            adj[b].append((eidx, a))
-        return adj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SystemGraph):
@@ -194,6 +186,15 @@ class SystemGraph:
             and self.edges == other.edges
             and self.meta == other.meta
         )
+
+
+def _incidence(ids: Iterable[int], edges: Sequence[Edge]) -> Dict[int, List[int]]:
+    """vertex id -> the indices of its edges, ascending."""
+    incident: Dict[int, List[int]] = {i: [] for i in ids}
+    for eidx, (a, b) in enumerate(edges):
+        incident[a].append(eidx)
+        incident[b].append(eidx)
+    return incident
 
 
 def _other(edge: Edge, vid: int) -> int:
@@ -234,12 +235,11 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
     """Fundamental cycles of a BFS spanning tree (forest per component).
 
     Deterministic given the canonical vertex/edge ordering: the BFS root is
-    the smallest vertex id of each component and neighbors are explored in
-    edge-index order.  Each cycle uses exactly one non-tree edge.
+    the smallest vertex id of each component, neighbors are explored in
+    edge-index order (sorted ports, not port order), and a vertex's parent
+    is the other end of its parent edge.  Each cycle uses one non-tree edge.
     """
-    adj = g.adjacency()  # each list in edge-index order
     parent_edge: Dict[int, Optional[int]] = {}
-    parent: Dict[int, int] = {}
     depth: Dict[int, int] = {}
     for root in g.vertex_ids():
         if root in parent_edge:
@@ -251,10 +251,10 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for eidx, u in adj[v]:
+            for eidx in sorted(g.vertices[v].ports):
+                u = _other(g.edges[eidx], v)
                 if u not in parent_edge:
                     parent_edge[u] = eidx
-                    parent[u] = v
                     depth[u] = depth[v] + 1
                     queue.append(u)
 
@@ -271,11 +271,11 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
         while va != vb:
             if depth[va] >= depth[vb]:
                 ea.append(parent_edge[va])
-                va = parent[va]
+                va = _other(g.edges[ea[-1]], va)
                 pa.append(va)
             else:
                 eb.append(parent_edge[vb])
-                vb = parent[vb]
+                vb = _other(g.edges[eb[-1]], vb)
                 pb.append(vb)
         # vertices: a ... ancestor ... b, then edge eidx closes b -> a
         eb.reverse()

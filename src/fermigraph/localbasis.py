@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import ParseError
+from .graph import _integer
 from .pauli import PauliString
 
 
@@ -177,7 +178,7 @@ def get_basis(name: str, d: int) -> MajoranaBasis:
         builder = BASIS_BUILDERS[name]
     except KeyError:
         raise ParseError(f"unknown basis {name!r}") from None
-    return builder(d)
+    return builder(_integer(d, "basis degree must be an integer"))
 
 
 # ----------------------------------------------------------------------

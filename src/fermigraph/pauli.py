@@ -30,7 +30,8 @@ pure functions, so instances may be shared freely across workers.  Sums
 are assembled with ``PauliSumBuilder``.
 
 Strings made from outside input (``PauliString(...)``, ``identity``,
-``from_label``) are checked: ``n >= 0``, masks within n bits,
+``from_label``) are checked: integer fields (``graph._integer``'s rule,
+so a bool, float or str is a ParseError), ``n >= 0``, masks within n bits,
 no qubit named twice in a label.  The algebra (``*``, ``with_phase``, ``-``,
 ``adjoint``, ``embed``), ``PauliSum.terms``, the encoding's table building
 and its walk folds (``_walk_product``, ``Router.operator``) skip that check
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .errors import DimensionError, ParseError
+from .graph import _integer
 
 #: Coefficients with magnitude below this are dropped from sums.
 ZERO_THRESHOLD = 1e-12
@@ -81,6 +83,11 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
+        for name in ("n", "x", "z", "phase"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                rule = f"Pauli string {name} must be an integer"
+                object.__setattr__(self, name, _integer(value, rule))
         if self.n < 0:
             raise DimensionError("negative qubit count")
         mask = (1 << self.n) - 1

@@ -1,7 +1,8 @@
 """Shared test helpers: tiny dense matrices, the kron-chain fermionic
 reference matrices, random graph generation, the per-pair reference router,
-the whole-register reference tables, the pairwise reference algebra check,
-the unsummed reference oracle entries and the ungauged reference oracle."""
+the adjacency-list reference cycle basis, the whole-register reference
+tables, the pairwise reference algebra check, the unsummed reference oracle
+entries and the ungauged reference oracle."""
 
 import heapq
 from functools import reduce
@@ -32,7 +33,7 @@ from fermigraph.geometries import (
     gen_square_with_diagonals,
     gen_syk_geometry,
 )
-from fermigraph.graph import SystemGraph
+from fermigraph.graph import Cycle, SystemGraph
 from fermigraph.pauli import PauliString
 
 I2 = np.eye(2, dtype=complex)
@@ -153,7 +154,8 @@ def reference_route(enc, j: int, k: int) -> List[int]:
     g = enc.graph
     if j not in g or k not in g:
         raise RoutingError(f"unknown endpoint {j if j not in g else k}")
-    adj = g.adjacency()
+    # vertex -> (edge index, neighbor id) in port order
+    adj = {v: list(zip(g.vertices[v].ports, g.neighbors(v))) for v in g.vertex_ids()}
 
     def single_w(v: int, eidx: int) -> int:
         return enc.local_bases[v].ops[g.port_of_edge(v, eidx)].weight()
@@ -183,6 +185,56 @@ def reference_route(enc, j: int, k: int) -> List[int]:
                 step += single_w(k, e_out)
             heapq.heappush(heap, (w + step, verts + (u,), edges + (e_out,)))
     raise RoutingError(f"no path between {j} and {k}")
+
+
+def reference_cycle_basis(g) -> List[Cycle]:
+    """The ``cycle_basis`` that read an adjacency list and a parent map,
+    kept as the reference for the one that reads the ports: BFS from the
+    smallest vertex id of each component over an explicit per-vertex
+    (edge index, neighbor) list built in edge-index order, and one
+    fundamental cycle per non-tree edge."""
+    adj = {v: [] for v in g.vertices}
+    for eidx, (a, b) in enumerate(g.edges):
+        adj[a].append((eidx, b))
+        adj[b].append((eidx, a))
+    parent_edge, parent, depth = {}, {}, {}
+    for root in g.vertex_ids():
+        if root in parent_edge:
+            continue
+        parent_edge[root] = None
+        depth[root] = 0
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for eidx, u in adj[v]:
+                if u not in parent_edge:
+                    parent_edge[u] = eidx
+                    parent[u] = v
+                    depth[u] = depth[v] + 1
+                    queue.append(u)
+
+    tree_edges = set(parent_edge.values())
+    cycles = []
+    for eidx, (a, b) in enumerate(g.edges):
+        if eidx in tree_edges:
+            continue
+        pa, pb, ea, eb = [a], [b], [], []
+        va, vb = a, b
+        while va != vb:
+            if depth[va] >= depth[vb]:
+                ea.append(parent_edge[va])
+                va = parent[va]
+                pa.append(va)
+            else:
+                eb.append(parent_edge[vb])
+                vb = parent[vb]
+                pb.append(vb)
+        eb.reverse()
+        eb.append(eidx)
+        cycles.append(Cycle(tuple(pa + pb[-2::-1]), tuple(ea + eb)))
+    return cycles
 
 
 def reference_algebra_violations(enc) -> List[str]:

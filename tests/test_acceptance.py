@@ -209,7 +209,7 @@ def test_criterion_7_quasi_locality_win():
 def _two_simple_paths(g, j, k, rng, cap=4000):
     """First two distinct simple vertex paths from j to k (DFS, seeded
     neighbor order), or None."""
-    adj = {v: sorted(set(u for _, u in g.adjacency()[v])) for v in g.vertex_ids()}
+    adj = {v: sorted(set(g.neighbors(v))) for v in g.vertex_ids()}
     found = []
     budget = cap
     stack = [(j, [j])]

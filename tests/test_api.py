@@ -121,8 +121,9 @@ def test_frozen_dataclasses_keep_no_memo():
 def test_private_helpers_are_read():
     """Every module-level function, class or assignment of the package
     whose name starts with ``_`` (dunders aside) is read somewhere in the
-    package: as a name, an attribute or an imported name.  A helper whose
-    last caller went away fails this, as a linter's dead-code rule would."""
+    package outside its own definition: as a name, an attribute or an
+    imported name.  A helper whose last caller went away fails this, as a
+    linter's dead-code rule would, and so does one that only calls itself."""
     defined, read = {}, set()
     for path in sorted(Path(fermigraph.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -136,11 +137,14 @@ def test_private_helpers_are_read():
                 continue
             defined.update((n, f"{path.name}:{node.lineno} {n}") for n in names
                            if n.startswith("_") and not n.startswith("__"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
+        for top in tree.body:
+            own = getattr(top, "name", None)  # a def reading its own name is no reader
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != own:
+                        read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(a.name for a in node.names)
     assert sorted(where for name, where in defined.items() if name not in read) == []

@@ -30,7 +30,7 @@ from fermigraph.geometries import (
     gen_syk_geometry,
 )
 from fermigraph.graph import SystemGraph
-from fermigraph.localbasis import CheckReport
+from fermigraph.localbasis import BASIS_BUILDERS, CheckReport
 
 #: A decimal integer past Python's 4,300-digit string limit: ``int`` of it
 #: raises ValueError, which once escaped the CLI as a traceback.
@@ -719,7 +719,50 @@ class TestRefusedNumbers:
         assert not out.exists()
 
 
+class TestInputsBeforeEncoding:
+    """A bad seed, a missing ``.fham`` file and a bad route are refused
+    before the encoding is built: ``verify --dense --seed -5`` once printed
+    ``algebra ok: ...`` and then exited 2."""
+
+    CASES = {
+        "verify_negative_seed": ["verify", "--dense", "--seed", "-5"],
+        "verify_missing_fham": ["verify", "--dense", "--hamiltonian", "{tmp}/missing.fham"],
+        "transform_missing_fham": ["transform", "--hamiltonian", "{tmp}/missing.fham",
+                                   "--out", "{tmp}/o.pauli"],
+        "transform_unknown_route": ["transform", "--hamiltonian", "{tmp}/h.fham",
+                                    "--route", "bogus", "--out", "{tmp}/o.pauli"],
+        "transform_missing_route_file": ["transform", "--hamiltonian", "{tmp}/h.fham",
+                                         "--route", "explicit:{tmp}/missing",
+                                         "--out", "{tmp}/o.pauli"],
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES)
+    def test_refused_before_the_encoding(self, tmp_path, capsys, monkeypatch, argv):
+        g = _chain2(tmp_path)
+        (tmp_path / "h.fham").write_text("modes 2\n(1,0) a+1 a-2\n(1,0) a+2 a-1\n")
+        capsys.readouterr()
+        built = []
+        monkeypatch.setattr(cli, "build_encoding", lambda *a: built.append(a))
+        argv = [tok.format(tmp=tmp_path) for tok in argv[:1] + ["--graph", g] + argv[1:]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: parse: ")
+        assert built == []
+        assert not (tmp_path / "o.pauli").exists()
+
+
 class TestDocs:
+    def test_basis_help_names_every_registered_basis(self, monkeypatch):
+        """The ``--basis`` help is read from ``BASIS_BUILDERS``, so a basis
+        registered there is offered with no edit to the parser."""
+        monkeypatch.setitem(BASIS_BUILDERS, "jw_copy", BASIS_BUILDERS["jw"])
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for verb in ("encode", "transform", "verify"):
+            basis = next(a for a in subparsers.choices[verb]._actions
+                         if "--basis" in a.option_strings)
+            assert basis.help.split(" | ") == list(BASIS_BUILDERS)
+
     def test_readme_documents_every_option(self):
         """The long options of every subcommand are exactly the ``--flag``
         tokens of README's "Command line" and "Conventions" sections, so

@@ -281,7 +281,7 @@ class TestPaths:
         """Auto routing never does worse than any simple path."""
         g = gen_lattice("square", (3, 3), "open")
         enc = build_encoding(g, "jw")
-        adj = {v: sorted(set(u for _, u in g.adjacency()[v])) for v in g.vertex_ids()}
+        adj = {v: sorted(set(g.neighbors(v))) for v in g.vertex_ids()}
 
         def simple_paths(j, k):
             stack = [(j, [j])]

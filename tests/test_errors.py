@@ -7,13 +7,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fermigraph.analytics import BenchRecord, WeightStats, loglog_slope
+from fermigraph.analytics import BenchRecord, WeightStats, loglog_slope, sweep_syk_geometries
 from fermigraph.encoding import Router, build_encoding, verify_encoding_algebra
 from fermigraph.errors import DimensionError, ParseError, RoutingError
-from fermigraph.fermion import FermionOperator, syk2_monomials
+from fermigraph.fermion import (
+    FermionOperator,
+    MajoranaMonomial,
+    build_lattice_model,
+    syk2_monomials,
+)
 from fermigraph.geometries import gen_blocked_square, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph, Vertex
-from fermigraph.localbasis import basis_from_labels
+from fermigraph.localbasis import basis_from_labels, get_basis
 from fermigraph.pauli import PauliString, pauli_sum_from_lines
 from fermigraph.transform import transform_hamiltonian
 
@@ -78,6 +83,63 @@ def test_refused(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert type(err.value) is error and str(err.value) == message
+
+
+#: Constructor arguments that were accepted, written out or refused with a
+#: bare TypeError or ValueError: integers follow ``graph._integer``'s rule,
+#: coefficients are finite ints, floats or complexes, never a bool.
+INTAKE = {
+    "fermion_float_mode_count": (lambda: FermionOperator.from_terms(2.5, []),
+                                 "n_modes must be an integer, got 2.5"),
+    "fermion_float_mode": (lambda: FermionOperator.from_terms(2, [(1.0, ((1.0, True),))]),
+                           "modes must be integers, got 1.0"),
+    "fermion_none_mode": (lambda: FermionOperator.from_terms(2, [(1.0, ((None, True),))]),
+                          "modes must be integers, got None"),
+    "fermion_str_coefficient": (lambda: FermionOperator.from_terms(2, [("x", ())]),
+                                "coefficient must be an int, float or complex, got 'x'"),
+    "fermion_bool_coefficient": (lambda: FermionOperator(2, ((True, ()),)),
+                                 "coefficient must be an int, float or complex, got True"),
+    "monomial_float_index": (lambda: MajoranaMonomial(1.0, (0, 1.5)),
+                             "Majorana indices must be integers, got 1.5"),
+    "monomial_str_index": (lambda: MajoranaMonomial(1.0, ("a", "b")),
+                           "Majorana indices must be integers, got 'a'"),
+    "monomial_none_coefficient": (lambda: MajoranaMonomial(None, (0, 1)),
+                                  "coefficient must be an int, float or complex, got None"),
+    "pauli_str_size": (lambda: PauliString("a", 0, 0),
+                       "Pauli string n must be an integer, got 'a'"),
+    "pauli_float_mask": (lambda: PauliString(2, 1.5, 0),
+                         "Pauli string x must be an integer, got 1.5"),
+    "graph_str_endpoint": (lambda: SystemGraph.from_edges([(0, "1")]),
+                           "vertex ids, edge endpoints and ports must be integers, got '1'"),
+    "graph_float_vertex_count": (lambda: SystemGraph.from_edges([(0, 1)], n_vertices=2.5),
+                                 "n_vertices must be an integer, got 2.5"),
+    "basis_float_degree": (lambda: get_basis("jw", 2.5),
+                           "basis degree must be an integer, got 2.5"),
+    "sweep_str_mode_count": (lambda: sweep_syk_geometries(["star"], ["a"]),
+                             "mode counts must be integers, got 'a'"),
+    "lattice_model_str_t": (lambda: build_lattice_model("chain", 4, t="a"),
+                            "t must be an int, float or complex, got 'a'"),
+    "lattice_model_none_t": (lambda: build_lattice_model("chain", 4, t=None),
+                             "t must be an int, float or complex, got None"),
+    "lattice_model_bool_u": (lambda: build_lattice_model("chain", 4, u=True),
+                             "u must be an int, float or complex, got True"),
+}
+
+
+@pytest.mark.parametrize("call, message", INTAKE.values(), ids=INTAKE)
+def test_constructor_intake_refused(call, message):
+    with pytest.raises(ParseError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_constructor_intake_takes_numpy_numbers():
+    """numpy integers and scalars pass the intake rules, as before."""
+    f = FermionOperator.from_terms(np.int64(2), [(np.float32(0.5), ((np.int64(1), True),))])
+    assert f.n_modes == 2 and type(f.n_modes) is int and f.terms[0][0] == 0.5
+    assert MajoranaMonomial(np.complex128(1j), (np.int64(0), 1)).indices == (0, 1)
+    assert PauliString(np.int64(2), np.int64(1), 0) == PauliString(2, 1, 0)
+    assert build_lattice_model("chain", 3, t=np.float64(2.0)) == build_lattice_model("chain", 3, t=2)
 
 
 def test_pauli_comment_after_header_is_skipped():

@@ -301,6 +301,23 @@ class TestBuilders:
         with pytest.raises(ParseError):
             build_syk2(3, couplings=j)
 
+    @pytest.mark.parametrize("couplings, dtype", [
+        ([["a"] * 4] * 4, "<U1"),
+        (np.array([[None] * 4] * 4), "object"),
+        ([[True] * 4] * 4, "bool"),
+    ], ids=["str", "none", "bool"])
+    def test_syk2_non_numeric_couplings_refused(self, couplings, dtype):
+        """Strings and None once escaped as numpy's bare TypeError from
+        ``isfinite``, and bools were read as ones (6 monomials for N = 2)."""
+        with pytest.raises(ParseError, match=f"couplings must be numbers, got dtype {dtype}"):
+            syk2_monomials(2, couplings)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.complex64])
+    def test_syk2_numeric_dtypes_taken(self, dtype):
+        j = np.zeros((4, 4), dtype=dtype)
+        j[0, 3] = 2
+        assert syk2_monomials(2, j) == [MajoranaMonomial(-2j, (0, 3))]
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "a", None, True])
     def test_syk2_couplings_need_a_seed(self, seed):
         """A negative seed once escaped as numpy's ValueError, and a float,

@@ -10,14 +10,25 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, reference_route
+from conftest import (
+    random_connected_graph,
+    reference_cycle_basis,
+    reference_route,
+    table_graphs,
+)
 from fermigraph.analytics import SWEEP_GEOMETRIES
 from fermigraph.encoding import Router, build_encoding
 from fermigraph.errors import ParseError, RoutingError
 from fermigraph.fermion import syk2_monomials
 from fermigraph.fileio import graph_to_json
 from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
-from fermigraph.geometries import gen_lattice, gen_syk_geometry
+from fermigraph.geometries import (
+    LATTICE_DIRECTIONS,
+    gen_blocked_square,
+    gen_heavy_hex,
+    gen_lattice,
+    gen_syk_geometry,
+)
 from fermigraph.transform import _Realizer
 
 
@@ -159,6 +170,45 @@ class TestCycleBasis:
     def test_disconnected_graph_gets_spanning_forest(self):
         g = SystemGraph.from_edges([(0, 1), (2, 3)])
         assert cycle_basis(g) == []
+
+
+def incidence_graphs():
+    """``table_graphs``, the sweep kinds at N = 8 and 27, the four lattice
+    kinds open and periodic, blocked_square 4/4 and the heavy hexagon."""
+    graphs = table_graphs()
+    graphs += [gen_syk_geometry(k, n) for k in SWEEP_GEOMETRIES for n in (8, 27)]
+    graphs += [
+        gen_lattice(kind, 6 if kind == "linear" else (4, 5), bc)
+        for kind in LATTICE_DIRECTIONS
+        for bc in ("open", "periodic")
+    ]
+    return graphs + [gen_blocked_square(4, 4), gen_heavy_hex()]
+
+
+class TestPortsAreTheIncidence:
+    """Each vertex's ports are the graph's one incidence: the cycle basis
+    and ``port_of_edge`` read them, with no adjacency list or port map."""
+
+    def test_cycle_basis_matches_the_adjacency_list_reference(self):
+        for g in incidence_graphs():
+            assert cycle_basis(g) == reference_cycle_basis(g), g.meta
+
+    def test_port_of_edge_is_the_position_in_the_ports(self):
+        for g in incidence_graphs():
+            for v in g.vertices.values():
+                for k, e in enumerate(v.ports):
+                    assert g.port_of_edge(v.id, e) == k
+
+    @pytest.mark.parametrize("eidx", [2, -1, 5, "0"])
+    def test_an_edge_that_is_not_a_port_is_refused(self, eidx):
+        """It once raised KeyError from the per-vertex port map."""
+        g = gen_lattice("linear", 4, "open")  # vertex 1 has ports (0, 1)
+        with pytest.raises(ParseError, match="is not a port of vertex 1"):
+            g.port_of_edge(1, eidx)
+
+    def test_a_graph_holds_its_tables_once(self):
+        g = gen_lattice("square", (3, 3), "periodic")
+        assert set(vars(g)) == {"edges", "vertices", "meta", "_pair_index"}
 
 
 def reentry_encoding():
