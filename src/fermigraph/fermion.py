@@ -28,6 +28,7 @@ with p < q throughout and edge factors stored before vertex factors.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from numbers import Number
 from operator import ge
@@ -58,6 +59,13 @@ def _coefficient(c, what: str = "coefficient") -> complex:
     return c
 
 
+def _is_numpy_bool(value) -> bool:
+    """True for a ``numpy.bool_``; a program that never loaded numpy holds
+    none, so numpy is not imported to ask."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.bool_)
+
+
 @dataclass(frozen=True)
 class FermionOperator:
     """Sum of products of creation/annihilation operators."""
@@ -67,13 +75,19 @@ class FermionOperator:
 
     def __post_init__(self):
         n = _integer(self.n_modes, "n_modes must be an integer")
+        if n < 0:
+            raise ParseError(f"n_modes must be non-negative, got {n}")
         object.__setattr__(self, "n_modes", n)
         for c, factors in self.terms:
             _coefficient(c)
-            for mode, _ in factors:
+            for mode, dagger in factors:
                 if not 0 <= _integer(mode, "modes must be integers") < n:
                     raise DimensionError(
                         f"mode {mode} out of range for n_modes={self.n_modes}"
+                    )
+                if type(dagger) is not bool and not _is_numpy_bool(dagger):
+                    raise ParseError(
+                        f"dagger flag must be a bool, got {dagger!r} in factor {(mode, dagger)!r}"
                     )
 
     @classmethod
@@ -91,9 +105,10 @@ class FermionOperator:
         return FermionOperator(self.n_modes, self.terms + other.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MajoranaMonomial:
-    """coefficient * g_{i1} g_{i2} ... with strictly increasing indices."""
+    """coefficient * g_{i1} g_{i2} ... with strictly increasing
+    non-negative indices."""
 
     coefficient: complex
     indices: Tuple[int, ...]
@@ -101,19 +116,25 @@ class MajoranaMonomial:
     def __post_init__(self):
         _coefficient(self.coefficient)
         indices = [_integer(i, "Majorana indices must be integers") for i in self.indices]
+        if indices and indices[0] < 0:
+            raise ParseError(f"Majorana indices must be non-negative, got {indices[0]}")
         if any(map(ge, indices, indices[1:])):
             raise ParseError("Majorana indices must be strictly increasing")
 
     @classmethod
     def _raw(cls, coefficient: complex, indices: Tuple[int, ...]) -> "MajoranaMonomial":
         """Unchecked constructor for indices increasing by construction, as
-        ``syk2_monomials`` and ``to_majorana_normal_form`` make them."""
+        ``syk2_monomials`` and ``to_majorana_normal_form`` make them.  It
+        sets the fields through the slot descriptors' ``__set__``, past the
+        frozen ``__setattr__``."""
         m = object.__new__(cls)
-        # not through ``m.__dict__``, which would give each instance a
-        # full dict of its own
-        object.__setattr__(m, "coefficient", coefficient)
-        object.__setattr__(m, "indices", indices)
+        _set_coefficient(m, coefficient)
+        _set_indices(m, indices)
         return m
+
+
+_set_coefficient = MajoranaMonomial.coefficient.__set__
+_set_indices = MajoranaMonomial.indices.__set__
 
 
 @dataclass(frozen=True)
@@ -182,7 +203,10 @@ def pair_substitution(
 ) -> Tuple[complex, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
     """The substitution identity for g_{i1} g_{i2}, i1 < i2: its
     coefficient factor, its edge factors (none or one) and its vertex
-    factors in ascending order."""
+    factors in ascending order.  ``monomial_to_ev`` and
+    ``interaction_graph_from_hamiltonian`` read it; the compile
+    (``transform._Realizer.term``) reads the same identities off the
+    index bits."""
     p, q = i1 // 2, i2 // 2
     if p == q:
         return 1j, (), (p,)

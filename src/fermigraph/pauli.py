@@ -37,9 +37,10 @@ no qubit named twice in a label.  The algebra (``*``, ``with_phase``, ``-``,
 and its walk folds (``_walk_product``, ``Router.operator``) skip that check
 through ``PauliString._raw``.  Their masks always fit: XORs or range-checked
 shifts of checked masks, keys a builder took from checked strings, basis
-masks shifted within the layout, or XORs of edge operator masks.  ``_raw``
-sets the four fields with ``object.__setattr__``, as the dataclass's own
-``__init__`` does, so no instance carries a dict object of its own.
+masks shifted within the layout, or XORs of edge operator masks.
+``PauliString`` is a slotted dataclass, so no instance carries a dict of
+its own; ``_raw`` sets the four fields through the slot descriptors'
+``__set__``, past the frozen ``__setattr__``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def set_bits(v: int) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """A single phase-tracked Pauli operator on ``n`` qubits."""
 
@@ -99,12 +100,10 @@ class PauliString:
     def _raw(cls, n: int, x: int, z: int, phase: int) -> "PauliString":
         """Unchecked constructor; see the module docstring."""
         p = object.__new__(cls)
-        # not through ``p.__dict__``, which would give each instance a
-        # full dict of its own
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "x", x)
-        object.__setattr__(p, "z", z)
-        object.__setattr__(p, "phase", phase & 3)
+        _set_n(p, n)
+        _set_x(p, x)
+        _set_z(p, z)
+        _set_phase(p, phase & 3)
         return p
 
     # ------------------------------------------------------------------
@@ -197,6 +196,13 @@ class PauliString:
         return f"PauliString({self})"
 
 
+#: The slot descriptors' setters, through which ``PauliString._raw`` writes
+#: past the frozen ``__setattr__``.
+_set_n, _set_x, _set_z, _set_phase = (
+    PauliString.n.__set__, PauliString.x.__set__, PauliString.z.__set__,
+    PauliString.phase.__set__)
+
+
 def _parse_label(label: str, n: int) -> Tuple[int, int, int]:
     """(x, z, y) of a 1-based label such as ``"x1 Z2 Y3"`` or ``"I"``: its
     masks and its number of Y's.  A bad token, an index below 1 or a qubit
@@ -227,9 +233,19 @@ def _parse_label(label: str, n: int) -> Tuple[int, int, int]:
 
 
 def _format_label(x: int, z: int) -> str:
-    """The 1-based letter label of the masks (x, z); ``"I"`` when both are 0."""
-    parts = [f"{_LETTERS[(x >> q & 1) | (z >> q & 1) << 1]}{q + 1}" for q in set_bits(x | z)]
-    return " ".join(parts) if parts else "I"
+    """The 1-based letter label of the masks (x, z); ``"I"`` when both are 0.
+    The masks are shifted down past each acted-on qubit in turn, so a qubit
+    costs shifts of what is left of the label's span, not of the register."""
+    s = x | z
+    if not s:
+        return "I"
+    parts, q = [], 0
+    while s:
+        step = (s & -s).bit_length()  # the next acted-on qubit is q + step, 1-based
+        q += step
+        parts.append(f"{_LETTERS[x >> step - 1 & 1 | (z >> step - 1 & 1) << 1]}{q}")
+        x, z, s = x >> step, z >> step, s >> step
+    return " ".join(parts)
 
 
 def _letter_coefficient(x: int, z: int, phase: int) -> complex:

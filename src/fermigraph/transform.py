@@ -4,11 +4,14 @@ Each Hamiltonian term runs through the pipeline
 
     second-quantized -> Majorana normal form -> pair images -> Paulis
 
-An even monomial g_{i1} g_{i2} ... is read two indices at a time, and each
-pair's substitution identity (``fermion.pair_substitution``) gives a
-coefficient factor, at most one coupling and its parities; an odd monomial
-is a parity error.  The term's string is the product of the pair images in
-order, multiplied out on raw (x, z, phase) ints and added through
+An even monomial g_{i1} g_{i2} ... is read two indices at a time; an odd
+monomial is a parity error.  A pair (a, b) is read off its index bits: it
+acts on modes a >> 1 and b >> 1, its coefficient factor is ``_PAIR_FACTOR``
+at its bit class, and its image is the coupling of the two modes, then the
+parity of each mode whose index is odd, or one parity when the modes are
+equal (``fermion``'s substitution identities).  The term's string is the
+product of the pair images in order, the first image taken as it is and
+the rest multiplied in on raw (x, z, phase) ints, and it is added through
 ``PauliSumBuilder._add_raw``, the unchecked step of ``PauliSumBuilder.add``.
 A coupling is the stored edge operator when an edge joins its two modes.
 Otherwise it is ``Router``'s min-weight routed string, or, given a path
@@ -22,13 +25,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
-from .fermion import (
-    FermionOperator,
-    MajoranaMonomial,
-    pair_substitution,
-    to_majorana_normal_form,
-)
+from .fermion import FermionOperator, MajoranaMonomial, to_majorana_normal_form
 from .pauli import PauliString, PauliSum, PauliSumBuilder
+
+#: The coefficient factor of g_a g_b, a < b on modes p < q, at bit class
+#: (a & 1) << 1 | b & 1; ``fermion``'s substitution identities.
+_PAIR_FACTOR = (1j, -1, -1, -1j)
 
 
 class _Realizer:
@@ -89,28 +91,40 @@ class _Realizer:
         return self._parity[p]
 
     def term(self, mono: MajoranaMonomial) -> Tuple[complex, int, int, int]:
-        """(coefficient, x, z, phase) of the string realizing ``mono``: for
-        each index pair in order, its coupling, then its parities, all
-        multiplied on raw ints."""
+        """(coefficient, x, z, phase) of the string realizing ``mono``.  Each
+        index pair (a, b) in order, on modes p = a >> 1 and q = b >> 1,
+        gives its bit class's factor and the coupling of (p, q), then p's
+        parity if a is odd and q's if b is odd; the parity alone when p == q.
+        The first image is the running product; the rest multiply into it
+        on raw ints."""
         idx = mono.indices
         if len(idx) % 2:
             raise ParityError(f"odd Majorana monomial with indices {idx}")
         couplings, parities = self._coupling, self._parity
         coeff, x, z, phase = mono.coefficient, 0, 0, 0
-        pairs = iter(idx)  # zip(pairs, pairs) takes two at a time
-        for a, b in zip(pairs, pairs):
-            factor, edges, verts = pair_substitution(a, b)
-            coeff *= factor
-            # the fold is written out per factor kind, so no factor list is built;
-            # a zero mask takes the factor's own int, where XOR would copy it
-            for e in edges:
-                op = couplings.get(e) or self.coupling(*e)
+        for i in range(0, len(idx), 2):
+            a, b = idx[i], idx[i + 1]
+            p, q = a >> 1, b >> 1
+            if p == q:  # g_{2p} g_{2p+1} = i B(p)
+                coeff *= 1j
+                op = parities.get(p) or self.parity(p)
+            else:
+                coeff *= _PAIR_FACTOR[(a & 1) << 1 | b & 1]
+                op = couplings.get((p, q)) or self.coupling(p, q)
+            if x or z:
                 phase += op.phase + 2 * (z & op.x).bit_count()
-                x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
-            for v in verts:
-                op = parities.get(v) or self.parity(v)
-                phase += op.phase + 2 * (z & op.x).bit_count()
-                x, z = x ^ op.x if x else op.x, z ^ op.z if z else op.z
+                x, z = x ^ op.x, z ^ op.z
+            else:  # the product so far is a phase: take the image's own ints
+                x, z, phase = op.x, op.z, phase + op.phase
+            if p != q:
+                if a & 1:
+                    op = parities.get(p) or self.parity(p)
+                    phase += op.phase + 2 * (z & op.x).bit_count()
+                    x, z = x ^ op.x, z ^ op.z
+                if b & 1:
+                    op = parities.get(q) or self.parity(q)
+                    phase += op.phase + 2 * (z & op.x).bit_count()
+                    x, z = x ^ op.x, z ^ op.z
         return coeff, x, z, phase
 
 

@@ -16,6 +16,7 @@ from fermigraph.fermion import (
     build_lattice_model,
     syk2_monomials,
 )
+from fermigraph.fileio import read_fermion, write_fermion
 from fermigraph.geometries import gen_blocked_square, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph, Vertex
 from fermigraph.localbasis import basis_from_labels, get_basis
@@ -87,7 +88,8 @@ def test_refused(call, error, message):
 
 #: Constructor arguments that were accepted, written out or refused with a
 #: bare TypeError or ValueError: integers follow ``graph._integer``'s rule,
-#: coefficients are finite ints, floats or complexes, never a bool.
+#: a mode count or Majorana index is never negative, coefficients are
+#: finite ints, floats or complexes, never a bool, and dagger flags are bools.
 INTAKE = {
     "fermion_float_mode_count": (lambda: FermionOperator.from_terms(2.5, []),
                                  "n_modes must be an integer, got 2.5"),
@@ -95,6 +97,14 @@ INTAKE = {
                            "modes must be integers, got 1.0"),
     "fermion_none_mode": (lambda: FermionOperator.from_terms(2, [(1.0, ((None, True),))]),
                           "modes must be integers, got None"),
+    "fermion_negative_mode_count": (lambda: FermionOperator.from_terms(-1, []),
+                                    "n_modes must be non-negative, got -1"),
+    "fermion_str_dagger": (lambda: FermionOperator.from_terms(2, [(1.0, ((0, "no"), (1, None)))]),
+                           "dagger flag must be a bool, got 'no' in factor (0, 'no')"),
+    "fermion_none_dagger": (lambda: FermionOperator.from_terms(2, [(1.0, ((1, None),))]),
+                            "dagger flag must be a bool, got None in factor (1, None)"),
+    "fermion_int_dagger": (lambda: FermionOperator.from_terms(2, [(1.0, ((0, 2),))]),
+                           "dagger flag must be a bool, got 2 in factor (0, 2)"),
     "fermion_str_coefficient": (lambda: FermionOperator.from_terms(2, [("x", ())]),
                                 "coefficient must be an int, float or complex, got 'x'"),
     "fermion_bool_coefficient": (lambda: FermionOperator(2, ((True, ()),)),
@@ -103,6 +113,8 @@ INTAKE = {
                              "Majorana indices must be integers, got 1.5"),
     "monomial_str_index": (lambda: MajoranaMonomial(1.0, ("a", "b")),
                            "Majorana indices must be integers, got 'a'"),
+    "monomial_negative_index": (lambda: MajoranaMonomial(1.0, (-3, 0)),
+                                "Majorana indices must be non-negative, got -3"),
     "monomial_none_coefficient": (lambda: MajoranaMonomial(None, (0, 1)),
                                   "coefficient must be an int, float or complex, got None"),
     "pauli_str_size": (lambda: PauliString("a", 0, 0),
@@ -140,6 +152,25 @@ def test_constructor_intake_takes_numpy_numbers():
     assert MajoranaMonomial(np.complex128(1j), (np.int64(0), 1)).indices == (0, 1)
     assert PauliString(np.int64(2), np.int64(1), 0) == PauliString(2, 1, 0)
     assert build_lattice_model("chain", 3, t=np.float64(2.0)) == build_lattice_model("chain", 3, t=2)
+
+
+def test_dagger_flags_take_numpy_bools():
+    plain = FermionOperator.from_terms(2, [(1.0, ((0, True), (1, False)))])
+    assert FermionOperator.from_terms(2, [(1.0, ((0, np.True_), (1, np.False_)))]) == plain
+
+
+@pytest.mark.parametrize("f", [
+    FermionOperator.from_terms(0, []),
+    FermionOperator.from_terms(0, [(2.0, ())]),
+    FermionOperator.from_terms(1, [(1.0, ((0, True), (0, False)))]),
+], ids=["no_modes", "no_modes_constant", "one_mode"])
+def test_accepted_neighbours_round_trip(f, tmp_path):
+    """A negative mode count is refused at construction, so ``write_fermion``
+    never writes a header its reader refuses; the least accepted counts
+    round-trip."""
+    path = str(tmp_path / "h.fham")
+    write_fermion(path, f)
+    assert read_fermion(path) == f
 
 
 def test_pauli_comment_after_header_is_skipped():

@@ -247,6 +247,22 @@ class TestUncheckedMonomials:
         assert [hash(m) for m in raw] == [hash(m) for m in checked]
         assert set(raw) == set(checked)
 
+    def test_raw_equals_the_checked_constructor(self, rng):
+        for _ in range(100):
+            size = int(rng.integers(0, 7))
+            indices = tuple(sorted(rng.choice(40, size, replace=False).tolist()))
+            coeff = complex(rng.normal(), rng.normal())
+            raw, checked = MajoranaMonomial._raw(coeff, indices), MajoranaMonomial(coeff, indices)
+            assert type(raw) is MajoranaMonomial
+            assert raw == checked and hash(raw) == hash(checked)
+            assert (raw.coefficient, raw.indices) == (checked.coefficient, checked.indices)
+
+    def test_instances_carry_no_dict(self):
+        """Monomials are slotted: neither constructor gives one a dict."""
+        for m in (MajoranaMonomial(1.0, (0, 3)), MajoranaMonomial._raw(1.0, (0, 3)),
+                  *syk2_monomials(2, seed=1)):
+            assert not hasattr(m, "__dict__")
+
     def test_public_constructor_still_checks(self):
         for indices in ((2, 1), (1, 1), (0, 3, 3)):
             with pytest.raises(ParseError, match="strictly increasing"):

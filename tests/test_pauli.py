@@ -1,5 +1,7 @@
 """Tests for the phase-exact Pauli algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +154,10 @@ class TestUncheckedConstructor:
     def same(got, want):
         assert type(got) is PauliString
         assert got == want and hash(got) == hash(want)
-        assert got.__dict__ == want.__dict__ and 0 <= got.phase < 4
+        for field in dataclasses.fields(PauliString):
+            value = getattr(got, field.name)
+            assert value == getattr(want, field.name) and type(value) is int
+        assert 0 <= got.phase < 4
 
     def test_results_equal_the_checked_constructor(self, rng):
         for _ in range(200):
@@ -194,6 +199,11 @@ class TestUncheckedConstructor:
             PauliString.identity(n) * PauliString.identity(n + 1)
         with pytest.raises(DimensionError):
             PauliString.identity(n).embed(n, 1)
+
+    def test_instances_carry_no_dict(self):
+        """Strings are slotted: neither constructor gives one a dict."""
+        for p in (PauliString(3, 1, 2, 1), PauliString._raw(3, 1, 2, 1), S("X1", 2) * S("Z2", 2)):
+            assert not hasattr(p, "__dict__")
 
     def test_sum_takes_terms_only_from_a_builder(self):
         with pytest.raises(TypeError):
@@ -377,6 +387,21 @@ class TestLabelCodec:
     ])
     def test_reads(self, label, n, want):
         assert PauliString.from_label(label, n) == want
+
+    def test_writes_each_qubit_in_ascending_order(self, rng):
+        """The label lists each acted-on qubit once, ascending, with the
+        letter of its (x, z) bits, wherever in the register the label sits."""
+        letters = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+        for _ in range(200):
+            n = int(rng.integers(1, 1100))
+            low, high = sorted(rng.integers(0, n, 2).tolist())
+            window = ((1 << high - low + 1) - 1) << low
+            x = int(rng.integers(0, 2**62)) << low & window | 1 << high
+            z = int(rng.integers(0, 2**62)) << int(rng.integers(0, n)) & window
+            want = " ".join(f"{letters[x >> q & 1, z >> q & 1]}{q + 1}"
+                            for q in range(n) if (x | z) >> q & 1)
+            assert PauliString(n, x, z).ops_label() == want
+        assert PauliString(5, 0, 0).ops_label() == "I"
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.data())

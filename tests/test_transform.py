@@ -17,13 +17,19 @@ from fermigraph.fermion import (
     build_lattice_model,
     build_syk2,
     monomial_to_ev,
+    pair_substitution,
     syk2_couplings,
     syk2_monomials,
 )
 from fermigraph.geometries import gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.pauli import ZERO_THRESHOLD, PauliString, PauliSumBuilder
-from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
+from fermigraph.transform import (
+    _PAIR_FACTOR,
+    _Realizer,
+    transform_hamiltonian,
+    transform_monomials,
+)
 
 
 def chain_encoding(n, bc="periodic", basis="jw_yx"):
@@ -171,6 +177,19 @@ class TestPairFold:
             if len(idx) == 2:
                 assert coeff == ev.coefficient
                 assert PauliString(enc.total_qubits, x, z, phase) == want
+
+    def test_factor_table_is_the_substitution_factor(self):
+        """``_PAIR_FACTOR`` at each of the four bit classes of modes p < q
+        is ``pair_substitution``'s factor, and so is the i that ``term``
+        takes when p == q."""
+        for cls, (a, b) in enumerate([(0, 2), (0, 3), (1, 2), (1, 3)]):
+            assert (a & 1) << 1 | b & 1 == cls
+            assert _PAIR_FACTOR[cls] == pair_substitution(a, b)[0]
+        realizer = _Realizer(chain_encoding(4, "open", "jw"))
+        for a in range(8):
+            for b in range(a + 1, 8):
+                coeff = realizer.term(MajoranaMonomial(1.0, (a, b)))[0]
+                assert coeff == pair_substitution(a, b)[0]
 
     @pytest.mark.parametrize("idx", [(3,), (0, 2, 5)])
     def test_odd_monomial_is_a_parity_error(self, idx):
