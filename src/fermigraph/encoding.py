@@ -31,26 +31,36 @@ i^(n-1) for the canonical Hermitian form.  Default routing (``Router``)
 minimizes an additive cost built from the per-port operator weights,
 which is not always the Pauli weight of the string; see ``Router``.
 
+``build_encoding`` builds the layout, the local bases and the edge and
+vertex operators, which a compile multiplies by.  The cycles and their
+stabilizers only fix the codespace, and no compile or routing call reads
+them: both tables are built together the first time either is read, and
+kept (``_LazyTable``).  ``Encoding`` states why that memo never shows.
+
 Every table string is built on raw ints from local operators.  An edge
 operator ORs its two port operators shifted to their disjoint blocks, so
 their phases add with no cross term; a vertex operator is multiplied out
 on its block once per basis object (``resolve_bases`` shares one per name
-and degree) and embedded at each vertex of that basis; a loop stabilizer,
-like a routed string, folds the directed edge operators along its walk
-(``_walk_product``, which ``Router.operator`` runs state by state to share
-one source's prefixes).
+and degree) and embedded at each vertex of that basis.  A routed string
+folds the directed edge operators along its walk (``_walk_product``, which
+``Router.operator`` runs state by state to share one source's prefixes);
+the loop stabilizers of the cycle basis are read off products of
+spanning-tree prefixes (``_cycle_tables``), while
+``Encoding.loop_stabilizer`` folds a given cycle's walk.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import abc, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, xor
-from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
-from .graph import Cycle, SystemGraph, VIRTUAL, _integer, cycle_basis
+from .graph import Cycle, SystemGraph, VIRTUAL, _forest_cycles, _integer
 from .localbasis import (
     CheckReport,
     MajoranaBasis,
@@ -67,9 +77,10 @@ BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]]]
 #: Most total qubits x table strings (edges + vertices + cycles, the cycles
 #: counted at their bound of one per edge) an encoding may hold.  A table
 #: string keeps two masks of one bit per qubit, a quarter byte per unit;
-#: ``build_encoding`` peaks at the tables it returns, near 0.2 byte per unit
-#: (complete/150, just under the budget: 52 MB traced), while complete/96
-#: needs 16 % of it and complete/300 is refused.
+#: the tables peak near 0.2 byte per unit once the stabilizers are read
+#: (complete/150, just under the budget: ``build_encoding`` peaks at 24 MB
+#: traced, and reading the stabilizers brings the tables to 50 MB), while
+#: complete/96 needs 16 % of it and complete/300 is refused.
 TABLE_BUDGET = 1 << 28
 
 
@@ -83,12 +94,61 @@ def check_table_budget(qubits: int, strings: int) -> None:
         )
 
 
+class _LazyTable(abc.Sequence):
+    """A read-only list built by ``build`` the first time it is read (its
+    length, an item, an iteration, ``==`` or ``repr``); the built list is
+    kept and ``build`` dropped.  Whether it has been built shows nowhere:
+    it compares equal to the built list, reprs and pickles as that list
+    (``copy`` and ``deepcopy`` follow the pickle form), and a copy is
+    built already."""
+
+    __slots__ = ("_items", "_build")
+
+    def __init__(self, build: Optional[Callable[[], Sequence]]):
+        self._items: Optional[Sequence] = None
+        self._build = build
+
+    def _list(self) -> Sequence:
+        build = self._build
+        if build is not None:
+            self._items, self._build = build(), None
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _LazyTable):
+            other = other._list()
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+    def __reduce__(self):
+        return _LazyTable, (None,), self._list()
+
+    def __setstate__(self, items: Sequence) -> None:
+        self._items = items
+
+
 @dataclass(frozen=True)
 class Encoding:
     """The tables derived from a system graph and its per-vertex local
-    bases by ``build_encoding``, the only constructor.  No cache or other
-    state: encodings of the same graph and bases compare equal whatever
-    has been routed on them."""
+    bases by ``build_encoding``, the only constructor.  It builds every
+    table but ``stabilizers`` and ``cycles``, which are built together the
+    first time either is read.  That memo never shows: ``==``, ``repr``,
+    ``pickle.dumps`` and ``copy.deepcopy`` give the same result whether or
+    not the tables were read, a loaded table pickles to the bytes it was
+    loaded from, and no compile or routing call writes into an encoding,
+    so encodings of the same graph and bases compare equal whatever has
+    been routed on them."""
 
     graph: SystemGraph
     total_qubits: int
@@ -96,8 +156,8 @@ class Encoding:
     local_bases: Dict[int, MajoranaBasis]
     edge_ops: List[PauliString]  # per edge index, oriented min->max
     vertex_ops: Dict[int, PauliString]
-    stabilizers: List[PauliString]  # one per cycle of ``cycles``, in order
-    cycles: List[Cycle]
+    stabilizers: Sequence[PauliString]  # one per cycle of ``cycles``, in order
+    cycles: Sequence[Cycle]  # ``cycle_basis(graph)``
 
     # ------------------------------------------------------------------
     # operator queries
@@ -512,6 +572,51 @@ def _loop_stabilizer(
     return _hermitian(PauliString._raw(n, x, z, phase + len(edges)), "cycle stabilizer")
 
 
+def _cycle_tables(
+    g: SystemGraph, edge_ops: Sequence[PauliString], n: int
+) -> Tuple[List[Cycle], List[PauliString]]:
+    """``cycle_basis(g)`` and the loop stabilizer of each of its cycles.
+    With T(v) the raw product of the directed tree edges from v's root
+    down to v, a fundamental cycle c climbs l_a tree edges from
+    a = c.vertices[0] to its shallowest vertex, descends to
+    b = c.vertices[-1] and closes along e = c.edges[-1].  Edge operators
+    are Hermitian, so the climb is (-1)^{l_a} times the adjoint of the
+    descent from there to a, and
+
+        S(c) = i^{|c|} (-1)^{l_a} T(a)^dagger T(b) D(e, b -> a),
+
+    one adjoint and two products per cycle, where ``_loop_stabilizer``
+    folds |c| - 1.  The BFS depths that ``cycle_basis`` reads give
+    2 l_a = |c| - 1 + depth(a) - depth(b)."""
+    cycles, order, parent_edge, depth = _forest_cycles(g)
+    prefix: Dict[int, Tuple[int, int, int]] = {}  # v -> (x, z, phase) of T(v)
+    for v in order:
+        e = parent_edge[v]
+        if e is None:
+            prefix[v] = 0, 0, 0
+            continue
+        op, (a, b) = edge_ops[e], g.edges[e]
+        x, z, phase = prefix[b if v == a else a]
+        # the tree edge walked from v's parent, negated when that is b
+        prefix[v] = (x ^ op.x, z ^ op.z,
+                     phase + op.phase + 2 * (z & op.x).bit_count() + 2 * (v == a))
+    stabilizers = []
+    for c in cycles:
+        a, b, e = c.vertices[0], c.vertices[-1], c.edges[-1]
+        (xa, za, pa), (xb, zb, pb) = prefix[a], prefix[b]
+        op = edge_ops[e]
+        # T(a)^dagger = i^-pa (-1)^{|xa & za|} X^xa Z^za, then T(b), then D
+        x, z = xa ^ xb, za ^ zb
+        phase = (pb - pa + 2 * ((xa & za).bit_count() + (za & xb).bit_count()
+                                + (z & op.x).bit_count())
+                 + op.phase + 2 * (b != g.edges[e][0]))
+        # i^{|c|} (-1)^{l_a} = i^{|c| + 2 l_a}
+        phase += 2 * len(c) - 1 + depth[a] - depth[b]
+        stabilizers.append(_hermitian(
+            PauliString._raw(n, x ^ op.x, z ^ op.z, phase), "cycle stabilizer"))
+    return cycles, stabilizers
+
+
 def _hermitian(op: PauliString, *what) -> PauliString:
     """``op``, or VerifyError naming it by the words of ``what``, which are
     joined only when it is not Hermitian."""
@@ -567,9 +672,11 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
     """Assemble the full encoding for a system graph.
 
     Qubits are laid out contiguously per vertex in ascending id order.
-    Stabilizers are built for a fundamental cycle basis; disconnected
-    graphs get a basis per component.  ``ResourceError`` is raised, before
-    any operator is embedded, when the tables would exceed ``TABLE_BUDGET``.
+    Stabilizers are those of a fundamental cycle basis, a basis per
+    component of a disconnected graph, and are built with the cycles on
+    their first read.  ``ResourceError`` is raised, before any operator is
+    embedded, when the tables would exceed ``TABLE_BUDGET``, the cycles
+    counted at their bound.
     """
     bases = resolve_bases(g, basis_choice)
     layout: Dict[int, Tuple[int, int]] = {}
@@ -604,7 +711,8 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
             products[id(basis)] = op
         vertex_ops[v] = _hermitian(op.embed(total, off), "vertex operator", v)
 
-    cycles = cycle_basis(g)
+    # both cycle tables are built together, on the first read of either
+    tables = _LazyTable(lambda: _cycle_tables(g, edge_ops, total))
     return Encoding(
         graph=g,
         total_qubits=total,
@@ -612,8 +720,8 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
         local_bases=bases,
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
-        stabilizers=[_loop_stabilizer(g, edge_ops, total, c) for c in cycles],
-        cycles=cycles,
+        stabilizers=_LazyTable(lambda: tables[1]),
+        cycles=_LazyTable(lambda: tables[0]),
     )
 
 
@@ -628,7 +736,10 @@ def verify_encoding_algebra(enc: Encoding) -> CheckReport:
     vertex operators commute among themselves and anticommute with the
     edge operators at their vertex; stabilizers commute with everything;
     every operator is Hermitian and squares to +I; the stabilizers are
-    exactly the loop stabilizers of the cycle basis, in order.  The report keeps the first 20 findings.
+    exactly the loop stabilizers of the cycle basis, in order, each folded
+    along its walk by ``loop_stabilizer``.
+
+    The report keeps the first 20 findings.
     """
     rep = CheckReport()
     g = enc.graph

@@ -80,14 +80,16 @@ class SystemGraph:
             raise ParseError("duplicate vertex ids")
 
         norm = []
-        for a, b in edges:
+        for e in edges:
+            a, b = e
             if type(a) is not int or type(b) is not int:
-                a, b = _id(a), _id(b)
+                a, b = e = _id(a), _id(b)
             if a == b:
                 raise ParseError(f"self loop at vertex {a}")
             if a not in idset or b not in idset:
                 raise ParseError(f"edge ({a},{b}) references unknown vertex")
-            norm.append((a, b) if a < b else (b, a))
+            # a tuple of plain ints with a < b is already canonical: keep it
+            norm.append(e if type(e) is tuple and a < b else (a, b) if a < b else (b, a))
 
         # canonical edge order, stable among parallel copies
         remap = None
@@ -136,7 +138,12 @@ class SystemGraph:
             ids = set(chain.from_iterable(edges))
         if n_vertices is not None:
             ids.update(range(_integer(n_vertices, "n_vertices must be an integer")))
-        norm = sorted((a, b) if a < b else (b, a) for a, b in edges)
+        norm = []
+        for e in edges:
+            a, b = e
+            # a tuple already canonical (a < b) is kept, as ``__init__`` keeps it
+            norm.append(e if type(e) is tuple and a < b else (a, b) if a < b else (b, a))
+        norm.sort()
         # sorted edges list each vertex's edges in (neighbor, edge) order
         incident = _incidence(ids, norm)
         vlist = [
@@ -217,7 +224,7 @@ def qubit_count(g: SystemGraph) -> int:
 # cycle basis
 
 
-@dataclass
+@dataclass(slots=True)
 class Cycle:
     """A closed walk stored as (vertex sequence, edge index sequence).
 
@@ -239,24 +246,34 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
     edge-index order (sorted ports, not port order), and a vertex's parent
     is the other end of its parent edge.  Each cycle uses one non-tree edge.
     """
+    return _forest_cycles(g)[0]
+
+
+def _forest_cycles(
+    g: SystemGraph,
+) -> Tuple[List[Cycle], List[int], Dict[int, Optional[int]], Dict[int, int]]:
+    """``cycle_basis``'s cycles and the BFS forest they are read from: the
+    vertices in visiting order, each one's parent edge (None at a root)
+    and each one's depth."""
     parent_edge: Dict[int, Optional[int]] = {}
     depth: Dict[int, int] = {}
+    order: List[int] = []
     for root in g.vertex_ids():
         if root in parent_edge:
             continue
         parent_edge[root] = None
         depth[root] = 0
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
+        qi = len(order)
+        order.append(root)
+        while qi < len(order):
+            v = order[qi]
             qi += 1
             for eidx in sorted(g.vertices[v].ports):
                 u = _other(g.edges[eidx], v)
                 if u not in parent_edge:
                     parent_edge[u] = eidx
                     depth[u] = depth[v] + 1
-                    queue.append(u)
+                    order.append(u)
 
     tree_edges = set(parent_edge.values())
     cycles: List[Cycle] = []
@@ -282,4 +299,4 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
         eb.append(eidx)
         cycles.append(Cycle(tuple(pa + pb[-2::-1]), tuple(ea + eb)))
 
-    return cycles
+    return cycles, order, parent_edge, depth

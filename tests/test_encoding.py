@@ -1,5 +1,6 @@
 """Tests for the encoder: operator tables, algebra, routing, stabilizers."""
 
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -16,6 +17,7 @@ from conftest import (
     table_graphs,
 )
 from fermigraph import encoding
+from fermigraph.analytics import SWEEP_GEOMETRIES, weight_stats
 from fermigraph.encoding import Encoding, build_encoding, verify_encoding_algebra
 from fermigraph.errors import (
     DimensionError,
@@ -29,7 +31,7 @@ from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
 from fermigraph.graph import SystemGraph
 from fermigraph.localbasis import basis_verify
 from fermigraph.pauli import PauliString
-from fermigraph.transform import _Realizer, transform_hamiltonian
+from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
 
 
 def L(label, n):
@@ -229,6 +231,113 @@ class TestValue:
             realizer.term(mono)
         assert realizer.router.searches > 0
         assert pickle.dumps(enc) == before
+
+    #: Every function of ``encoding`` that builds the cycle tables, under
+    #: its name in this tree and in earlier ones.
+    CYCLE_BUILDERS = ("cycle_basis", "_forest_cycles", "_cycle_tables", "_loop_stabilizer")
+
+    @pytest.mark.parametrize("graph", [
+        lambda: gen_syk_geometry("complete", 12),
+        lambda: gen_syk_geometry("star", 16),
+        lambda: gen_lattice("square_diag", (4, 4)),
+    ], ids=["complete12", "star16", "square_diag4x4"])
+    def test_a_compile_builds_no_cycle_table(self, graph, monkeypatch):
+        """Compiling never multiplies by a stabilizer, so building the
+        encoding, compiling SYK2 on it and taking its stats never builds
+        the cycles or their stabilizers; reading them afterwards does."""
+        g = graph()
+
+        def refuse(*args):
+            raise AssertionError("a cycle table was built")
+
+        for name in self.CYCLE_BUILDERS:
+            monkeypatch.setattr(encoding, name, refuse, raising=False)
+        enc = build_encoding(g, "fenwick")
+        stats = weight_stats(transform_monomials(syk2_monomials(enc.n_modes, seed=3), enc))
+        assert stats.term_count > 0
+        monkeypatch.undo()
+        assert verify_encoding_algebra(enc).ok
+        assert enc == build_encoding(g, "fenwick")
+
+    @staticmethod
+    def read_and_unread(monkeypatch):
+        """Two encodings of one graph: the first with both cycle tables
+        read, the second with neither, which the calls to
+        ``_cycle_tables`` counted from then on show."""
+        g = gen_lattice("square", (3, 3), "periodic")
+        read = build_encoding(g, "jw_yx")
+        assert len(read.stabilizers) == len(read.cycles) == 10
+        calls = []
+        cycle_tables = encoding._cycle_tables
+        monkeypatch.setattr(encoding, "_cycle_tables",
+                            lambda *args: calls.append(1) or cycle_tables(*args))
+        unread = build_encoding(g, "jw_yx")
+        assert calls == []
+        return read, unread, calls
+
+    def test_pickle_is_the_same_read_or_unread(self, monkeypatch):
+        """Pickling builds an unread table and writes the built list.  A
+        loaded table pickles to the same bytes; the whole encoding need
+        not, since its graph's meta dicts do not round-trip byte-stably."""
+        read, unread, calls = self.read_and_unread(monkeypatch)
+        data = pickle.dumps(unread)
+        assert calls == [1]
+        assert pickle.dumps(read) == data
+        assert pickle.dumps(unread) == data
+        again = pickle.loads(data)
+        assert again == read
+        for table in (again.stabilizers, again.cycles):
+            assert type(table) is type(read.stabilizers)
+            assert pickle.dumps(pickle.loads(pickle.dumps(table))) == pickle.dumps(table)
+        assert pickle.dumps(again.stabilizers) == pickle.dumps(read.stabilizers)
+        assert pickle.dumps(again.cycles) == pickle.dumps(read.cycles)
+
+    def test_equal_and_same_repr_read_or_unread(self, monkeypatch):
+        read, unread, _ = self.read_and_unread(monkeypatch)
+        assert unread == read and read == unread
+        _, unread, _ = self.read_and_unread(monkeypatch)
+        assert repr(unread.stabilizers) == repr(read.stabilizers)
+        assert repr(unread.cycles) == repr(read.cycles)
+        _, unread, _ = self.read_and_unread(monkeypatch)
+        assert unread.stabilizers == list(read.stabilizers)
+        assert list(read.stabilizers) == unread.stabilizers
+        assert unread.cycles != read.cycles[:-1]
+
+    def test_deepcopy_keeps_equality(self, monkeypatch):
+        read, unread, calls = self.read_and_unread(monkeypatch)
+        for enc in (read, unread):
+            twin = copy.deepcopy(enc)
+            assert twin == enc == read
+            assert twin.stabilizers is not enc.stabilizers
+            assert pickle.dumps(twin) == pickle.dumps(read)
+        assert calls == [1]
+
+    def test_replaced_stabilizers_are_a_plain_list(self):
+        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
+        (s,) = enc.stabilizers
+        neg = dataclasses.replace(enc, stabilizers=[-s])
+        assert neg.stabilizers == [-s] and neg != enc
+        assert neg.cycles == enc.cycles
+
+    @pytest.mark.parametrize("kind", SWEEP_GEOMETRIES)
+    def test_one_stabilizer_per_independent_cycle(self, kind):
+        """E - V + (number of components) fundamental cycles, each with its
+        stabilizer, on the sweep kinds."""
+        for n in (8, 16):
+            g = gen_syk_geometry(kind, n)
+            root = {v: v for v in g.vertices}
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            for a, b in g.edges:
+                root[find(a)] = find(b)
+            components = len({find(v) for v in g.vertices})
+            enc = build_encoding(g, "jw")
+            assert len(enc.stabilizers) == len(enc.cycles) == \
+                len(g.edges) - len(g.vertices) + components
 
 
 def unpaired(enc, v):

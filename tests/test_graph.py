@@ -21,7 +21,7 @@ from fermigraph.encoding import Router, build_encoding
 from fermigraph.errors import ParseError, RoutingError
 from fermigraph.fermion import syk2_monomials
 from fermigraph.fileio import graph_to_json
-from fermigraph.graph import SystemGraph, Vertex, cycle_basis, qubit_count
+from fermigraph.graph import Cycle, SystemGraph, Vertex, cycle_basis, qubit_count
 from fermigraph.geometries import (
     LATTICE_DIRECTIONS,
     gen_blocked_square,
@@ -84,6 +84,22 @@ class TestSystemGraph:
         assert {type(p) for v in g.vertices.values() for p in v.ports} == {int}
         assert graph_to_json(g) == graph_to_json(SystemGraph.from_edges([(0, 1)]))
 
+    def test_canonical_edge_tuples_are_kept(self):
+        """An edge given as a tuple of plain ints with a < b becomes the
+        graph's edge itself, through ``from_edges`` and the constructor
+        alike; any other edge is rebuilt as one."""
+        given = [(0, 2), (1, 2), (0, 1)]
+        for g in (SystemGraph.from_edges(given),
+                  SystemGraph([Vertex(v, "physical", p) for v, p in
+                               enumerate([(0, 2), (1, 2), (0, 1)])], given)):
+            assert g.edges == ((0, 1), (0, 2), (1, 2))
+            assert all(any(e is f for f in given) for e in g.edges)
+        other = [(2, 0), [1, 2], (np.int64(0), 1)]
+        g = SystemGraph.from_edges(other)
+        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert all(type(e) is tuple and not any(e is f for f in other) for e in g.edges)
+        assert {type(x) for e in g.edges for x in e} == {int}
+
     def test_neighbors_in_port_order(self):
         g = gen_lattice("square", (3, 3), "open")
         # center vertex 4: clockwise from top
@@ -117,6 +133,13 @@ class TestCycleBasis:
         g = gen_lattice("linear", 5, "periodic")
         cycles = cycle_basis(g)
         assert len(cycles) == 1 and len(cycles[0]) == 5
+
+    def test_cycles_carry_no_dict(self):
+        """``Cycle`` is slotted: a fundamental cycle is one tracked object
+        beside its two tuples, not two."""
+        (cycle,) = cycle_basis(gen_lattice("linear", 5, "periodic"))
+        assert not hasattr(cycle, "__dict__")
+        assert cycle == Cycle((2, 1, 0, 4, 3), (2, 0, 1, 4, 3))
 
     def test_torus_count(self):
         """L x L periodic square lattice has E - V + 1 independent cycles."""
