@@ -41,12 +41,11 @@ Every table string is built on raw ints from local operators.  An edge
 operator ORs its two port operators shifted to their disjoint blocks, so
 their phases add with no cross term; a vertex operator is multiplied out
 on its block once per basis object (``resolve_bases`` shares one per name
-and degree) and embedded at each vertex of that basis.  A routed string
-folds the directed edge operators along its walk (``_walk_product``, which
-``Router.operator`` runs state by state to share one source's prefixes);
-the loop stabilizers of the cycle basis are read off products of
-spanning-tree prefixes (``_cycle_tables``), while
-``Encoding.loop_stabilizer`` folds a given cycle's walk.
+and degree) and embedded at each vertex of that basis.  One walk fold
+builds every other table string (the loop stabilizers) and every routed
+string: the product of the directed edge operators along its walk
+(``_walk_product``, which ``_cycle_tables`` runs once per cycle and
+``Router.operator`` state by state to share one source's prefixes).
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import (
 )
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
-from .graph import Cycle, SystemGraph, VIRTUAL, _forest_cycles, _integer
+from .graph import Cycle, SystemGraph, VIRTUAL, _integer, cycle_basis
 from .localbasis import (
     CheckReport,
     MajoranaBasis,
@@ -78,8 +77,8 @@ BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]]]
 #: counted at their bound of one per edge) an encoding may hold.  A table
 #: string keeps two masks of one bit per qubit, a quarter byte per unit;
 #: the tables peak near 0.2 byte per unit once the stabilizers are read
-#: (complete/150, just under the budget: ``build_encoding`` peaks at 24 MB
-#: traced, and reading the stabilizers brings the tables to 50 MB), while
+#: (complete/150, just under the budget: ``build_encoding`` peaks at 24.1 MB
+#: traced, and reading the stabilizers brings the tables to 49.6 MB), while
 #: complete/96 needs 16 % of it and complete/300 is refused.
 TABLE_BUDGET = 1 << 28
 
@@ -575,46 +574,12 @@ def _loop_stabilizer(
 def _cycle_tables(
     g: SystemGraph, edge_ops: Sequence[PauliString], n: int
 ) -> Tuple[List[Cycle], List[PauliString]]:
-    """``cycle_basis(g)`` and the loop stabilizer of each of its cycles.
-    With T(v) the raw product of the directed tree edges from v's root
-    down to v, a fundamental cycle c climbs l_a tree edges from
-    a = c.vertices[0] to its shallowest vertex, descends to
-    b = c.vertices[-1] and closes along e = c.edges[-1].  Edge operators
-    are Hermitian, so the climb is (-1)^{l_a} times the adjoint of the
-    descent from there to a, and
-
-        S(c) = i^{|c|} (-1)^{l_a} T(a)^dagger T(b) D(e, b -> a),
-
-    one adjoint and two products per cycle, where ``_loop_stabilizer``
-    folds |c| - 1.  The BFS depths that ``cycle_basis`` reads give
-    2 l_a = |c| - 1 + depth(a) - depth(b)."""
-    cycles, order, parent_edge, depth = _forest_cycles(g)
-    prefix: Dict[int, Tuple[int, int, int]] = {}  # v -> (x, z, phase) of T(v)
-    for v in order:
-        e = parent_edge[v]
-        if e is None:
-            prefix[v] = 0, 0, 0
-            continue
-        op, (a, b) = edge_ops[e], g.edges[e]
-        x, z, phase = prefix[b if v == a else a]
-        # the tree edge walked from v's parent, negated when that is b
-        prefix[v] = (x ^ op.x, z ^ op.z,
-                     phase + op.phase + 2 * (z & op.x).bit_count() + 2 * (v == a))
-    stabilizers = []
-    for c in cycles:
-        a, b, e = c.vertices[0], c.vertices[-1], c.edges[-1]
-        (xa, za, pa), (xb, zb, pb) = prefix[a], prefix[b]
-        op = edge_ops[e]
-        # T(a)^dagger = i^-pa (-1)^{|xa & za|} X^xa Z^za, then T(b), then D
-        x, z = xa ^ xb, za ^ zb
-        phase = (pb - pa + 2 * ((xa & za).bit_count() + (za & xb).bit_count()
-                                + (z & op.x).bit_count())
-                 + op.phase + 2 * (b != g.edges[e][0]))
-        # i^{|c|} (-1)^{l_a} = i^{|c| + 2 l_a}
-        phase += 2 * len(c) - 1 + depth[a] - depth[b]
-        stabilizers.append(_hermitian(
-            PauliString._raw(n, x ^ op.x, z ^ op.z, phase), "cycle stabilizer"))
-    return cycles, stabilizers
+    """``cycle_basis(g)`` and the loop stabilizer of each of its cycles,
+    folded along its walk by ``_loop_stabilizer``, as ``loop_stabilizer``
+    folds it: one walk fold builds every table string but the edge and
+    vertex operators."""
+    cycles = cycle_basis(g)
+    return cycles, [_loop_stabilizer(g, edge_ops, n, c) for c in cycles]
 
 
 def _hermitian(op: PauliString, *what) -> PauliString:

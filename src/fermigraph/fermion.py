@@ -198,21 +198,24 @@ def to_majorana_normal_form(f: FermionOperator) -> List[MajoranaMonomial]:
 # edge/vertex decomposition
 
 
+#: The coefficient factor of g_a g_b, a < b on modes p < q, at bit class
+#: (a & 1) << 1 | b & 1: the substitution identities of the module docstring.
+_PAIR_FACTOR = (1j, -1, -1, -1j)
+
+
 def pair_substitution(
     i1: int, i2: int
 ) -> Tuple[complex, Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
     """The substitution identity for g_{i1} g_{i2}, i1 < i2: its
     coefficient factor, its edge factors (none or one) and its vertex
-    factors in ascending order.  ``monomial_to_ev`` and
-    ``interaction_graph_from_hamiltonian`` read it; the compile
-    (``transform._Realizer.term``) reads the same identities off the
-    index bits."""
-    p, q = i1 // 2, i2 // 2
+    factors in ascending order, read off the index bits as the compile
+    (``transform._Realizer.term``) reads them.  ``monomial_to_ev`` and
+    ``interaction_graph_from_hamiltonian`` read it."""
+    p, q = i1 >> 1, i2 >> 1
     if p == q:
         return 1j, (), (p,)
-    if i1 % 2 == 0:
-        return (1j, ((p, q),), ()) if i2 % 2 == 0 else (-1, ((p, q),), (q,))
-    return (-1, ((p, q),), (p,)) if i2 % 2 == 0 else (-1j, ((p, q),), (p, q))
+    verts = (p,) * (i1 & 1) + (q,) * (i2 & 1)
+    return _PAIR_FACTOR[(i1 & 1) << 1 | i2 & 1], ((p, q),), verts
 
 
 def monomial_to_ev(m: MajoranaMonomial) -> EVTerm:

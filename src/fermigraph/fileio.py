@@ -104,11 +104,11 @@ def read_graph(path: str) -> SystemGraph:
 
 
 def _encoding_doc(enc: Encoding) -> dict:
+    """The tables an ``.enc`` file stores beside its graph."""
     # vertices of one degree share a named basis: format its ops once
     shared = {id(b): b for b in enc.local_bases.values()}
     ops = {key: [str(op) for op in b.ops] for key, b in shared.items()}
     return {
-        "graph": _graph_doc(enc.graph),
         "total_qubits": enc.total_qubits,
         "layout": [
             [v, enc.layout[v][0], enc.layout[v][1]] for v in enc.graph.vertex_ids()
@@ -126,15 +126,17 @@ def _encoding_doc(enc: Encoding) -> dict:
 
 
 def encoding_to_json(enc: Encoding) -> str:
-    return json.dumps(_encoding_doc(enc), **_JSON_KW) + "\n"
+    doc = _encoding_doc(enc)
+    doc["graph"] = _graph_doc(enc.graph)
+    return json.dumps(doc, **_JSON_KW) + "\n"
 
 
 def encoding_from_json(text: str) -> Encoding:
     """Rebuild the encoding from the stored graph and per-vertex bases; a
     registered basis name is rebuilt by name, any other (``custom``,
-    ``empty``) from the letters of its stored operators.  Every stored
-    table but the graph must equal the text ``encoding_to_json`` writes for
-    the rebuilt encoding."""
+    ``empty``) from the letters of its stored operators.  Every other
+    stored table must equal the text ``encoding_to_json`` writes for the
+    rebuilt encoding."""
     try:
         doc = json.loads(text)
         g = _graph_from_doc(doc["graph"])
@@ -148,7 +150,7 @@ def encoding_from_json(text: str) -> Encoding:
     except (KeyError, TypeError, ValueError, VerifyError) as exc:
         raise ParseError(f"bad encoding file: {exc}") from exc
     for key, table in _encoding_doc(enc).items():
-        if key != "graph" and doc.get(key) != table:
+        if doc.get(key) != table:
             raise ParseError(
                 f"bad encoding file: stored {key} differ from the tables "
                 "rebuilt from its graph and bases"

@@ -48,7 +48,7 @@ def _id(value) -> int:
     return _integer(value, "vertex ids, edge endpoints and ports must be integers")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: int
     kind: str = PHYSICAL
@@ -246,34 +246,24 @@ def cycle_basis(g: SystemGraph) -> List[Cycle]:
     edge-index order (sorted ports, not port order), and a vertex's parent
     is the other end of its parent edge.  Each cycle uses one non-tree edge.
     """
-    return _forest_cycles(g)[0]
-
-
-def _forest_cycles(
-    g: SystemGraph,
-) -> Tuple[List[Cycle], List[int], Dict[int, Optional[int]], Dict[int, int]]:
-    """``cycle_basis``'s cycles and the BFS forest they are read from: the
-    vertices in visiting order, each one's parent edge (None at a root)
-    and each one's depth."""
     parent_edge: Dict[int, Optional[int]] = {}
     depth: Dict[int, int] = {}
-    order: List[int] = []
     for root in g.vertex_ids():
         if root in parent_edge:
             continue
         parent_edge[root] = None
         depth[root] = 0
-        qi = len(order)
-        order.append(root)
-        while qi < len(order):
-            v = order[qi]
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
             qi += 1
             for eidx in sorted(g.vertices[v].ports):
                 u = _other(g.edges[eidx], v)
                 if u not in parent_edge:
                     parent_edge[u] = eidx
                     depth[u] = depth[v] + 1
-                    order.append(u)
+                    queue.append(u)
 
     tree_edges = set(parent_edge.values())
     cycles: List[Cycle] = []
@@ -299,4 +289,4 @@ def _forest_cycles(
         eb.append(eidx)
         cycles.append(Cycle(tuple(pa + pb[-2::-1]), tuple(ea + eb)))
 
-    return cycles, order, parent_edge, depth
+    return cycles

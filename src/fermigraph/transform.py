@@ -25,12 +25,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .encoding import Encoding, Router
 from .errors import ParityError, ParseError, RoutingError
-from .fermion import FermionOperator, MajoranaMonomial, to_majorana_normal_form
+from .fermion import _PAIR_FACTOR, FermionOperator, MajoranaMonomial, to_majorana_normal_form
 from .pauli import PauliString, PauliSum, PauliSumBuilder
-
-#: The coefficient factor of g_a g_b, a < b on modes p < q, at bit class
-#: (a & 1) << 1 | b & 1; ``fermion``'s substitution identities.
-_PAIR_FACTOR = (1j, -1, -1, -1j)
 
 
 class _Realizer:

@@ -1,7 +1,8 @@
 """Byte-stability pins: the sha256 of the .graph, .enc and .pauli files for
-five fixed compile cases, and of the SYK sweep CSV with the wall-time
-column removed.  Refactors must leave every value unchanged; a change in
-output format or routing order shows up here first."""
+five fixed compile cases, of the .enc texts of 112 encodings, and of the
+SYK sweep CSV with the wall-time column removed.  Refactors must leave
+every value unchanged; a change in output format or routing order shows
+up here first."""
 
 import hashlib
 
@@ -11,7 +12,12 @@ from fermigraph import fileio
 from fermigraph.analytics import SWEEP_GEOMETRIES, records_to_csv, sweep_syk_geometries
 from fermigraph.encoding import build_encoding
 from fermigraph.fermion import FermionOperator, build_lattice_model, build_syk2
-from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
+from fermigraph.geometries import (
+    gen_blocked_square,
+    gen_heavy_hex,
+    gen_lattice,
+    gen_syk_geometry,
+)
 from fermigraph.transform import transform_hamiltonian
 
 
@@ -64,6 +70,9 @@ FILE_SHA256 = {
     ("square3_quartic_fenwick", "pauli"): "3a9f209658269d8652e3842b065f8a8c52f83f952303fba5609078ed5abe6d38",
 }
 
+#: The ``encoding_to_json`` texts of ``_enc_digest_encodings()``, concatenated.
+ENC_DIGEST_SHA256 = "a5aecc63264a3ca5f4dddec4194d7676f5da17d40e7c5e33b92692de226ffc9e"
+
 #: sweep_syk_geometries(SWEEP_GEOMETRIES, [8, 16], seed=1) as CSV, each
 #: line cut before its final (seconds) column, joined with newlines.
 SWEEP_ROWS_SHA256 = "84412d6de49fca00eb65095dc02be9f55fc1898daee41780ae8d1961d193c6e2"
@@ -84,6 +93,35 @@ def test_compiled_files_are_byte_stable(tmp_path, case):
     fileio.write_pauli_sum(str(tmp_path / "x.pauli"), compiled)
     got = {ext: _sha256(tmp_path / f"x.{ext}") for ext in ("graph", "enc", "pauli")}
     assert got == {ext: FILE_SHA256[(case, ext)] for ext in got}
+
+
+def _enc_digest_encodings():
+    """112 encodings, graph-major, in the bases jw, jw_yx, fenwick and
+    ternary: the six sweep kinds at N = 8, 16, 32, complete/96, the 6x6
+    square, triangular and square_diag lattices (open, then periodic), the
+    2x2 periodic square, the heavy-hex device and the 4-block 4x4 square."""
+    graphs = [gen_syk_geometry(kind, n) for kind in SWEEP_GEOMETRIES for n in (8, 16, 32)]
+    graphs.append(gen_syk_geometry("complete", 96))
+    graphs += [gen_lattice(kind, (6, 6), boundary)
+               for kind in ("square", "triangular", "square_diag")
+               for boundary in ("open", "periodic")]
+    graphs += [gen_lattice("square", (2, 2), "periodic"), gen_heavy_hex(),
+               gen_blocked_square(4, 4)]
+    for g in graphs:
+        for basis in ("jw", "jw_yx", "fenwick", "ternary"):
+            yield build_encoding(g, basis)
+
+
+def test_encoding_texts_are_byte_stable():
+    """Every table of 112 encodings, the cycles and stabilizers included,
+    as written to .enc files."""
+    digest = hashlib.sha256()
+    count = 0
+    for enc in _enc_digest_encodings():
+        digest.update(fileio.encoding_to_json(enc).encode())
+        count += 1
+    assert count == 112
+    assert digest.hexdigest() == ENC_DIGEST_SHA256
 
 
 def test_sweep_rows_are_byte_stable():

@@ -292,6 +292,21 @@ class TestValue:
         assert pickle.dumps(again.stabilizers) == pickle.dumps(read.stabilizers)
         assert pickle.dumps(again.cycles) == pickle.dumps(read.cycles)
 
+    @pytest.mark.parametrize("graph", [
+        lambda: gen_lattice("square", (3, 3), "periodic"),
+        lambda: gen_syk_geometry("hyperbolic46", 12),
+    ], ids=["square3x3_periodic", "hyperbolic46_12"])
+    def test_whole_encoding_pickle_round_trips_byte_stably(self, graph):
+        """A loaded encoding, its graph included, pickles to the bytes it
+        was loaded from, whether its cycle tables were read or not."""
+        g = graph()
+        for read in (False, True):
+            enc = build_encoding(g, "jw")
+            if read:
+                assert len(enc.stabilizers) == len(enc.cycles)
+            data = pickle.dumps(enc)
+            assert pickle.dumps(pickle.loads(data)) == data
+
     def test_equal_and_same_repr_read_or_unread(self, monkeypatch):
         read, unread, _ = self.read_and_unread(monkeypatch)
         assert unread == read and read == unread

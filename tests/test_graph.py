@@ -6,6 +6,7 @@ plain geometries and compare it with the per-pair Dijkstra it replaced
 (``conftest.reference_route``)."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestSystemGraph:
         assert g.edges == ((0, 1), (0, 2), (1, 2))
         assert all(type(e) is tuple and not any(e is f for f in other) for e in g.edges)
         assert {type(x) for e in g.edges for x in e} == {int}
+
+    def test_pickle_round_trips_byte_stably(self):
+        """A loaded graph pickles to the bytes it was loaded from: with a
+        slotted ``Vertex``, no field name is both an instance-dict key and
+        a meta key, whose pickle memo references differ after a load."""
+        g = gen_lattice("square", (3, 3), "periodic")
+        data = pickle.dumps(g)
+        again = pickle.loads(data)
+        assert again == g
+        assert pickle.dumps(again) == data
 
     def test_neighbors_in_port_order(self):
         g = gen_lattice("square", (3, 3), "open")
