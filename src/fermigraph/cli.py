@@ -97,7 +97,7 @@ def _cmd_encode(args) -> int:
     fileio.write_encoding(args.out, enc)
     print(
         f"wrote {args.out}: {enc.total_qubits} qubits, {len(enc.edge_ops)} edge ops, "
-        f"{len(enc.vertex_ops)} vertex ops, {len(enc.stabilizers)} stabilizers"
+        f"{len(enc.vertex_ops)} vertex ops, {len(enc.cycles)} stabilizers"
     )
     return 0
 
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
         for v in rep.violations:
             print("algebra:", v, file=sys.stderr)
         raise VerifyError("operator algebra check failed")
-    print(f"algebra ok: {len(enc.edge_ops)} edge ops, {len(enc.stabilizers)} stabilizers")
+    print(f"algebra ok: {len(enc.edge_ops)} edge ops, {len(enc.cycles)} stabilizers")
     if args.dense:
         from .dense import dense_oracle_check
 

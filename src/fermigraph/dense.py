@@ -581,7 +581,7 @@ def dense_oracle_check(f: FermionOperator, enc: Encoding) -> OracleReport:
     ``MAX_COMPONENT``.
     """
     n = enc.total_qubits
-    constraints = list(enc.stabilizers) + enc.virtual_parity_ops()
+    constraints = enc.stabilizers + enc.virtual_parity_ops()
     orbits = _orbits(n, constraints)
     monomials = hamiltonian_monomials(f, enc)
     _check_hermitian(monomials)

@@ -32,31 +32,29 @@ minimizes an additive cost built from the per-port operator weights,
 which is not always the Pauli weight of the string; see ``Router``.
 
 ``build_encoding`` builds the layout, the local bases and the edge and
-vertex operators, which a compile multiplies by.  The cycles and their
-stabilizers only fix the codespace, and no compile or routing call reads
-them: both tables are built together the first time either is read, and
-kept (``_LazyTable``).  ``Encoding`` states why that memo never shows.
+vertex operators, which a compile multiplies by, and an ``Encoding`` holds
+only what it builds.  The cycles and their stabilizers only fix the
+codespace, and no compile or routing call reads them: each read of
+``Encoding.cycles`` or ``Encoding.stabilizers`` derives a new list.
 
 Every table string is built on raw ints from local operators.  An edge
 operator ORs its two port operators shifted to their disjoint blocks, so
 their phases add with no cross term; a vertex operator is multiplied out
 on its block once per basis object (``resolve_bases`` shares one per name
 and degree) and embedded at each vertex of that basis.  One walk fold
-builds every other table string (the loop stabilizers) and every routed
-string: the product of the directed edge operators along its walk
-(``_walk_product``, which ``_cycle_tables`` runs once per cycle and
-``Router.operator`` state by state to share one source's prefixes).
+builds every loop stabilizer and every routed string: the product of the
+directed edge operators along its walk (``_walk_product``, which
+``_loop_stabilizer`` runs once per cycle and ``Router.operator`` state by
+state to share one source's prefixes).
 """
 
 from __future__ import annotations
 
-from collections import abc, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul, xor
-from typing import (
-    Callable, DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import DefaultDict, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionError, ParseError, ResourceError, RoutingError, VerifyError
 from .graph import Cycle, SystemGraph, VIRTUAL, _integer, cycle_basis
@@ -74,12 +72,13 @@ from .pauli import PauliString, set_bits
 BasisChoice = Union[str, Dict[int, Union[str, Sequence[str]]]]
 
 #: Most total qubits x table strings (edges + vertices + cycles, the cycles
-#: counted at their bound of one per edge) an encoding may hold.  A table
-#: string keeps two masks of one bit per qubit, a quarter byte per unit;
-#: the tables peak near 0.2 byte per unit once the stabilizers are read
-#: (complete/150, just under the budget: ``build_encoding`` peaks at 24.1 MB
-#: traced, and reading the stabilizers brings the tables to 49.6 MB), while
-#: complete/96 needs 16 % of it and complete/300 is refused.
+#: counted at their bound of one per edge) an encoding and its stabilizer
+#: list may hold.  A table string keeps two masks of one bit per qubit, a
+#: quarter byte per unit; the tables peak near 0.2 byte per unit while a
+#: stabilizer list is held (complete/150, just under the budget:
+#: ``build_encoding`` peaks at 24.1 MB traced, and a read of the
+#: stabilizers beside it at 49.6 MB), while complete/96 needs 16 % of it
+#: and complete/300 is refused.
 TABLE_BUDGET = 1 << 28
 
 
@@ -93,61 +92,14 @@ def check_table_budget(qubits: int, strings: int) -> None:
         )
 
 
-class _LazyTable(abc.Sequence):
-    """A read-only list built by ``build`` the first time it is read (its
-    length, an item, an iteration, ``==`` or ``repr``); the built list is
-    kept and ``build`` dropped.  Whether it has been built shows nowhere:
-    it compares equal to the built list, reprs and pickles as that list
-    (``copy`` and ``deepcopy`` follow the pickle form), and a copy is
-    built already."""
-
-    __slots__ = ("_items", "_build")
-
-    def __init__(self, build: Optional[Callable[[], Sequence]]):
-        self._items: Optional[Sequence] = None
-        self._build = build
-
-    def _list(self) -> Sequence:
-        build = self._build
-        if build is not None:
-            self._items, self._build = build(), None
-        return self._items
-
-    def __len__(self) -> int:
-        return len(self._list())
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _LazyTable):
-            other = other._list()
-        return self._list() == other
-
-    def __repr__(self) -> str:
-        return repr(self._list())
-
-    def __reduce__(self):
-        return _LazyTable, (None,), self._list()
-
-    def __setstate__(self, items: Sequence) -> None:
-        self._items = items
-
-
 @dataclass(frozen=True)
 class Encoding:
     """The tables derived from a system graph and its per-vertex local
-    bases by ``build_encoding``, the only constructor.  It builds every
-    table but ``stabilizers`` and ``cycles``, which are built together the
-    first time either is read.  That memo never shows: ``==``, ``repr``,
-    ``pickle.dumps`` and ``copy.deepcopy`` give the same result whether or
-    not the tables were read, a loaded table pickles to the bytes it was
-    loaded from, and no compile or routing call writes into an encoding,
-    so encodings of the same graph and bases compare equal whatever has
-    been routed on them."""
+    bases by ``build_encoding``, the only constructor, and only what it
+    builds.  The ``cycles`` and ``stabilizers``, which no compile reads,
+    are derived anew from these on each read, and no compile or routing
+    call writes into an encoding: encodings of the same graph and bases
+    compare equal whatever has been read or routed on them."""
 
     graph: SystemGraph
     total_qubits: int
@@ -155,8 +107,6 @@ class Encoding:
     local_bases: Dict[int, MajoranaBasis]
     edge_ops: List[PauliString]  # per edge index, oriented min->max
     vertex_ops: Dict[int, PauliString]
-    stabilizers: Sequence[PauliString]  # one per cycle of ``cycles``, in order
-    cycles: Sequence[Cycle]  # ``cycle_basis(graph)``
 
     # ------------------------------------------------------------------
     # operator queries
@@ -225,10 +175,34 @@ class Encoding:
     # ------------------------------------------------------------------
     # stabilizers
 
+    @property
+    def cycles(self) -> List[Cycle]:
+        """``cycle_basis(graph)``, a new list on each read."""
+        return cycle_basis(self.graph)
+
+    @property
+    def stabilizers(self) -> List[PauliString]:
+        """The loop stabilizer of each cycle of ``cycles``, in order, a new
+        list on each read."""
+        g, ops, n = self.graph, self.edge_ops, self.total_qubits
+        return [_loop_stabilizer(g, ops, n, c) for c in cycle_basis(g)]
+
     def loop_stabilizer(self, cycle: Cycle) -> PauliString:
         """i^{|cycle|} times the product of directed edge operators around
-        the closed walk; Hermitian and squaring to +I."""
-        return _loop_stabilizer(self.graph, self.edge_ops, self.total_qubits, cycle)
+        the closed walk; Hermitian and squaring to +I.  ParseError unless
+        the walk has at least 2 edges and one vertex per edge, and edge i
+        joins ``cycle.vertices[i]`` to ``cycle.vertices[(i + 1) % len]``."""
+        verts, edges, g = cycle.vertices, cycle.edges, self.graph
+        if len(edges) < 2:
+            raise ParseError("a closed walk needs at least 2 edges")
+        if len(verts) != len(edges):
+            raise ParseError("a closed walk needs one vertex per edge")
+        for i, e in enumerate(edges):
+            u, w = verts[i], verts[(i + 1) % len(verts)]
+            e = _integer(e, "cycle edges must be integers")
+            if not 0 <= e < len(g.edges) or g.edges[e] not in ((u, w), (w, u)):
+                raise ParseError(f"cycle edge {e} does not join {u} to {w}")
+        return _loop_stabilizer(g, self.edge_ops, self.total_qubits, cycle)
 
     def stabilizer_group_member(self, p: PauliString) -> Optional[PauliString]:
         """The product of stabilizer generators with the same (x, z)
@@ -237,13 +211,13 @@ class Encoding:
         The returned element carries its exact phase, so comparing it to
         ``p`` distinguishes membership in the group from membership up to
         a sign."""
-        n = self.total_qubits
-        pivots = gf2_pivots([s.x | (s.z << n) for s in self.stabilizers])
+        n, stabs = self.total_qubits, self.stabilizers
+        pivots = gf2_pivots([s.x | (s.z << n) for s in stabs])
         row, mask = gf2_reduce(p.x | (p.z << n), pivots)
         if row:
             return None
         combo = PauliString.identity(n)
-        for i, s in enumerate(self.stabilizers):
+        for i, s in enumerate(stabs):
             if (mask >> i) & 1:
                 combo = combo * s
         return combo
@@ -564,22 +538,9 @@ def _walk_product(
 def _loop_stabilizer(
     g: SystemGraph, edge_ops: Sequence[PauliString], n: int, cycle: Cycle
 ) -> PauliString:
-    edges = cycle.edges
-    if len(edges) < 2:
-        raise ParseError("a closed walk needs at least 2 edges")
-    x, z, phase = _walk_product(g, edge_ops, cycle.vertices[0], edges)
-    return _hermitian(PauliString._raw(n, x, z, phase + len(edges)), "cycle stabilizer")
-
-
-def _cycle_tables(
-    g: SystemGraph, edge_ops: Sequence[PauliString], n: int
-) -> Tuple[List[Cycle], List[PauliString]]:
-    """``cycle_basis(g)`` and the loop stabilizer of each of its cycles,
-    folded along its walk by ``_loop_stabilizer``, as ``loop_stabilizer``
-    folds it: one walk fold builds every table string but the edge and
-    vertex operators."""
-    cycles = cycle_basis(g)
-    return cycles, [_loop_stabilizer(g, edge_ops, n, c) for c in cycles]
+    """i^{|cycle|} times the walk product around ``cycle``, taken closed."""
+    x, z, phase = _walk_product(g, edge_ops, cycle.vertices[0], cycle.edges)
+    return PauliString._raw(n, x, z, phase + len(cycle.edges))
 
 
 def _hermitian(op: PauliString, *what) -> PauliString:
@@ -638,8 +599,8 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
 
     Qubits are laid out contiguously per vertex in ascending id order.
     Stabilizers are those of a fundamental cycle basis, a basis per
-    component of a disconnected graph, and are built with the cycles on
-    their first read.  ``ResourceError`` is raised, before any operator is
+    component of a disconnected graph, and are derived with the cycles on
+    each read.  ``ResourceError`` is raised, before any operator is
     embedded, when the tables would exceed ``TABLE_BUDGET``, the cycles
     counted at their bound.
     """
@@ -676,8 +637,6 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
             products[id(basis)] = op
         vertex_ops[v] = _hermitian(op.embed(total, off), "vertex operator", v)
 
-    # both cycle tables are built together, on the first read of either
-    tables = _LazyTable(lambda: _cycle_tables(g, edge_ops, total))
     return Encoding(
         graph=g,
         total_qubits=total,
@@ -685,8 +644,6 @@ def build_encoding(g: SystemGraph, basis_choice: BasisChoice = "jw") -> Encoding
         local_bases=bases,
         edge_ops=edge_ops,
         vertex_ops=vertex_ops,
-        stabilizers=_LazyTable(lambda: tables[1]),
-        cycles=_LazyTable(lambda: tables[0]),
     )
 
 
@@ -699,15 +656,15 @@ def verify_encoding_algebra(enc: Encoding) -> CheckReport:
 
     Edge operators anticommute exactly when they share one endpoint;
     vertex operators commute among themselves and anticommute with the
-    edge operators at their vertex; stabilizers commute with everything;
-    every operator is Hermitian and squares to +I; the stabilizers are
-    exactly the loop stabilizers of the cycle basis, in order, each folded
-    along its walk by ``loop_stabilizer``.
+    edge operators at their vertex; the loop stabilizers commute with
+    everything; every operator is Hermitian and squares to +I.  The
+    stabilizers are derived once, from the edge operators, so a wrong edge
+    operator can show in their rows too.
 
     The report keeps the first 20 findings.
     """
     rep = CheckReport()
-    g = enc.graph
+    g, stabs = enc.graph, enc.stabilizers
 
     def note(msg: str) -> None:
         if len(rep.violations) < 20:
@@ -716,7 +673,7 @@ def verify_encoding_algebra(enc: Encoding) -> CheckReport:
     everything = (
         [("edge", i, op) for i, op in enumerate(enc.edge_ops)]
         + [("vertex", v, enc.vertex_ops[v]) for v in g.vertex_ids()]
-        + [("stab", i, op) for i, op in enumerate(enc.stabilizers)]
+        + [("stab", i, op) for i, op in enumerate(stabs)]
     )
     for kind, tag, op in everything:
         if op.weight() == 0 and kind != "vertex":
@@ -757,16 +714,8 @@ def verify_encoding_algebra(enc: Encoding) -> CheckReport:
     for i, (a, b) in enumerate(g.edges):
         for vi in set_bits(((anti[i] >> ne) & vmask) ^ vbit[a] ^ vbit[b]):
             note(f"edge {i} vs vertex {verts[vi]}: wrong commutation")
-    for si in range(len(enc.stabilizers)):
+    for si in range(len(stabs)):
         for k in set_bits(anti[ne + nv + si]):
             kind, tag, _ = everything[k]
             note(f"stabilizer {si} fails to commute with {kind} {tag}")
-    try:
-        loops_ok = enc.stabilizers == [
-            enc.loop_stabilizer(c) for c in enc.cycles
-        ]
-    except VerifyError:
-        loops_ok = False
-    if not loops_ok:
-        note("stabilizers are not the loop stabilizers of the cycle basis")
     return rep

@@ -100,11 +100,17 @@ def decorated(node, name, **keywords):
     return False
 
 
+#: The standard library's method memos.
+MEMOS = ("cached_property", "cache", "lru_cache")
+
+
 def test_frozen_dataclasses_keep_no_memo():
     """No method of a ``@dataclass(frozen=True)`` class in the package is a
-    ``cached_property``: such a memo writes into the instance dict, so a
-    value that compares equal no longer pickles the same.  This stands in
-    for a lint rule, like the unused-import check above."""
+    ``cached_property``, ``functools.cache`` or ``lru_cache``: the first
+    writes into the instance dict, so a value that compares equal no
+    longer pickles the same, and the others keep every instance they
+    see alive in one cache shared by the class.  This stands in for a lint rule,
+    like the unused-import check above."""
     memos = []
     for path in sorted(Path(fermigraph.__file__).parent.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -113,7 +119,7 @@ def test_frozen_dataclasses_keep_no_memo():
                     f"{path.name}:{node.lineno} {cls.name}.{node.name}"
                     for node in cls.body
                     if isinstance(node, ast.FunctionDef)
-                    and decorated(node, "cached_property")
+                    and any(decorated(node, memo) for memo in MEMOS)
                 ]
     assert memos == []
 

@@ -219,12 +219,14 @@ class TestCodespaceBlock:
         assert np.allclose(block, codespace_block(compiled, cs), atol=1e-12)
 
     def test_empty_codespace_fails_the_oracle(self):
-        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
-        s = enc.stabilizers[0]
-        broken = dataclasses.replace(enc, stabilizers=[s, -s])
-        rep = dense_oracle_check(
-            build_lattice_model("chain", 4, t=1.0, u=0.4, bc="periodic"), broken
-        )
+        """A virtual mode's parity is fixed to +1 beside the stabilizers,
+        so setting it to the negated triangle stabilizer leaves no joint
+        +1 eigenspace."""
+        g = SystemGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)], kinds={3: "virtual"})
+        enc = build_encoding(g, "jw_yx")
+        (s,) = enc.stabilizers
+        broken = dataclasses.replace(enc, vertex_ops={**enc.vertex_ops, 3: -s})
+        rep = dense_oracle_check(build_lattice_model("chain", 3, t=1.0, u=0.4), broken)
         assert not rep.passed and rep.codespace_dim == 0
         assert any("not a multiple" in m for m in rep.messages), rep.messages
 

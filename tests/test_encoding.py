@@ -28,7 +28,7 @@ from fermigraph.errors import (
 )
 from fermigraph.fermion import FermionOperator, syk2_monomials
 from fermigraph.geometries import gen_heavy_hex, gen_lattice, gen_syk_geometry
-from fermigraph.graph import SystemGraph
+from fermigraph.graph import Cycle, SystemGraph
 from fermigraph.localbasis import basis_verify
 from fermigraph.pauli import PauliString
 from fermigraph.transform import _Realizer, transform_hamiltonian, transform_monomials
@@ -207,7 +207,7 @@ class TestValue:
     def test_fields_are_the_tables(self):
         assert [f.name for f in dataclasses.fields(Encoding)] == [
             "graph", "total_qubits", "layout", "local_bases", "edge_ops",
-            "vertex_ops", "stabilizers", "cycles",
+            "vertex_ops",
         ]
 
     def test_frozen(self):
@@ -260,37 +260,24 @@ class TestValue:
         assert enc == build_encoding(g, "fenwick")
 
     @staticmethod
-    def read_and_unread(monkeypatch):
+    def read_and_unread():
         """Two encodings of one graph: the first with both cycle tables
-        read, the second with neither, which the calls to
-        ``_cycle_tables`` counted from then on show."""
+        read, the second with neither."""
         g = gen_lattice("square", (3, 3), "periodic")
         read = build_encoding(g, "jw_yx")
         assert len(read.stabilizers) == len(read.cycles) == 10
-        calls = []
-        cycle_tables = encoding._cycle_tables
-        monkeypatch.setattr(encoding, "_cycle_tables",
-                            lambda *args: calls.append(1) or cycle_tables(*args))
-        unread = build_encoding(g, "jw_yx")
-        assert calls == []
-        return read, unread, calls
+        return read, build_encoding(g, "jw_yx")
 
-    def test_pickle_is_the_same_read_or_unread(self, monkeypatch):
-        """Pickling builds an unread table and writes the built list.  A
-        loaded table pickles to the same bytes; the whole encoding need
-        not, since its graph's meta dicts do not round-trip byte-stably."""
-        read, unread, calls = self.read_and_unread(monkeypatch)
+    def test_pickle_is_the_same_read_or_unread(self):
+        """Reading the cycle tables leaves no trace: an encoding pickles to
+        the same bytes read or unread, and a loaded one to the bytes it was
+        loaded from."""
+        read, unread = self.read_and_unread()
         data = pickle.dumps(unread)
-        assert calls == [1]
         assert pickle.dumps(read) == data
-        assert pickle.dumps(unread) == data
         again = pickle.loads(data)
         assert again == read
-        for table in (again.stabilizers, again.cycles):
-            assert type(table) is type(read.stabilizers)
-            assert pickle.dumps(pickle.loads(pickle.dumps(table))) == pickle.dumps(table)
-        assert pickle.dumps(again.stabilizers) == pickle.dumps(read.stabilizers)
-        assert pickle.dumps(again.cycles) == pickle.dumps(read.cycles)
+        assert pickle.dumps(again) == data
 
     @pytest.mark.parametrize("graph", [
         lambda: gen_lattice("square", (3, 3), "periodic"),
@@ -307,32 +294,37 @@ class TestValue:
             data = pickle.dumps(enc)
             assert pickle.dumps(pickle.loads(data)) == data
 
-    def test_equal_and_same_repr_read_or_unread(self, monkeypatch):
-        read, unread, _ = self.read_and_unread(monkeypatch)
+    def test_equal_and_same_repr_read_or_unread(self):
+        read, unread = self.read_and_unread()
         assert unread == read and read == unread
-        _, unread, _ = self.read_and_unread(monkeypatch)
-        assert repr(unread.stabilizers) == repr(read.stabilizers)
-        assert repr(unread.cycles) == repr(read.cycles)
-        _, unread, _ = self.read_and_unread(monkeypatch)
-        assert unread.stabilizers == list(read.stabilizers)
-        assert list(read.stabilizers) == unread.stabilizers
-        assert unread.cycles != read.cycles[:-1]
+        assert repr(unread) == repr(read)
+        assert unread.stabilizers == read.stabilizers
+        assert unread.cycles == read.cycles
 
-    def test_deepcopy_keeps_equality(self, monkeypatch):
-        read, unread, calls = self.read_and_unread(monkeypatch)
+    def test_deepcopy_keeps_equality(self):
+        read, unread = self.read_and_unread()
         for enc in (read, unread):
             twin = copy.deepcopy(enc)
             assert twin == enc == read
-            assert twin.stabilizers is not enc.stabilizers
+            assert twin.edge_ops is not enc.edge_ops
             assert pickle.dumps(twin) == pickle.dumps(read)
-        assert calls == [1]
 
-    def test_replaced_stabilizers_are_a_plain_list(self):
+    def test_a_changed_cycle_changes_no_table(self):
+        """Each read of ``cycles`` hands out new ``Cycle`` objects, so
+        changing one that was read leaves the encoding as built."""
+        g = gen_lattice("square", (3, 3), "periodic")
+        enc = build_encoding(g, "jw")
+        enc.cycles[0].edges = enc.cycles[1].edges
+        assert enc == build_encoding(g, "jw")
+        assert enc.stabilizers[0] == enc.loop_stabilizer(enc.cycles[0])
+
+    @pytest.mark.parametrize("table", ["stabilizers", "cycles"])
+    def test_cycle_tables_cannot_be_replaced(self, table):
+        """The cycle tables are derived, not fields: no table can be
+        handed in beside the ones ``build_encoding`` builds."""
         enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
-        (s,) = enc.stabilizers
-        neg = dataclasses.replace(enc, stabilizers=[-s])
-        assert neg.stabilizers == [-s] and neg != enc
-        assert neg.cycles == enc.cycles
+        with pytest.raises(TypeError):
+            dataclasses.replace(enc, **{table: getattr(enc, table)[::-1]})
 
     @pytest.mark.parametrize("kind", SWEEP_GEOMETRIES)
     def test_one_stabilizer_per_independent_cycle(self, kind):
@@ -498,6 +490,24 @@ class TestStabilizers:
         assert s.is_hermitian() and (s * s).phase == 0
         assert s.weight() == 6
 
+    @pytest.mark.parametrize("vertices, edges", [
+        ((0, 1), (0, 2)),
+        ((0, 1, 2), (0, 2, 3)),
+        ((1, 0, 2), (0, 2, 1)),
+        ((0, 1), (0, 2, 1)),
+        ((0, 1, 2), (0, 2, 7)),
+        ((0,), (0,)),
+    ], ids=["open_walk", "ends_at_3", "vertices_out_of_order", "vertex_short",
+            "no_edge_7", "single_edge"])
+    def test_loop_stabilizer_refuses_a_walk_that_is_not_closed(self, vertices, edges):
+        """Edge i of a ``Cycle`` joins vertices[i] to vertices[(i+1) % len];
+        a caller's walk that breaks that is refused, not folded."""
+        g = SystemGraph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
+        enc = build_encoding(g, "jw")
+        assert enc.loop_stabilizer(Cycle((0, 1, 2), (0, 2, 1))) == enc.stabilizers[0]
+        with pytest.raises(ParseError, match="closed walk|does not join"):
+            enc.loop_stabilizer(Cycle(vertices, edges))
+
     def test_open_walk_rejected(self):
         enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw")
         with pytest.raises(RoutingError):
@@ -526,15 +536,15 @@ class TestAlgebraSuite:
             "edge",
             "vertex",
             "vertex_pair",
-            "stab",
-            "stab_is_edge",
             "every_edge",
             "parallel_edge",
         ],
     )
     def test_tampered_ops_match_pairwise_reference(self, tamper, rng):
         """Each tampering breaks some commutations; the bitset check reports
-        the reference's messages in the reference's order, capped at 20."""
+        the reference's messages in the reference's order, capped at 20.
+        A tampered edge operator also shows in the stabilizers derived
+        from it."""
         if tamper == "parallel_edge":
             g = SystemGraph.from_edges([(0, 1), (0, 1), (1, 2), (0, 2), (2, 3)])
         else:
@@ -552,7 +562,6 @@ class TestAlgebraSuite:
             return hermitian(op * PauliString(n, 0, 1 << q))
 
         edges, verts = list(enc.edge_ops), dict(enc.vertex_ops)
-        stabs = list(enc.stabilizers)
         if tamper == "edge":
             edges[3] = flip(edges[3])
         elif tamper == "vertex":
@@ -560,22 +569,18 @@ class TestAlgebraSuite:
         elif tamper == "vertex_pair":
             # anticommutes with the vertex op at the edge's other end
             verts[4] = hermitian(verts[4] * edges[g.vertices[4].ports[0]])
-        elif tamper == "stab":
-            stabs[1] = flip(stabs[1])
-        elif tamper == "stab_is_edge":
-            stabs[0] = edges[0]
         elif tamper == "every_edge":
             edges = [edges[0]] * len(edges)
         else:
             edges[1] = flip(edges[1])
-        bad = dataclasses.replace(
-            enc, edge_ops=edges, vertex_ops=verts, stabilizers=stabs
-        )
+        bad = dataclasses.replace(enc, edge_ops=edges, vertex_ops=verts)
         rep = verify_encoding_algebra(bad)
         assert rep.violations == reference_algebra_violations(bad)
         assert any("commut" in v for v in rep.violations)
         if tamper == "every_edge":
             assert len(rep.violations) == 20
+        if tamper in ("edge", "parallel_edge"):
+            assert any(v.startswith("stab") for v in rep.violations)
 
     def test_operator_on_another_register_is_rejected(self):
         enc = build_encoding(gen_lattice("square", (2, 2), "open"), "jw")
@@ -586,19 +591,6 @@ class TestAlgebraSuite:
             reference_algebra_violations(bad)
         with pytest.raises(DimensionError):
             verify_encoding_algebra(bad)
-
-    @pytest.mark.parametrize("tamper", ["s,-s", "-s"])
-    def test_stabilizers_must_be_the_loop_stabilizers(self, tamper):
-        """A negated or duplicated-with-opposite-sign stabilizer list still
-        commutes with everything, so only the comparison with the cycle
-        basis catches it; [s, -s] generates -I (empty codespace)."""
-        enc = build_encoding(gen_lattice("linear", 4, "periodic"), "jw_yx")
-        assert verify_encoding_algebra(enc).ok
-        (s,) = enc.stabilizers
-        stabs = [s, -s] if tamper == "s,-s" else [-s]
-        rep = verify_encoding_algebra(dataclasses.replace(enc, stabilizers=stabs))
-        assert not rep.ok
-        assert any("loop stabilizers" in v for v in rep.violations)
 
     def test_vertex_op_equals_mode_parity_dense(self):
         """Odd-degree vertex operator (unpaired Majorana included) matches
